@@ -19,11 +19,10 @@ from .adapt import (
     strong_relation,
     weak_relation,
 )
-from .compare import MethodVerdicts, compare_methods, find_discrepancy, rerooted
+from .compare import MethodVerdicts, compare_methods, find_discrepancy
 from .ctl import (
     CheckResult,
     check_ctl,
-    ctl_oracle,
     parse_ctl,
     strong_counterexample,
     strong_formula,
@@ -41,7 +40,6 @@ from .errors import (
 from .flat import (
     FlatLTS,
     FlatState,
-    classify,
     export_dot,
     export_json,
     flatten,
@@ -95,9 +93,7 @@ __all__ = [
     "bundled_model_path",
     "check_ctl",
     "check_well_formed",
-    "classify",
     "compare_methods",
-    "ctl_oracle",
     "equiv_partition",
     "evaluate",
     "export_dot",
@@ -113,7 +109,6 @@ __all__ = [
     "parse_formula",
     "relation_to_json",
     "require_well_formed",
-    "rerooted",
     "save",
     "strong_counterexample",
     "strong_formula",

@@ -7,6 +7,7 @@ Exit codes:
 * 2  usage error, unreadable file, or syntax error in a model or formula
 * 3  the model is not well formed
 * 4  the relational and CTL methods disagree (reported as DISCREPANCY)
+* 5  internal error: an unexpected exception, reported in one line
 
 ``SBCHECK_COLOR=1`` forces coloured output, ``SBCHECK_COLOR=0`` disables
 it; otherwise colour is used only on a terminal.
@@ -56,6 +57,7 @@ EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_DISCREPANCY = 4
+EXIT_INTERNAL = 5
 
 _GREEN, _RED, _YELLOW = "32", "31", "33"
 
@@ -416,6 +418,9 @@ def main(argv=None):
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
+    except Exception as e:  # a crash must not read as a verdict
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ Adaptability characterisations checked at the initial state:
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -105,86 +104,23 @@ class Until:
 # ---------------------------------------------------------------------------
 # parsing
 
-_RULES = [
-    ("arrow", re.compile(r"->")),
-    ("ne", re.compile(r"!=")),
-    ("le", re.compile(r"<=")),
-    ("ge", re.compile(r">=")),
-    ("eq", re.compile(r"==")),
-    ("and", re.compile(r"&&")),
-    ("or", re.compile(r"\|\|")),
-    ("not", re.compile(r"!")),
-    ("lt", re.compile(r"<")),
-    ("gt", re.compile(r">")),
-    ("plus", re.compile(r"\+")),
-    ("minus", re.compile(r"-")),
-    ("lpar", re.compile(r"\(")),
-    ("rpar", re.compile(r"\)")),
-    ("lbracket", re.compile(r"\[")),
-    ("rbracket", re.compile(r"\]")),
-    ("at", re.compile(r"@")),
-    ("int", re.compile(r"[0-9]+")),
-    ("ident", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-]
+LEXER = _lex.Lexer(
+    F.RULES + [("lbracket", r"\["), ("rbracket", r"\]"), ("at", r"@")], CtlError
+)
 
 _MODALS = ("AX", "EX", "AF", "EF", "AG", "EG")
 
 
-def _lex_error(line, col, msg):
-    return CtlError(msg, line, col)
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, what=None):
-        t = self.tokens[self.i]
-        if kind is not None and t.kind != kind:
-            raise self.fail(what or f"expected {kind}")
-        self.i += 1
-        return t
-
-    def fail(self, msg):
-        t = self.tokens[self.i]
-        found = "end of input" if t.kind == _lex.EOF else repr(t.text)
-        return CtlError(f"{msg}, found {found}", t.line, t.col)
-
-
 def parse_ctl(text):
-    p = _Parser(_lex.tokenize(text, _RULES, _lex_error))
-    f = _implies(p)
+    p = LEXER.parser(text)
+    f = _ctl(p)
     if p.peek().kind != _lex.EOF:
         raise p.fail("unexpected trailing input")
     return f
 
 
-def _implies(p):
-    left = _or(p)
-    if p.peek().kind == "arrow":
-        t = p.take()
-        return CtlImplies(left, _implies(p), pos=(t.line, t.col))
-    return left
-
-
-def _or(p):
-    left = _and(p)
-    while p.peek().kind == "or":
-        t = p.take()
-        left = CtlOr(left, _and(p), pos=(t.line, t.col))
-    return left
-
-
-def _and(p):
-    left = _unary(p)
-    while p.peek().kind == "and":
-        t = p.take()
-        left = CtlAnd(left, _unary(p), pos=(t.line, t.col))
-    return left
+def _ctl(p):
+    return _lex.connectives(p, _unary, CtlImplies, CtlOr, CtlAnd)
 
 
 def _unary(p):
@@ -216,11 +152,11 @@ def _primary(p):
         if t.text in ("A", "E"):
             p.take()
             p.take("lbracket", f"expected '[' after {t.text}")
-            left = _implies(p)
+            left = _ctl(p)
             u = p.take("ident", "expected 'U'")
             if u.text != "U":
                 raise CtlError(f"expected 'U', found {u.text!r}", u.line, u.col)
-            right = _implies(p)
+            right = _ctl(p)
             p.take("rbracket", "expected ']'")
             return Until(t.text, left, right, pos=(t.line, t.col))
         raise p.fail("unknown atom")
@@ -236,7 +172,7 @@ def _primary(p):
         return ObsHolds(phi, pos=(t.line, t.col))
     if t.kind == "lpar":
         p.take()
-        f = _implies(p)
+        f = _ctl(p)
         p.take("rpar", "expected ')'")
         return f
     raise p.fail("expected a CTL formula")
@@ -245,19 +181,13 @@ def _primary(p):
 # ---------------------------------------------------------------------------
 # printing
 
-_LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(f):
-    if isinstance(f, CtlImplies):
-        return _LVL_IMPLIES
-    if isinstance(f, CtlOr):
-        return _LVL_OR
-    if isinstance(f, CtlAnd):
-        return _LVL_AND
-    if isinstance(f, (CtlNot, Modal)):
-        return _LVL_UNARY
-    return _LVL_ATOM
+_LEVELS = {
+    CtlImplies: _lex.IMPLIES,
+    CtlOr: _lex.OR,
+    CtlAnd: _lex.AND,
+    CtlNot: _lex.UNARY,
+    Modal: _lex.UNARY,
+}
 
 
 def unparse_ctl(f):
@@ -272,32 +202,17 @@ def unparse_ctl(f):
         return f"@({F.unparse(f.phi)})"
     if isinstance(f, CtlNot):
         inner = unparse_ctl(f.arg)
-        return "!" + (inner if _level(f.arg) >= _LVL_UNARY else f"({inner})")
+        return "!" + (inner if _lex.level(f.arg, _LEVELS) >= _lex.UNARY else f"({inner})")
     if isinstance(f, Modal):
         inner = unparse_ctl(f.arg)
-        if _level(f.arg) >= _LVL_UNARY:
+        if _lex.level(f.arg, _LEVELS) >= _lex.UNARY:
             return f"{f.op} {inner}"
         return f"{f.op}({inner})"
-    if isinstance(f, CtlAnd):
-        return _binary(f, "&&", _LVL_AND, right_assoc=False)
-    if isinstance(f, CtlOr):
-        return _binary(f, "||", _LVL_OR, right_assoc=False)
-    if isinstance(f, CtlImplies):
-        return _binary(f, "->", _LVL_IMPLIES, right_assoc=True)
+    if isinstance(f, (CtlAnd, CtlOr, CtlImplies)):
+        return _lex.binary(f, unparse_ctl, _LEVELS)
     if isinstance(f, Until):
         return f"{f.quant}[{unparse_ctl(f.left)} U {unparse_ctl(f.right)}]"
     raise CtlError(f"not a CTL node: {f!r}")
-
-
-def _binary(f, op, level, right_assoc):
-    left = unparse_ctl(f.left)
-    right = unparse_ctl(f.right)
-    ll, rl = _level(f.left), _level(f.right)
-    if ll < level or (right_assoc and ll == level):
-        left = f"({left})"
-    if rl < level or (not right_assoc and rl == level):
-        right = f"({right})"
-    return f"{left} {op} {right}"
 
 
 def _node_str(self):

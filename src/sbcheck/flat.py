@@ -107,35 +107,34 @@ def successors(sys, state):
     return out
 
 
-def classify(sys, state):
-    """One of 'adapting', 'steady', 'stuck' (stuck: pending set, no way out)."""
-    trans = successors(sys, state)
-    if any(isinstance(t.label, AdaptLabel) for t in trans):
-        return ADAPTING
-    if state.pending is None:
-        return STEADY
-    return STUCK
-
-
 class FlatLTS:
     """Reachable fragment of the flat semantics with stable state numbering.
 
     Equality compares states, the initial index and transitions; the
     backing system reference (used only to evaluate observation atoms) is
     ignored, so a JSON round trip restores an equal value.
+
+    ``classes[i]`` is 'adapting' when state i has an outgoing adaptation
+    transition, else 'steady' without a pending adaptation and 'stuck' with
+    one.
     """
 
-    def __init__(self, states, init_index, transitions, classes, system=None):
+    def __init__(self, states, init_index, transitions, system=None):
         self.states = tuple(states)
         self.init_index = init_index
         self.transitions = tuple(transitions)
-        self.classes = tuple(classes)
         self.system = system
         self._index = {s: i for i, s in enumerate(self.states)}
         out = [[] for _ in self.states]
         for t in self.transitions:
             out[self._index[t.source]].append(t)
         self._out = [tuple(v) for v in out]
+        self.classes = tuple(
+            ADAPTING if any(isinstance(t.label, AdaptLabel) for t in ts)
+            else STEADY if s.pending is None
+            else STUCK
+            for s, ts in zip(self.states, self._out)
+        )
 
     def __len__(self):
         return len(self.states)
@@ -168,27 +167,16 @@ def flatten(sys):
     number = {init: 0}
     states = [init]
     transitions = []
-    out_kind = {0: False}
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        trans = successors(sys, s)
-        out_kind[number[s]] = any(isinstance(t.label, AdaptLabel) for t in trans)
-        for t in trans:
+        for t in successors(sys, s):
             if t.target not in number:
                 number[t.target] = len(states)
                 states.append(t.target)
                 queue.append(t.target)
             transitions.append(t)
-    classes = []
-    for i, s in enumerate(states):
-        if out_kind[i]:
-            classes.append(ADAPTING)
-        elif s.pending is None:
-            classes.append(STEADY)
-        else:
-            classes.append(STUCK)
-    return FlatLTS(states, 0, transitions, classes, system=sys)
+    return FlatLTS(states, 0, transitions, system=sys)
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +247,12 @@ def import_json(text, system=None):
     except (KeyError, IndexError, TypeError) as e:
         raise ModelError(f"invalid flat JSON: {e!r}") from None
 
-    adapt_out = set()
-    for t in transitions:
-        if isinstance(t.label, AdaptLabel):
-            adapt_out.add(t.source)
-    classes = []
-    for s in states:
-        if s in adapt_out:
-            classes.append(ADAPTING)
-        elif s.pending is None:
-            classes.append(STEADY)
-        else:
-            classes.append(STUCK)
-    if classes != declared:
+    flat = FlatLTS(states, init, transitions, system=system)
+    if list(flat.classes) != declared:
         raise ModelError("invalid flat JSON: 'class' tags disagree with the transition structure")
     if not (isinstance(init, int) and 0 <= init < len(states)):
         raise ModelError("invalid flat JSON: bad init index")
-    return FlatLTS(states, init, transitions, classes, system=system)
+    return flat
 
 
 def _dot_escape(s):

@@ -13,7 +13,6 @@ restrict the values a state may carry, not the literals a formula may use.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 
 from . import _lex
@@ -233,61 +232,34 @@ class Implies:
 # ---------------------------------------------------------------------------
 # parsing
 
-_RULES = [
-    ("arrow", re.compile(r"->")),
-    ("ne", re.compile(r"!=")),
-    ("le", re.compile(r"<=")),
-    ("ge", re.compile(r">=")),
-    ("eq", re.compile(r"==")),
-    ("and", re.compile(r"&&")),
-    ("or", re.compile(r"\|\|")),
-    ("not", re.compile(r"!")),
-    ("lt", re.compile(r"<")),
-    ("gt", re.compile(r">")),
-    ("plus", re.compile(r"\+")),
-    ("minus", re.compile(r"-")),
-    ("lpar", re.compile(r"\(")),
-    ("rpar", re.compile(r"\)")),
-    ("int", re.compile(r"[0-9]+")),
-    ("ident", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
+RULES = [
+    ("arrow", r"->"),
+    ("ne", r"!="),
+    ("le", r"<="),
+    ("ge", r">="),
+    ("eq", r"=="),
+    ("and", r"&&"),
+    ("or", r"\|\|"),
+    ("not", r"!"),
+    ("lt", r"<"),
+    ("gt", r">"),
+    ("plus", r"\+"),
+    ("minus", r"-"),
+    ("lpar", r"\("),
+    ("rpar", r"\)"),
+    ("int", r"[0-9]+"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
 ]
+
+LEXER = _lex.Lexer(RULES, FormulaError)
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def _lex_error(line, col, msg):
-    return FormulaError(msg, line, col)
-
-
-def tokenize(text):
-    return _lex.tokenize(text, _RULES, _lex_error)
-
-
-class _Parser:
-    def __init__(self, tokens, i=0):
-        self.tokens = tokens
-        self.i = i
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, what=None):
-        t = self.tokens[self.i]
-        if kind is not None and t.kind != kind:
-            raise self.fail(what or f"expected {kind}")
-        self.i += 1
-        return t
-
-    def fail(self, msg):
-        t = self.tokens[self.i]
-        found = "end of input" if t.kind == _lex.EOF else repr(t.text)
-        return FormulaError(f"{msg}, found {found}", t.line, t.col)
-
-
 def parse_raw(text):
     """Parse formula syntax without resolving names (no declarations needed)."""
-    p = _Parser(tokenize(text))
-    f = _implies(p)
+    p = LEXER.parser(text)
+    f = _formula(p)
     if p.peek().kind != _lex.EOF:
         raise p.fail("unexpected trailing input")
     return f
@@ -297,10 +269,10 @@ def parse_embedded(tokens, i):
     """Parse a formula from a foreign token stream; returns (formula, next index).
 
     Used by front-ends that embed formula syntax (the token rules must be a
-    superset of the formula rules).
+    superset of :data:`RULES`).  Errors are raised as :class:`FormulaError`.
     """
-    p = _Parser(tokens, i)
-    f = _implies(p)
+    p = _lex.Parser(tokens, FormulaError, i)
+    f = _formula(p)
     return f, p.i
 
 
@@ -309,29 +281,8 @@ def parse_formula(text, observables):
     return typecheck(parse_raw(text), observables)
 
 
-def _implies(p):
-    left = _or(p)
-    if p.peek().kind == "arrow":
-        t = p.take()
-        right = _implies(p)  # right associative
-        return Implies(left, right, pos=(t.line, t.col))
-    return left
-
-
-def _or(p):
-    left = _and(p)
-    while p.peek().kind == "or":
-        t = p.take()
-        left = Or(left, _and(p), pos=(t.line, t.col))
-    return left
-
-
-def _and(p):
-    left = _not(p)
-    while p.peek().kind == "and":
-        t = p.take()
-        left = And(left, _not(p), pos=(t.line, t.col))
-    return left
+def _formula(p):
+    return _lex.connectives(p, _not, Implies, Or, And)
 
 
 def _not(p):
@@ -366,7 +317,7 @@ def _atom(p):
             return _finish_compare(p, term)
         p.i = save
         p.take("lpar")
-        f = _implies(p)
+        f = _formula(p)
         p.take("rpar", "expected ')'")
         return f
     raise p.fail("expected a formula")
@@ -592,19 +543,7 @@ def sat_set(phi, states, observation):
 # ---------------------------------------------------------------------------
 # printing
 
-_LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_NOT, _LVL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(phi):
-    if isinstance(phi, Implies):
-        return _LVL_IMPLIES
-    if isinstance(phi, Or):
-        return _LVL_OR
-    if isinstance(phi, And):
-        return _LVL_AND
-    if isinstance(phi, Not):
-        return _LVL_NOT
-    return _LVL_ATOM
+_LEVELS = {Implies: _lex.IMPLIES, Or: _lex.OR, And: _lex.AND, Not: _lex.UNARY}
 
 
 def unparse(phi):
@@ -617,27 +556,12 @@ def unparse(phi):
         return f"{_unparse_term(phi.left)} {phi.op} {_unparse_term(phi.right)}"
     if isinstance(phi, Not):
         inner = unparse(phi.arg)
-        if _level(phi.arg) < _LVL_NOT:
+        if _lex.level(phi.arg, _LEVELS) < _lex.UNARY:
             inner = f"({inner})"
         return "!" + inner
-    if isinstance(phi, And):
-        return _binary(phi, "&&", _LVL_AND, right_assoc=False)
-    if isinstance(phi, Or):
-        return _binary(phi, "||", _LVL_OR, right_assoc=False)
-    if isinstance(phi, Implies):
-        return _binary(phi, "->", _LVL_IMPLIES, right_assoc=True)
+    if isinstance(phi, (And, Or, Implies)):
+        return _lex.binary(phi, unparse, _LEVELS)
     raise FormulaError(f"not a formula node: {phi!r}")
-
-
-def _binary(phi, op, level, right_assoc):
-    left = unparse(phi.left)
-    right = unparse(phi.right)
-    ll, rl = _level(phi.left), _level(phi.right)
-    if ll < level or (right_assoc and ll == level):
-        left = f"({left})"
-    if rl < level or (not right_assoc and rl == level):
-        right = f"({right})"
-    return f"{left} {op} {right}"
 
 
 def _unparse_term(t):

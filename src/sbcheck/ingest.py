@@ -32,72 +32,38 @@ point and ``load(save(sys))`` equals ``sys``.
 from __future__ import annotations
 
 import pathlib
-import re
 
 from . import _lex
 from . import formula as F
 from .errors import FormulaError, ModelError, ModelFileError
 from .model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
-_RULES = [
-    ("string", re.compile(r'"(?:[^"\\\n]|\\.)*"')),
-    ("dotdot", re.compile(r"\.\.")),
-    ("arrowl", re.compile(r"-\[")),
-    ("arrowr", re.compile(r"\]->")),
-    ("arrow", re.compile(r"->")),
-    ("lbrace", re.compile(r"\{")),
-    ("rbrace", re.compile(r"\}")),
-    ("lbracket", re.compile(r"\[")),
-    ("rbracket", re.compile(r"\]")),
-    ("colon", re.compile(r":")),
-    ("semi", re.compile(r";")),
-    ("comma", re.compile(r",")),
-    ("assign", re.compile(r"=")),
-    ("minus", re.compile(r"-")),
-    ("int", re.compile(r"[0-9]+")),
-    ("ident", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-]
-
-
-def _lex_error(line, col, msg):
-    return ModelFileError(msg, line, col)
+LEXER = _lex.Lexer(
+    [
+        ("string", r'"(?:[^"\\\n]|\\.)*"'),
+        ("dotdot", r"\.\."),
+        ("arrowl", r"-\["),
+        ("arrowr", r"\]->"),
+        ("arrow", r"->"),
+        ("lbrace", r"\{"),
+        ("rbrace", r"\}"),
+        ("lbracket", r"\["),
+        ("rbracket", r"\]"),
+        ("colon", r":"),
+        ("semi", r";"),
+        ("comma", r","),
+        ("assign", r"="),
+        ("minus", r"-"),
+        ("int", r"[0-9]+"),
+        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ],
+    ModelFileError,
+)
 
 
 def _unquote(text):
     body = text[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
-
-
-class _P:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, what=None):
-        t = self.tokens[self.i]
-        if kind is not None and t.kind != kind:
-            raise self.fail(what or f"expected {kind}")
-        self.i += 1
-        return t
-
-    def keyword(self, word):
-        t = self.tokens[self.i]
-        if t.kind != "ident" or t.text != word:
-            raise self.fail(f"expected {word!r}")
-        self.i += 1
-        return t
-
-    def at_keyword(self, word):
-        t = self.tokens[self.i]
-        return t.kind == "ident" and t.text == word
-
-    def fail(self, msg):
-        t = self.tokens[self.i]
-        found = "end of input" if t.kind == _lex.EOF else repr(t.text)
-        return ModelFileError(f"{msg}, found {found}", t.line, t.col)
 
 
 def _string_formula(tok, observables, what):
@@ -352,7 +318,7 @@ def loads(text):
     Raises :class:`ModelFileError` with a line:col position on any syntax
     or semantic problem in the text.
     """
-    p = _P(_lex.tokenize(text, _RULES, _lex_error))
+    p = LEXER.parser(text)
     p.keyword("system")
     name_tok = p.take("string", "expected the system name as a quoted string")
     observables = _parse_observables(p)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from sbcheck import cli
 from sbcheck.ingest import bundled_model_path
 
 S0 = str(bundled_model_path("predator_s0"))
@@ -403,3 +404,15 @@ def test_color_defaults_off_when_piped():
         env=env,
     )
     assert "\x1b[" not in res.stdout
+
+
+def test_internal_error_exits_5(monkeypatch, capsys):
+    def crash(args, color):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", crash)
+    assert cli.main(["validate", S0]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: boom\n"
+    assert "Traceback" not in err
+

@@ -163,6 +163,12 @@ def test_unterminated_string():
     check_error(BASE.replace('"t"', '"t'), 1, 8, "unexpected character")
 
 
+def test_unexpected_character_position():
+    # '#' does not start a comment; tabs count one column each
+    check_error("// c\n# note\n" + BASE, 2, 1, "unexpected character '#'")
+    check_error(BASE.replace("x: bool;", "x: bool;\t\t$"), 4, 13, "unexpected character '$'")
+
+
 def test_empty_integer_range():
     check_error(BASE.replace("x: bool;", "x: int[5..1];"), 4, 6, "empty integer range")
 
