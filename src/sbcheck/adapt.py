@@ -1,17 +1,18 @@
 """Weak and strong adaptability as greatest-fixpoint relations on (q, r) pairs.
 
-Starting from every pair whose behaviour state satisfies the structure
-state's constraint, pairs are removed until stable.  A pair survives when
-each move the flat semantics can actually take from (q, r, no-pending) is
-covered:
+Each candidate pair (q, r), with q satisfying the constraint of r, is
+mapped once to the clauses it needs: tuples of candidate pairs of which
+at least one must survive (an empty clause never holds).  Starting from
+all candidates, pairs with an unmet clause are dropped until stable.  The
+clauses cover each move the flat semantics can take from (q, r, no-pending):
 
-* every steady successor must itself form a surviving pair with r;
-* when no steady move exists, adaptation branches are examined.  The weak
-  relation asks, for each behaviour successor some adaptation branch can
-  reach, that at least one branch admits a finite run ending in a
-  surviving pair with the branch target.  The strong relation asks that
-  every enabled adaptation branch terminates on all runs, with every
-  endpoint a surviving pair.
+* every steady successor q2 needs the pair (q2, r);
+* when no steady move exists, adaptation branches ``inv => t`` are walked
+  from each behaviour successor they admit, through ``inv`` states, to
+  the endpoints satisfying the constraint of t.  The weak relation needs,
+  per successor some branch admits, one endpoint pair (x, t) of any such
+  branch.  The strong relation needs every such branch to end on all
+  runs, with every endpoint pair surviving.
 
 Behaviour successors the flat semantics cannot move to (they violate the
 active constraint while a steady move exists, or satisfy no enabled
@@ -52,108 +53,99 @@ def candidate_pairs(sys):
     )
 
 
-def _phase_options(sys, r, q2):
-    """Adaptation branches from r whose invariant admits q2 as first step."""
-    return [
-        (inv, target)
-        for inv, target in sys.structure.out_transitions(r)
-        if q2 in sys.region(inv)
-    ]
+def _branch(sys, start, inv, target):
+    """Where the adaptation branch ``inv => target`` entered at ``start`` can end.
 
-
-def _some_run_good(sys, start, inv, target, pairs):
-    """Is there a finite run from ``start`` through invariant-satisfying states
-    that reaches one satisfying the target constraint, landing in ``pairs``?"""
-    goal = sys.constraint_region(target)
-    inv_region = sys.region(inv)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if x in goal:
-            if (x, target) in pairs:
-                return True
-            continue  # adaptation ends here no matter what; a bad endpoint
-        for y in sys.behaviour.successors(x):
-            if y in inv_region and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
-
-
-def _all_runs_good(sys, start, inv, target, pairs):
-    """Do all maximal runs from ``start`` terminate at good endpoints?
-
-    Fails on a reachable cycle (an infinite run), on a state with no move
-    left that does not satisfy the target constraint (stuck), and on any
-    endpoint whose pair with the target is outside ``pairs``.
+    Walks from ``start`` through states satisfying ``inv`` and stops at
+    states satisfying the target constraint.  Returns ``(endpoints,
+    finite)``: the goal states reached, and whether every run reaches one.
+    A run does not when it meets a non-goal state with no move left
+    (stuck) or a cycle of non-goal states.
     """
     goal = sys.constraint_region(target)
     inv_region = sys.region(inv)
     succ = sys.behaviour.successors
-    VISITING, OK = 1, 2
-    mark = {}
-
-    def visit(x):
-        if x in goal:
-            return (x, target) in pairs
-        st = mark.get(x)
-        if st == VISITING:
-            return False  # cycle inside the adaptation phase
-        if st == OK:
-            return True
-        mark[x] = VISITING
-        moves = [y for y in succ(x) if y in inv_region]
-        if not moves:
-            return False  # stuck: cannot continue, cannot end
+    endpoints = set()
+    finite = True
+    seen = set()
+    on_path = set()
+    stack = [(None, iter((start,)))]
+    while stack:
+        x, moves = stack[-1]
         for y in moves:
-            if not visit(y):
-                return False
-        mark[x] = OK
-        return True
+            if y in goal:
+                endpoints.add(y)
+            elif y in on_path:
+                finite = False  # a cycle of non-goal states
+            elif y not in seen:
+                seen.add(y)
+                on_path.add(y)
+                ys = [z for z in succ(y) if z in inv_region]
+                finite = finite and bool(ys)  # no move left: stuck
+                stack.append((y, iter(ys)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(x)
+    return endpoints, finite
 
-    return visit(start)
 
+def _clauses(sys, kind):
+    """Map each candidate pair to the clauses it needs under ``kind``."""
+    if kind not in (WEAK, STRONG):
+        raise ModelError(f"unknown adaptability kind {kind!r}")
+    regions = {r: sys.constraint_region(r) for r in sys.structure.states}
+    options = {
+        r: [(inv, t, sys.region(inv)) for inv, t in sys.structure.out_transitions(r)]
+        for r in sys.structure.states
+    }
+    needs = {}  # (q2, r) -> clauses that adapting from r into q2 adds
 
-def _pair_condition(sys, q, r, pairs, strong):
-    region = sys.constraint_region(r)
-    succs = sys.behaviour.successors(q)
-    steady = [q2 for q2 in succs if q2 in region]
-    if steady:
+    def adapting_into(q2, r):
+        if (q2, r) not in needs:
+            runs = [
+                (t, *_branch(sys, q2, inv, t)) for inv, t, region in options[r] if q2 in region
+            ]
+            if kind == WEAK:
+                needs[q2, r] = [tuple((x, t) for t, ends, _ in runs for x in ends)] if runs else []
+            elif all(finite for _, _, finite in runs):
+                needs[q2, r] = [((x, t),) for t, ends, _ in runs for x in ends]
+            else:
+                needs[q2, r] = [()]
+        return needs[q2, r]
+
+    table = {}
+    for q, r in candidate_pairs(sys):
+        succs = sys.behaviour.successors(q)
         # adaptation cannot start while a steady move exists; successors
-        # outside the constraint are never entered from here
-        return all((q2, r) in pairs for q2 in steady)
-    if not succs:
-        return True  # behaviour deadlock: nothing is required
-    if strong:
-        for q2 in succs:
-            for inv, target in _phase_options(sys, r, q2):
-                if not _all_runs_good(sys, q2, inv, target, pairs):
-                    return False
-        return True
-    for q2 in succs:
-        options = _phase_options(sys, r, q2)
-        if not options:
-            continue  # the flat semantics never moves to q2 from here
-        if not any(_some_run_good(sys, q2, inv, target, pairs) for inv, target in options):
-            return False
-    return True
+        # outside the constraint are never entered from here, and a
+        # behaviour deadlock needs nothing
+        steady = [((q2, r),) for q2 in succs if q2 in regions[r]]
+        table[q, r] = steady or [c for q2 in succs for c in adapting_into(q2, r)]
+    return table
+
+
+def _sweep(table, pairs):
+    return frozenset(
+        p for p in pairs if p in table and all(not pairs.isdisjoint(c) for c in table[p])
+    )
 
 
 def refine_once(sys, pairs, kind):
-    """One refinement sweep: drop every pair whose condition fails under ``pairs``."""
-    if kind not in (WEAK, STRONG):
-        raise ModelError(f"unknown adaptability kind {kind!r}")
-    strong = kind == STRONG
-    return frozenset(p for p in pairs if _pair_condition(sys, p[0], p[1], pairs, strong))
+    """One refinement sweep: drop every pair whose condition fails under ``pairs``.
+
+    Pairs that are not candidates (q violates the constraint of r) are dropped.
+    """
+    return _sweep(_clauses(sys, kind), frozenset(pairs))
 
 
 def _relation(sys, kind):
     require_well_formed(sys)
-    pairs = candidate_pairs(sys)
+    table = _clauses(sys, kind)
+    pairs = frozenset(table)
     while True:
-        refined = refine_once(sys, pairs, kind)
-        if refined == pairs:
+        refined = _sweep(table, pairs)
+        if len(refined) == len(pairs):
             return AdaptRelation(kind, pairs)
         pairs = refined
 
@@ -185,10 +177,12 @@ def equiv_partition(sys, kind):
     same set of structure states.
     """
     rel = _relation(sys, kind)
+    row_of = {q: set() for q in sys.behaviour.states}
+    for q, r in rel.pairs:
+        row_of[q].add(r)
     rows = {}
-    for q in sys.behaviour.states:
-        row = frozenset(r for (q2, r) in rel.pairs if q2 == q)
-        rows.setdefault(row, []).append(q)
+    for q, row in row_of.items():
+        rows.setdefault(frozenset(row), []).append(q)
     blocks = sorted((frozenset(qs) for qs in rows.values()), key=lambda b: min(b))
     return EquivPartition(kind, tuple(blocks))
 

@@ -65,13 +65,17 @@ def pair_disagreements(sys, kind):
 
     Every pair (q, r) with q satisfying the constraint of r is tried:
     relational membership against the CTL formula on the system re-rooted
-    at that pair.  Returns a sorted tuple of ((q, r), relational, ctl)
+    at that pair.  All pairs are roots of one flat system, labelled once;
+    this is exact because a state's CTL label depends only on the states
+    it can reach.  Returns a sorted tuple of ((q, r), relational, ctl)
     entries; empty when the methods agree on every candidate.
     """
     rel, phi = _relation_and_formula(sys, kind)
+    roots = sorted(candidate_pairs(sys))
+    sat = check_ctl(flatten(sys, roots), phi).satisfying
     out = []
-    for q, r in sorted(candidate_pairs(sys)):
-        ctl_holds = check_ctl(flatten(rerooted(sys, q, r)), phi).holds_at_init
+    for i, (q, r) in enumerate(roots):
+        ctl_holds = i in sat
         rel_holds = rel.holds_for(q, r)
         if rel_holds != ctl_holds:
             out.append(((q, r), rel_holds, ctl_holds))

@@ -64,47 +64,41 @@ class FlatTransition:
     label: SteadyLabel | AdaptLabel
 
 
-def _transition_key(t):
-    if isinstance(t.label, AdaptLabel):
-        inv_text, target = F.unparse(t.label.invariant), t.label.target
-    else:
-        inv_text, target = "", ""
-    return (t.target.q, t.target.r, inv_text, target)
-
-
 def successors(sys, state):
-    """Outgoing flat transitions of ``state``, in a fixed deterministic order."""
-    out = []
+    """Outgoing flat transitions of ``state``, in a fixed deterministic order.
+
+    The order is by target behaviour state, then by the structure
+    machine's order of (invariant, target) options.
+    """
     if state.pending is None:
         region = sys.constraint_region(state.r)
         succs = sys.behaviour.successors(state.q)
         steady = [q2 for q2 in succs if q2 in region]
         if steady:
             label = SteadyLabel(state.r)
-            out = [FlatTransition(state, FlatState(q2, state.r, None), label) for q2 in steady]
-        else:
-            # no steady move possible: adaptation may start
-            for inv, target in sys.structure.out_transitions(state.r):
-                inv_region = sys.region(inv)
-                label = AdaptLabel(state.r, inv, target)
-                for q2 in succs:
-                    if q2 in inv_region:
-                        out.append(
-                            FlatTransition(state, FlatState(q2, state.r, (inv, target)), label)
-                        )
-    else:
-        inv, target = state.pending
-        label = AdaptLabel(state.r, inv, target)
-        if state.q in sys.constraint_region(target):
-            # adaptation ends here; the behaviour does not move
-            out.append(FlatTransition(state, FlatState(state.q, target, None), label))
-        else:
-            inv_region = sys.region(inv)
-            for q2 in sys.behaviour.successors(state.q):
-                if q2 in inv_region:
-                    out.append(FlatTransition(state, FlatState(q2, state.r, state.pending), label))
-    out.sort(key=_transition_key)
-    return out
+            return [FlatTransition(state, FlatState(q2, state.r, None), label) for q2 in steady]
+        # no steady move possible: adaptation may start
+        options = [
+            (inv, target, sys.region(inv), AdaptLabel(state.r, inv, target))
+            for inv, target in sys.structure.out_transitions(state.r)
+        ]
+        return [
+            FlatTransition(state, FlatState(q2, state.r, (inv, target)), label)
+            for q2 in succs
+            for inv, target, inv_region, label in options
+            if q2 in inv_region
+        ]
+    inv, target = state.pending
+    label = AdaptLabel(state.r, inv, target)
+    if state.q in sys.constraint_region(target):
+        # adaptation ends here; the behaviour does not move
+        return [FlatTransition(state, FlatState(state.q, target, None), label)]
+    inv_region = sys.region(inv)
+    return [
+        FlatTransition(state, FlatState(q2, state.r, state.pending), label)
+        for q2 in sys.behaviour.successors(state.q)
+        if q2 in inv_region
+    ]
 
 
 class FlatLTS:
@@ -160,14 +154,25 @@ class FlatLTS:
         return tuple(self._index[t.target] for t in self._out[i])
 
 
-def flatten(sys):
-    """Explore the flat semantics from the initial state (model must be well formed)."""
+def flatten(sys, roots=None):
+    """Explore the flat semantics (model must be well formed).
+
+    ``roots`` lists one or more distinct (q, r) pairs, q satisfying the
+    constraint of r, whose states (q, r, no-pending) get ids 0, 1, ... in
+    that order and are explored from; root 0 is the initial state.  The
+    default root is the system's initial pair.
+    """
     require_well_formed(sys)
-    init = FlatState(sys.behaviour.init, sys.structure.init, None)
-    number = {init: 0}
-    states = [init]
+    if roots is None:
+        roots = [(sys.behaviour.init, sys.structure.init)]
+    states = [FlatState(q, r, None) for q, r in roots]
+    number = {s: i for i, s in enumerate(states)}
+    if not states or len(number) < len(states) or any(
+        s.q not in sys.constraint_region(s.r) for s in states
+    ):
+        raise ModelError("flatten needs distinct roots (q, r) with q satisfying the constraint of r")
     transitions = []
-    queue = deque([init])
+    queue = deque(states)
     while queue:
         s = queue.popleft()
         for t in successors(sys, s):
@@ -227,11 +232,16 @@ def import_json(text, system=None):
 
     try:
         states = []
+        seen = set()
         for row in doc["states"]:
             pending = None
             if row["pending"] is not None:
                 pending = (parse_inv(row["pending"]["inv"]), row["pending"]["target"])
-            states.append(FlatState(row["q"], row["r"], pending))
+            state = FlatState(row["q"], row["r"], pending)
+            if state in seen:
+                raise ModelError(f"invalid flat JSON: duplicate state {state}")
+            seen.add(state)
+            states.append(state)
         if [row["id"] for row in doc["states"]] != list(range(len(states))):
             raise ModelError("invalid flat JSON: state ids must be 0..n-1 in order")
         transitions = []

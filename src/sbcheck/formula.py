@@ -52,15 +52,6 @@ class EnumDomain:
             raise ModelError("duplicate enum value")
 
 
-def domain_values(domain):
-    """All values of a domain, in a fixed order."""
-    if isinstance(domain, BoolDomain):
-        return (False, True)
-    if isinstance(domain, IntRange):
-        return tuple(range(domain.lo, domain.hi + 1))
-    return domain.values
-
-
 def domain_contains(domain, value):
     # bool is a subclass of int, so the checks are type-strict on purpose
     if isinstance(domain, BoolDomain):

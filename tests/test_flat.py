@@ -7,9 +7,11 @@ import pytest
 
 import gen
 import oracles
+import sbcheck.adapt as A
 import sbcheck.flat as FL
 import sbcheck.formula as F
 import sbcheck.model as M
+from sbcheck.compare import rerooted
 from sbcheck.errors import ModelError
 
 
@@ -233,9 +235,38 @@ def test_import_rejects_renumbered_states(s0):
         FL.import_json(json.dumps(doc))
 
 
+def test_import_rejects_duplicate_states(s0):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    doc["states"][1] = dict(doc["states"][0], id=1)
+    with pytest.raises(ModelError, match="duplicate state"):
+        FL.import_json(json.dumps(doc))
+
+
 def test_import_rejects_non_json():
     with pytest.raises(ModelError):
         FL.import_json("not json at all")
+
+
+def test_rooted_flatten_matches_rerooted_system():
+    for seed in range(60):
+        sys = gen.random_system(seed)
+        for q, r in sorted(A.candidate_pairs(sys)):
+            assert FL.flatten(sys, [(q, r)]) == FL.flatten(rerooted(sys, q, r)), (seed, q, r)
+
+
+def test_roots_are_numbered_in_order(s0):
+    roots = [("moved", "r2"), ("q011t", "r0")]
+    flat = FL.flatten(s0, roots)
+    assert flat.states[:2] == tuple(FL.FlatState(q, r, None) for q, r in roots)
+    assert flat.init_index == 0
+    assert set(flat.states) == set(FL.flatten(s0).states) | {FL.FlatState("moved", "r2", None)}
+
+
+def test_flatten_rejects_bad_roots(s0):
+    with pytest.raises(ModelError, match="distinct roots"):
+        FL.flatten(s0, [("q000f", "r0")])
+    with pytest.raises(ModelError, match="distinct roots"):
+        FL.flatten(s0, [("moved", "r2"), ("moved", "r2")])
 
 
 def test_json_roundtrip_on_random_systems():
