@@ -73,6 +73,7 @@ class Parser:
         self.tokens = tokens
         self.error_cls = error_cls
         self.i = i
+        self._closing = {}  # index of a "(" -> index of its ")", or None
 
     def peek(self):
         return self.tokens[self.i]
@@ -92,6 +93,25 @@ class Parser:
     def at_keyword(self, word):
         t = self.tokens[self.i]
         return t.kind == "ident" and t.text == word
+
+    def closing(self, i):
+        """Index of the ``)`` that closes the ``(`` at token ``i``; None if unclosed.
+
+        A scan records every group it passes, so each token is scanned once.
+        """
+        if i not in self._closing:
+            opened = []
+            for j in range(i, len(self.tokens)):
+                kind = self.tokens[j].kind
+                if kind == "lpar":
+                    opened.append(j)
+                elif kind == "rpar":
+                    self._closing[opened.pop()] = j
+                    if not opened:
+                        break
+            for k in opened:
+                self._closing[k] = None
+        return self._closing[i]
 
     def fail(self, msg):
         t = self.tokens[self.i]

@@ -125,26 +125,12 @@ def _clauses(sys, kind):
     return table
 
 
-def _sweep(table, pairs):
-    return frozenset(
-        p for p in pairs if p in table and all(not pairs.isdisjoint(c) for c in table[p])
-    )
-
-
-def refine_once(sys, pairs, kind):
-    """One refinement sweep: drop every pair whose condition fails under ``pairs``.
-
-    Pairs that are not candidates (q violates the constraint of r) are dropped.
-    """
-    return _sweep(_clauses(sys, kind), frozenset(pairs))
-
-
 def _relation(sys, kind):
     require_well_formed(sys)
     table = _clauses(sys, kind)
     pairs = frozenset(table)
     while True:
-        refined = _sweep(table, pairs)
+        refined = frozenset(p for p in pairs if all(not pairs.isdisjoint(c) for c in table[p]))
         if len(refined) == len(pairs):
             return AdaptRelation(kind, pairs)
         pairs = refined

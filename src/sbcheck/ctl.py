@@ -12,6 +12,11 @@ Unary operators bind like ``!``; ``->`` is right associative and weakest.
 Path quantification is over the totalized graph: states without successors
 get a self-loop for evaluation only.
 
+Labelling is bottom-up over the formula.  EX and AX take one predecessor
+step.  Every F, G and U operator is one backward counter pass, linear in
+the flat system: EF and AF are until with ``true`` on the left, and
+``EG S = !AF !S``, ``AG S = !EF !S``.
+
 Adaptability characterisations checked at the initial state:
 
 * weak:   ``EG (adapting -> EF steady)``
@@ -283,30 +288,25 @@ def _pre_exists(g, S):
     return frozenset(out)
 
 
-def _eu(g, A, B):
-    """Least fixpoint for E[A U B] via backward reachability."""
+def _until(g, A, B, universal):
+    """Least fixpoint of ``Z = B | (A & pre(Z))``: E[A U B], or A[A U B] when ``universal``.
+
+    One backward pass from B over ``g.pred``.  Each state of A counts down
+    the successors it still needs: one, or all of them (duplicate edges
+    included) when ``universal``; it joins when its count reaches zero.
+    """
+    need = [len(s) for s in g.succ] if universal else [1] * g.n
     result = set(B)
-    work = deque(B)
+    work = list(B)
     while work:
-        j = work.popleft()
+        j = work.pop()
         for i in g.pred[j]:
             if i not in result and i in A:
-                result.add(i)
-                work.append(i)
+                need[i] -= 1
+                if not need[i]:
+                    result.add(i)
+                    work.append(i)
     return frozenset(result)
-
-
-def _eg(g, S):
-    """Greatest fixpoint for EG S: repeatedly drop states with no successor in the set."""
-    current = set(S)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(current):
-            if not any(j in current for j in g.succ[i]):
-                current.discard(i)
-                changed = True
-    return frozenset(current)
 
 
 def _sat(g, f):
@@ -334,20 +334,14 @@ def _sat(g, f):
         if f.op == "AX":
             return g.full - _pre_exists(g, g.full - S)
         if f.op == "EF":
-            return _eu(g, g.full, S)
-        if f.op == "AG":
-            return g.full - _eu(g, g.full, g.full - S)
+            return _until(g, g.full, S, False)
+        if f.op == "AF":
+            return _until(g, g.full, S, True)
         if f.op == "EG":
-            return _eg(g, S)
-        # AF via the EG duality
-        return g.full - _eg(g, g.full - S)
+            return g.full - _until(g, g.full, g.full - S, True)
+        return g.full - _until(g, g.full, g.full - S, False)  # AG
     if isinstance(f, Until):
-        A, B = _sat(g, f.left), _sat(g, f.right)
-        if f.quant == "E":
-            return _eu(g, A, B)
-        # A[A U B] = !(E[!B U (!A && !B)] || EG !B)
-        nA, nB = g.full - A, g.full - B
-        return g.full - (_eu(g, nB, nA & nB) | _eg(g, nB))
+        return _until(g, _sat(g, f.left), _sat(g, f.right), f.quant == "A")
     raise CtlError(f"not a CTL node: {f!r}")
 
 
@@ -419,7 +413,7 @@ def strong_counterexample(flat):
     None when the strong property holds.
     """
     g = _Graph(flat)
-    never_steady = _eg(g, g.full - _sat(g, Atom("steady")))
+    never_steady = g.full - _until(g, g.full, _sat(g, Atom("steady")), True)
     bad = _sat(g, Atom("adapting")) & never_steady
     reachable_bad = _shortest_path(flat, flat.init_index, bad)
     if reachable_bad is None:

@@ -245,6 +245,7 @@ RULES = [
 LEXER = _lex.Lexer(RULES, FormulaError)
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_TERM_FOLLOW = {*_CMP, "plus", "minus"}
 
 
 def parse_raw(text):
@@ -297,16 +298,20 @@ def _atom(p):
         raise p.fail("expected a comparison operator after an arithmetic term")
     if t.kind == "lpar":
         # '(' may open a parenthesised term (followed by a comparison) or a
-        # sub-formula; try the term reading first and back off on failure.
-        save = p.i
-        term = None
-        try:
-            term = _term(p)
-        except FormulaError:
-            pass
-        if term is not None and p.peek().kind in _CMP:
-            return _finish_compare(p, term)
-        p.i = save
+        # sub-formula.  The term reading can only reach a comparison when the
+        # group's ')' is followed by one, '+' or '-'; try it then and back
+        # off on failure.
+        end = p.closing(p.i)
+        if end is None or p.tokens[end + 1].kind in _TERM_FOLLOW:
+            save = p.i
+            term = None
+            try:
+                term = _term(p)
+            except FormulaError:
+                pass
+            if term is not None and p.peek().kind in _CMP:
+                return _finish_compare(p, term)
+            p.i = save
         p.take("lpar")
         f = _formula(p)
         p.take("rpar", "expected ')'")
@@ -503,24 +508,6 @@ def _lookup(node, valuation, name):
         return valuation[name]
     except KeyError:
         raise FormulaError(f"observable {name!r} is unbound in this valuation") from None
-
-
-def free_vars(phi):
-    """Names of all observables referenced by ``phi``."""
-    out = set()
-    _collect_vars(phi, out)
-    return frozenset(out)
-
-
-def _collect_vars(node, out):
-    if isinstance(node, Name):
-        out.add(node.name)
-    elif isinstance(node, (Not,)):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, (And, Or, Implies, Compare, Arith)):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    # literals carry no variables
 
 
 def sat_set(phi, states, observation):

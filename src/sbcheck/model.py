@@ -156,11 +156,6 @@ class SBSystem:
             self._regions[phi] = cached
         return cached
 
-    def satisfies(self, q, phi):
-        if q not in self.observation.table:
-            raise ModelError(f"unknown behaviour state {q!r}")
-        return q in self.region(phi)
-
     def constraint_region(self, r):
         """Behaviour states satisfying the constraint of structure state ``r``."""
         return self.region(self.structure.label(r))

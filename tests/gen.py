@@ -75,6 +75,17 @@ def random_system(seed, max_q=8, max_r=4, max_obs=3):
     )
 
 
+def adaptation_chain(n):
+    """h must adapt at once into an n-step run through !x states ending where y holds."""
+    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("y", F.BoolDomain())])
+    run = tuple(f"a{i}" for i in range(n))
+    beh = BehaviourMachine(("h",) + run, "h", frozenset(zip(("h",) + run, run)))
+    labels = {"r0": F.parse_formula("x", obs), "r1": F.parse_formula("y", obs)}
+    st = StructureMachine(("r0", "r1"), "r0", labels, frozenset({("r0", F.parse_formula("!x", obs), "r1")}))
+    table = {"h": {"x": True, "y": False}, **{a: {"x": False, "y": a == run[-1]} for a in run}}
+    return SBSystem("chain", obs, beh, st, ObservationMap(table))
+
+
 def random_ctl_formula(rng, structure_states, obs_names, depth):
     """CTL formula covering every operator; atoms fit the given system.
 

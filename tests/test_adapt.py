@@ -96,12 +96,14 @@ def test_result_is_a_fixpoint():
         sys = gen.random_system(seed)
         for kind in (A.WEAK, A.STRONG):
             pairs = A._relation(sys, kind).pairs
-            assert A.refine_once(sys, pairs, kind) == pairs
+            table = A._clauses(sys, kind)
+            for p in pairs:
+                assert all(not pairs.isdisjoint(c) for c in table[p])
 
 
-def test_refine_once_rejects_unknown_kind(s0):
+def test_relation_rejects_unknown_kind(s0):
     with pytest.raises(ModelError):
-        A.refine_once(s0, frozenset(), "loose")
+        A._relation(s0, "loose")
 
 
 def test_relation_requires_well_formed():
@@ -123,19 +125,8 @@ def test_single_state_system():
     assert A.is_weak_adaptable(sys) and A.is_strong_adaptable(sys)
 
 
-def adaptation_chain(n):
-    """h must adapt at once into an n-step run through !x states ending where y holds."""
-    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("y", F.BoolDomain())])
-    run = tuple(f"a{i}" for i in range(n))
-    beh = M.BehaviourMachine(("h",) + run, "h", frozenset(zip(("h",) + run, run)))
-    labels = {"r0": F.parse_formula("x", obs), "r1": F.parse_formula("y", obs)}
-    st = M.StructureMachine(("r0", "r1"), "r0", labels, frozenset({("r0", F.parse_formula("!x", obs), "r1")}))
-    table = {"h": {"x": True, "y": False}, **{a: {"x": False, "y": a == run[-1]} for a in run}}
-    return M.SBSystem("chain", obs, beh, st, M.ObservationMap(table))
-
-
 def test_long_adaptation_chain_needs_no_recursion():
-    sys = adaptation_chain(3000)
+    sys = gen.adaptation_chain(3000)
     assert A.weak_relation(sys).holds_for("h", "r0")
     assert A.strong_relation(sys).holds_for("h", "r0")
 

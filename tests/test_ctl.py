@@ -1,5 +1,6 @@
 """Temporal logic over the flat semantics: parser, checker and reference evaluator."""
 
+import json
 import random
 
 import pytest
@@ -201,9 +202,55 @@ def test_checker_matches_reference_on_random_inputs():
             assert got == want, f"seed {seed}: {C.unparse_ctl(f)}"
 
 
+def _state(i, q, r, cls, pending=None):
+    return {"id": i, "q": q, "r": r, "pending": pending, "class": cls}
+
+
+def _move(src, dst, kind="adapt", r="r0"):
+    inv, target = ("!x", "r1") if kind == "adapt" else (None, None)
+    return {"from": src, "to": dst, "kind": kind, "r": r, "inv": inv, "target": target}
+
+
+# 0 adapts into 1 twice over and into the deadlock 2 once; 1 adapts into 3
+# twice over; 3 moves on to the deadlock 4.  A universal count that ignored
+# duplicate edges would let 0 into AF steady.
+COUNTER_CORNERS = {
+    "states": [
+        _state(0, "a", "r0", "adapting"),
+        _state(1, "b", "r0", "adapting", {"inv": "!x", "target": "r1"}),
+        _state(2, "c", "r0", "stuck", {"inv": "!x", "target": "r1"}),
+        _state(3, "d", "r1", "steady"),
+        _state(4, "e", "r1", "steady"),
+    ],
+    "init": 0,
+    "transitions": [
+        _move(0, 1), _move(0, 1), _move(0, 2), _move(1, 3), _move(1, 3),
+        _move(3, 4, "steady", "r1"),
+    ],
+}
+
+
+def test_fixpoints_count_duplicate_edges_and_deadlocks():
+    flat = FL.import_json(json.dumps(COUNTER_CORNERS))
+    assert flat.successor_ids(0) == (1, 1, 2)
+    args = [C.parse_ctl(t) for t in ("steady", "adapting", "!steady", "in(r1)", "steady || in(r0)")]
+    formulas = [C.Modal(op, a) for op in ("EF", "AF", "EG", "AG") for a in args]
+    formulas += [C.Until(quant, a, b) for quant in "EA" for a in args for b in args]
+    for f in formulas:
+        assert C.check_ctl(flat, f).satisfying == C.ctl_oracle(flat, f), C.unparse_ctl(f)
+    assert C.check_ctl(flat, C.parse_ctl("AF steady")).satisfying == {1, 3, 4}
+
+
+def test_long_adaptation_chain_checks_by_ctl():
+    flat = flat_of(gen.adaptation_chain(3000))
+    assert len(flat.states) > 3000
+    assert C.weak_adaptable_ctl(flat)
+    assert C.strong_adaptable_ctl(flat)
+
+
 # ---------------------------------------------------------------------------
 # semantic laws, established through the reference evaluator alone
-# (the checker derives the A-operators by duality, so the laws must be
+# (the checker derives EG and AG by duality, so the laws must be
 # confirmed by the evaluator that computes each operator directly)
 
 

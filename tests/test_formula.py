@@ -54,6 +54,22 @@ def test_parenthesised_formula_and_term():
     assert isinstance(f.right.left.right, F.Arith)
 
 
+def test_nested_groups_read_terms_linearly(monkeypatch):
+    calls = 0
+    term = F._term
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return term(p)
+
+    monkeypatch.setattr(F, "_term", counted)
+    n = 150
+    assert F.parse_raw("(" * n + "x" + ")" * n) == F.Name("x")
+    assert F.parse_raw("(" * n + "x" + ")" * n + " == 1") == F.parse_raw("x == 1")
+    assert calls <= 2 * n + 4
+
+
 def test_comments_and_whitespace():
     text = "p == 0 // favourite prey kind\n  && !eat"
     f = F.parse_formula(text, obs())
@@ -178,11 +194,6 @@ def test_connective_semantics_match_python(subtests=None):
         assert F.evaluate(F.Or(a, b), val) == (ea or eb)
         assert F.evaluate(F.Implies(a, b), val) == ((not ea) or eb)
         assert F.evaluate(F.Not(a), val) == (not ea)
-
-
-def test_free_vars():
-    f = F.parse_formula("p == 0 && (eat -> count > 0)", obs())
-    assert F.free_vars(f) == {"p", "eat", "count"}
 
 
 def test_sat_set_matches_pointwise_evaluation():

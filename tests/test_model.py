@@ -147,19 +147,13 @@ def test_region_matches_satisfies_pointwise():
     for r in sys.structure.states:
         phi = sys.structure.label(r)
         for q in sys.behaviour.states:
-            assert (q in sys.constraint_region(r)) == sys.satisfies(q, phi)
+            assert (q in sys.constraint_region(r)) == F.evaluate(phi, sys.observe(q))
 
 
 def test_region_is_cached():
     sys = oracles.predator_system("predator_s0")
     phi = sys.structure.label("r0")
     assert sys.region(phi) is sys.region(phi)
-
-
-def test_satisfies_unknown_state():
-    sys = oracles.predator_system("predator_s0")
-    with pytest.raises(ModelError):
-        sys.satisfies("nosuch", sys.structure.label("r0"))
 
 
 # ---------------------------------------------------------------------------
