@@ -74,6 +74,7 @@ class Parser:
         self.error_cls = error_cls
         self.i = i
         self._closing = {}  # index of a "(" -> index of its ")", or None
+        self.memo = {}  # results a grammar caches for one parse, keyed as it chooses
 
     def peek(self):
         return self.tokens[self.i]

@@ -230,7 +230,14 @@ def import_json(text, system=None):
             phi = F.typecheck(phi, system.observables)
         return phi
 
+    def index(value, what):
+        if type(value) is not int or not 0 <= value < len(states):
+            raise ModelError(f"invalid flat JSON: bad {what} index {value!r}")
+        return value
+
     try:
+        if type(doc["states"]) is not list or type(doc["transitions"]) is not list:
+            raise ModelError("invalid flat JSON: 'states' and 'transitions' must be lists")
         states = []
         seen = set()
         for row in doc["states"]:
@@ -242,17 +249,22 @@ def import_json(text, system=None):
                 raise ModelError(f"invalid flat JSON: duplicate state {state}")
             seen.add(state)
             states.append(state)
-        if [row["id"] for row in doc["states"]] != list(range(len(states))):
+        if any(type(row["id"]) is not int or row["id"] != i for i, row in enumerate(doc["states"])):
             raise ModelError("invalid flat JSON: state ids must be 0..n-1 in order")
         transitions = []
         for row in doc["transitions"]:
-            src, dst = states[row["from"]], states[row["to"]]
+            src = states[index(row["from"], "'from'")]
+            dst = states[index(row["to"], "'to'")]
             if row["kind"] == "steady":
+                if row["inv"] is not None or row["target"] is not None:
+                    raise ModelError("invalid flat JSON: a steady transition has no 'inv' or 'target'")
                 label = SteadyLabel(row["r"])
-            else:
+            elif row["kind"] == "adapt":
                 label = AdaptLabel(row["r"], parse_inv(row["inv"]), row["target"])
+            else:
+                raise ModelError(f"invalid flat JSON: unknown transition kind {row['kind']!r}")
             transitions.append(FlatTransition(src, dst, label))
-        init = doc["init"]
+        init = index(doc["init"], "init")
         declared = [row["class"] for row in doc["states"]]
     except (KeyError, IndexError, TypeError) as e:
         raise ModelError(f"invalid flat JSON: {e!r}") from None
@@ -260,8 +272,6 @@ def import_json(text, system=None):
     flat = FlatLTS(states, init, transitions, system=system)
     if list(flat.classes) != declared:
         raise ModelError("invalid flat JSON: 'class' tags disagree with the transition structure")
-    if not (isinstance(init, int) and 0 <= init < len(states)):
-        raise ModelError("invalid flat JSON: bad init index")
     return flat
 
 

@@ -299,10 +299,10 @@ def _atom(p):
     if t.kind == "lpar":
         # '(' may open a parenthesised term (followed by a comparison) or a
         # sub-formula.  The term reading can only reach a comparison when the
-        # group's ')' is followed by one, '+' or '-'; try it then and back
-        # off on failure.
+        # group is closed and its ')' is followed by one, '+' or '-'; try it
+        # then and back off on failure.
         end = p.closing(p.i)
-        if end is None or p.tokens[end + 1].kind in _TERM_FOLLOW:
+        if end is not None and p.tokens[end + 1].kind in _TERM_FOLLOW:
             save = p.i
             term = None
             try:
@@ -326,11 +326,23 @@ def _finish_compare(p, left):
 
 
 def _term(p):
-    left = _term_primary(p)
-    while p.peek().kind in ("plus", "minus"):
-        t = p.take()
-        op = "+" if t.kind == "plus" else "-"
-        left = Arith(op, left, _term_primary(p), pos=(t.line, t.col))
+    # _atom may try the term reading of nested groups from several levels;
+    # each start index is read once per parse, a failure included.
+    start = p.i
+    hit = p.memo.get(start)
+    if hit is None:
+        try:
+            left = _term_primary(p)
+            while p.peek().kind in ("plus", "minus"):
+                t = p.take()
+                op = "+" if t.kind == "plus" else "-"
+                left = Arith(op, left, _term_primary(p), pos=(t.line, t.col))
+            hit = p.memo[start] = (left, p.i, None)
+        except FormulaError as e:
+            hit = p.memo[start] = (None, start, e)
+    left, p.i, error = hit
+    if error is not None:
+        raise error
     return left
 
 

@@ -177,139 +177,107 @@ def _parse_value(p, observables, name):
     return v
 
 
-def _at_state_decl(p):
-    return p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident"
+def _valuation(p, observables, id_tok):
+    p.take("lbrace", "expected '{' opening the valuation")
+    val = {}
+    if p.peek().kind != "rbrace":
+        while True:
+            n_tok = p.take("ident", "expected an observable name")
+            if observables.domain_or_none(n_tok.text) is None:
+                raise ModelFileError(
+                    f"undeclared observable {n_tok.text!r}", n_tok.line, n_tok.col
+                )
+            if n_tok.text in val:
+                raise ModelFileError(
+                    f"observable {n_tok.text!r} assigned twice", n_tok.line, n_tok.col
+                )
+            p.take("assign", "expected '=' after the observable name")
+            val[n_tok.text] = _parse_value(p, observables, n_tok.text)
+            if p.peek().kind == "comma":
+                p.take()
+                continue
+            break
+    p.take("rbrace", "expected '}' closing the valuation")
+    missing = [n for n in observables.names() if n not in val]
+    if missing:
+        raise ModelFileError(
+            f"state {id_tok.text!r} leaves {missing[0]!r} unassigned",
+            id_tok.line,
+            id_tok.col,
+        )
+    return val
 
 
-def _parse_behaviour(p, observables):
-    head = p.keyword("behaviour")
-    p.take("lbrace", "expected '{' opening the behaviour block")
+def _constraint(p, observables, id_tok):
+    p.take("colon", "expected ':' before the constraint string")
+    s_tok = p.take("string", "expected the constraint as a quoted string")
+    return _string_formula(s_tok, observables, f"constraint of {id_tok.text}")
+
+
+def _arrow(p, observables, src):
+    p.take("arrow", "expected '->'")
+    return ()
+
+
+def _guarded_arrow(p, observables, src):
+    p.take("arrowl", "expected '-[' opening the invariant")
+    s_tok = p.take("string", "expected the invariant as a quoted string")
+    inv = _string_formula(s_tok, observables, f"invariant on {src}")
+    p.take("arrowr", "expected ']->' after the invariant")
+    return (inv,)
+
+
+def _block(p, observables, word, state_body, edge_middle):
+    """Read a ``behaviour`` or ``structure`` block.
+
+    ``state_body(p, observables, id_tok)`` reads what follows a state id and
+    returns that state's entry; ``edge_middle(p, observables, src)`` reads
+    what lies between a transition's source and target and returns the
+    tuple placed between them.  Returns (entries by state id, initial state
+    id, transitions).
+    """
+    head = p.keyword(word)
+    p.take("lbrace", f"expected '{{' opening the {word} block")
     table = {}
     init = None
-    while _at_state_decl(p):
+    while p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident":
         p.take()
         id_tok = p.take("ident")
         if id_tok.text in table:
             raise ModelFileError(
-                f"duplicate behaviour state {id_tok.text!r}", id_tok.line, id_tok.col
+                f"duplicate {word} state {id_tok.text!r}", id_tok.line, id_tok.col
             )
-        p.take("lbrace", "expected '{' opening the valuation")
-        val = {}
-        if p.peek().kind != "rbrace":
-            while True:
-                n_tok = p.take("ident", "expected an observable name")
-                if observables.domain_or_none(n_tok.text) is None:
-                    raise ModelFileError(
-                        f"undeclared observable {n_tok.text!r}", n_tok.line, n_tok.col
-                    )
-                if n_tok.text in val:
-                    raise ModelFileError(
-                        f"observable {n_tok.text!r} assigned twice", n_tok.line, n_tok.col
-                    )
-                p.take("assign", "expected '=' after the observable name")
-                val[n_tok.text] = _parse_value(p, observables, n_tok.text)
-                if p.peek().kind == "comma":
-                    p.take()
-                    continue
-                break
-        p.take("rbrace", "expected '}' closing the valuation")
-        missing = [n for n in observables.names() if n not in val]
-        if missing:
-            raise ModelFileError(
-                f"state {id_tok.text!r} leaves {missing[0]!r} unassigned",
-                id_tok.line,
-                id_tok.col,
-            )
+        entry = state_body(p, observables, id_tok)
         if p.at_keyword("init"):
             p.take()
             if init is not None:
                 raise ModelFileError(
-                    "behaviour declares a second initial state", id_tok.line, id_tok.col
+                    f"{word} declares a second initial state", id_tok.line, id_tok.col
                 )
             init = id_tok.text
         p.take("semi", "expected ';' after the state declaration")
-        table[id_tok.text] = val
+        table[id_tok.text] = entry
+
+    def declared(tok):
+        if tok.text not in table:
+            raise ModelFileError(
+                f"transition uses undeclared {word} state {tok.text!r}", tok.line, tok.col
+            )
+        return tok.text
+
     transitions = set()
     while p.peek().kind == "ident":
-        src = p.take("ident")
-        if src.text not in table:
-            raise ModelFileError(
-                f"transition uses undeclared behaviour state {src.text!r}",
-                src.line,
-                src.col,
-            )
-        p.take("arrow", "expected '->'")
-        dst = p.take("ident", "expected the target state")
-        if dst.text not in table:
-            raise ModelFileError(
-                f"transition uses undeclared behaviour state {dst.text!r}",
-                dst.line,
-                dst.col,
-            )
+        src = declared(p.take("ident"))
+        middle = edge_middle(p, observables, src)
+        dst = declared(p.take("ident", "expected the target state"))
         p.take("semi", "expected ';' after the transition")
-        transitions.add((src.text, dst.text))
-    p.take("rbrace", "expected '}' closing the behaviour block")
+        transitions.add((src, *middle, dst))
+    p.take("rbrace", f"expected '}}' closing the {word} block")
     if not table:
-        raise ModelFileError("behaviour declares no states", head.line, head.col)
+        raise ModelFileError(f"{word} declares no states", head.line, head.col)
     if init is None:
-        raise ModelFileError("behaviour declares no initial state", head.line, head.col)
-    machine = BehaviourMachine(tuple(table), init, frozenset(transitions))
-    return machine, ObservationMap(table)
-
-
-def _parse_structure(p, observables):
-    head = p.keyword("structure")
-    p.take("lbrace", "expected '{' opening the structure block")
-    labels = {}
-    init = None
-    while _at_state_decl(p):
-        p.take()
-        id_tok = p.take("ident")
-        if id_tok.text in labels:
-            raise ModelFileError(
-                f"duplicate structure state {id_tok.text!r}", id_tok.line, id_tok.col
-            )
-        p.take("colon", "expected ':' before the constraint string")
-        s_tok = p.take("string", "expected the constraint as a quoted string")
-        labels[id_tok.text] = _string_formula(
-            s_tok, observables, f"constraint of {id_tok.text}"
-        )
-        if p.at_keyword("init"):
-            p.take()
-            if init is not None:
-                raise ModelFileError(
-                    "structure declares a second initial state", id_tok.line, id_tok.col
-                )
-            init = id_tok.text
-        p.take("semi", "expected ';' after the state declaration")
-    transitions = set()
-    while p.peek().kind == "ident":
-        src = p.take("ident")
-        if src.text not in labels:
-            raise ModelFileError(
-                f"transition uses undeclared structure state {src.text!r}",
-                src.line,
-                src.col,
-            )
-        p.take("arrowl", "expected '-[' opening the invariant")
-        s_tok = p.take("string", "expected the invariant as a quoted string")
-        inv = _string_formula(s_tok, observables, f"invariant on {src.text}")
-        p.take("arrowr", "expected ']->' after the invariant")
-        dst = p.take("ident", "expected the target state")
-        if dst.text not in labels:
-            raise ModelFileError(
-                f"transition uses undeclared structure state {dst.text!r}",
-                dst.line,
-                dst.col,
-            )
-        p.take("semi", "expected ';' after the transition")
-        transitions.add((src.text, inv, dst.text))
-    p.take("rbrace", "expected '}' closing the structure block")
-    if not labels:
-        raise ModelFileError("structure declares no states", head.line, head.col)
-    if init is None:
-        raise ModelFileError("structure declares no initial state", head.line, head.col)
-    return StructureMachine(tuple(labels), init, labels, frozenset(transitions))
+        raise ModelFileError(f"{word} declares no initial state", head.line, head.col)
+    return table, init, transitions
 
 
 def loads(text):
@@ -322,17 +290,17 @@ def loads(text):
     p.keyword("system")
     name_tok = p.take("string", "expected the system name as a quoted string")
     observables = _parse_observables(p)
-    behaviour, observation = _parse_behaviour(p, observables)
-    structure = _parse_structure(p, observables)
+    table, q_init, q_edges = _block(p, observables, "behaviour", _valuation, _arrow)
+    labels, r_init, r_edges = _block(p, observables, "structure", _constraint, _guarded_arrow)
     if p.peek().kind != _lex.EOF:
         raise p.fail("unexpected trailing input")
     try:
         return SBSystem(
             name=_unquote(name_tok.text),
             observables=observables,
-            behaviour=behaviour,
-            structure=structure,
-            observation=observation,
+            behaviour=BehaviourMachine(tuple(table), q_init, q_edges),
+            structure=StructureMachine(tuple(labels), r_init, labels, r_edges),
+            observation=ObservationMap(table),
         )
     except ModelError as e:
         raise ModelFileError(str(e)) from None
@@ -365,18 +333,18 @@ def save(sys):
         body = ", ".join(f"{n} = {_lit_text(v[n])}" for n in sys.observables.names())
         suffix = " init" if q == sys.behaviour.init else ""
         out.append(f"  state {q} {{{body}}}{suffix};")
-    for src, dst in sorted(sys.behaviour.transitions):
-        out.append(f"  {src} -> {dst};")
+    for q in sys.behaviour.states:
+        for dst in sys.behaviour.successors(q):
+            out.append(f"  {q} -> {dst};")
     out.append("}")
     out.append("")
     out.append("structure {")
     for r in sys.structure.states:
         suffix = " init" if r == sys.structure.init else ""
         out.append(f"  state {r}: {_quote(F.unparse(sys.structure.label(r)))}{suffix};")
-    for src, inv, dst in sorted(
-        sys.structure.transitions, key=lambda t: (t[0], F.unparse(t[1]), t[2])
-    ):
-        out.append(f"  {src} -[{_quote(F.unparse(inv))}]-> {dst};")
+    for r in sys.structure.states:
+        for inv, dst in sys.structure.out_transitions(r):
+            out.append(f"  {r} -[{_quote(F.unparse(inv))}]-> {dst};")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -242,6 +242,38 @@ def test_import_rejects_duplicate_states(s0):
         FL.import_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("transitions", "from", -1),
+    ("transitions", "to", -2),
+    ("transitions", "to", True),
+    ("transitions", "kind", "bogus"),
+    ("steady", "inv", "true"),
+    ("steady", "target", "r0"),
+    ("states", "id", False),
+    ("doc", "init", True),
+])
+def test_import_rejects_what_it_cannot_write_back(s0, where, field, value):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    if where == "doc":
+        row = doc
+    elif where == "states":
+        row = doc["states"][0]
+    elif where == "steady":
+        row = next(t for t in doc["transitions"] if t["kind"] == "steady")
+    else:
+        row = next(t for t in doc["transitions"] if t["kind"] == "adapt")
+    row[field] = value
+    with pytest.raises(ModelError, match="invalid flat JSON"):
+        FL.import_json(json.dumps(doc))
+
+
+def test_import_rejects_tables_that_are_not_lists():
+    doc = {"states": [{"id": 0, "q": "a", "r": "r", "pending": None, "class": "steady"}],
+           "init": 0, "transitions": {}}
+    with pytest.raises(ModelError, match="must be lists"):
+        FL.import_json(json.dumps(doc))
+
+
 def test_import_rejects_non_json():
     with pytest.raises(ModelError):
         FL.import_json("not json at all")

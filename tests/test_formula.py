@@ -70,6 +70,25 @@ def test_nested_groups_read_terms_linearly(monkeypatch):
     assert calls <= 2 * n + 4
 
 
+def test_malformed_nested_groups_read_terms_linearly(monkeypatch):
+    calls = 0
+    term = F._term
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return term(p)
+
+    monkeypatch.setattr(F, "_term", counted)
+    n = 150
+    for text, col in [("(" * n + "x", n + 2), ("(" * n + "x" + ") + 1" * n, n + 4)]:
+        calls = 0
+        with pytest.raises(FormulaError) as e:
+            F.parse_raw(text)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert calls <= 2 * n + 4, text[-12:]
+
+
 def test_comments_and_whitespace():
     text = "p == 0 // favourite prey kind\n  && !eat"
     f = F.parse_formula(text, obs())

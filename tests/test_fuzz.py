@@ -1,0 +1,136 @@
+"""Seeded fuzzing of the three front ends: `.sbs` models, CTL text, flat JSON.
+
+Each family mutates valid inputs with a fixed seed, so a failure names the
+case that reproduces it.  Bad input must give a documented exit code or
+error class, never an internal failure.
+"""
+
+import json
+import pathlib
+import random
+import sys
+
+import gen
+import sbcheck.ctl as C
+import sbcheck.flat as FL
+from sbcheck import cli
+from sbcheck.errors import FormulaError, ModelError
+from sbcheck.ingest import bundled_model, bundled_model_path
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+
+def _sources():
+    texts = [bundled_model_path(w).read_text(encoding="utf-8") for w in ("predator_s0", "predator_s1")]
+    texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "acceptance_artifacts").glob("*.sbs"))]
+    texts += [workloads.model_text(w, 1, "smoke") for w in ("wide", "chain", "discrepancy")]
+    return texts
+
+
+FRAGMENTS = [
+    "state", "init", ";", "{", "}", "->", "-[", "]->", ":", ",", "=", '"x"', '""', '"p == 0 &&"',
+    "q0", "r0", "true", "-1", "..", "int[0..1]", "behaviour {", "structure {",
+    'state r9: "true" init;', "state q9 {} init;", '-["true"]->', '"((((x"',
+]
+
+
+def _mutant(rng, text):
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split(" ")
+            if op == 2:
+                del words[rng.randrange(len(words))]
+            else:
+                words.insert(rng.randrange(len(words) + 1), rng.choice(FRAGMENTS))
+            lines[i] = " ".join(words)
+        lines = lines or [""]
+    return "\n".join(lines)
+
+
+def _exit_code(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:  # argparse usage errors
+        code = e.code
+    capsys.readouterr()
+    return code
+
+
+def test_model_file_mutants_exit_with_documented_codes(tmp_path, capsys):
+    rng = random.Random(2024)
+    sources = _sources()
+    path = tmp_path / "m.sbs"
+    loaded = 0
+    for case in range(100):
+        path.write_text(_mutant(rng, rng.choice(sources)), encoding="utf-8")
+        for argv in (["validate"], ["adapt", "--json", "--witness"], ["flatten", "--json"]):
+            code = _exit_code([*argv, str(path)], capsys)
+            assert code in (0, 1, 2, 3, 4), (case, argv, path.read_text(encoding="utf-8"))
+            loaded += argv == ["validate"] and code in (0, 3)
+    assert loaded > 10  # the mutants reach the commands behind the loader
+
+
+CTL_WORDS = [
+    "EF", "AF", "EG", "AG", "EX", "AX", "E[", "A[", "U", "]", "(", ")", "!", "&&", "||", "->",
+    "steady", "adapting", "in(r0)", "in(r9)", "in(", "@(", "@(eat)", "p == 0", "true", "false",
+    "x", "-", "==", "1", "@", "[", "",
+]
+
+
+def test_ctl_formula_strings_exit_with_documented_codes(capsys):
+    rng = random.Random(7)
+    s0 = str(bundled_model_path("predator_s0"))
+    for case in range(200):
+        phi = gen.random_ctl_formula(rng, ["r0", "r9"], ["eat", "moved", "p"], 2)
+        words = C.unparse_ctl(phi).split(" ")
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(words) + 1)
+            if i < len(words) and rng.random() < 0.5:
+                del words[i]
+            else:
+                words.insert(i, rng.choice(CTL_WORDS))
+        text = " ".join(words)
+        # the "=" form keeps argparse from reading a leading "-" as an option
+        code = _exit_code(["ctl", s0, f"--formula={text}"], capsys)
+        assert code in (0, 1, 2), (case, text)
+
+
+def test_flat_json_field_mutants_are_rejected_or_written_back():
+    text = FL.export_json(FL.flatten(bundled_model("predator_s0")))
+    doc = json.loads(text)
+    rng = random.Random(11)
+    n = len(doc["states"])
+    values = [-2, -1, 0, 1, n - 1, n, n + 1, True, False, None, 1.5, "bogus", "steady", "adapt",
+              "true", "r0", [], {}]
+    for case in range(800):
+        bad = json.loads(text)
+        spot = rng.randrange(4)
+        if spot == 0:
+            row, keys = bad, ["states", "init", "transitions"]
+        elif spot == 1:
+            row, keys = rng.choice(bad["states"]), ["id", "q", "r", "pending", "class"]
+        elif spot == 2:
+            pending = [s["pending"] for s in bad["states"] if s["pending"] is not None]
+            row, keys = rng.choice(pending), ["inv", "target"]
+        else:
+            row, keys = rng.choice(bad["transitions"]), ["from", "to", "kind", "r", "inv", "target"]
+        key = rng.choice(keys)
+        if rng.random() < 0.1:
+            del row[key]
+        else:
+            row[key] = rng.choice(values)
+        mutant = json.dumps(bad, indent=2) + "\n"
+        try:
+            again = FL.export_json(FL.import_json(mutant))
+        except (ModelError, FormulaError):
+            continue
+        assert again == mutant, (case, spot, key, row.get(key, "<deleted>"))

@@ -1,5 +1,6 @@
 """Model file parsing, canonical saving and bundled models."""
 
+import pathlib
 import random
 
 import pytest
@@ -51,9 +52,13 @@ def test_bundled_models_match_construction():
 
 
 def test_bundled_files_are_canonical_fixed_points():
-    for which in ("predator_s0", "predator_s1"):
-        text = I.bundled_model_path(which).read_text(encoding="utf-8")
-        assert I.save(I.loads(text)) == text
+    artifacts = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
+    paths = [I.bundled_model_path(w) for w in ("predator_s0", "predator_s1")]
+    paths += sorted(artifacts.glob("*.sbs"))
+    assert len(paths) == 5
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert I.save(I.loads(text)) == text, path.name
 
 
 def test_unknown_bundled_model():
