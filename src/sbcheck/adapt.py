@@ -21,7 +21,6 @@ invariant) impose no requirement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -53,17 +52,17 @@ def candidate_pairs(sys):
     )
 
 
-def _branch(sys, start, inv, target):
-    """Where the adaptation branch ``inv => target`` entered at ``start`` can end.
+def _branch(sys, start, inv_region, target):
+    """Where an adaptation branch into ``target`` entered at ``start`` can end.
 
-    Walks from ``start`` through states satisfying ``inv`` and stops at
-    states satisfying the target constraint.  Returns ``(endpoints,
-    finite)``: the goal states reached, and whether every run reaches one.
+    Walks from ``start`` through ``inv_region``, the states satisfying the
+    branch's invariant, and stops at states satisfying the target
+    constraint.  Returns ``(endpoints, finite)``: the goal states reached,
+    and whether every run reaches one.
     A run does not when it meets a non-goal state with no move left
     (stuck) or a cycle of non-goal states.
     """
     goal = sys.constraint_region(target)
-    inv_region = sys.region(inv)
     succ = sys.behaviour.successors
     endpoints = set()
     finite = True
@@ -94,17 +93,12 @@ def _clauses(sys, kind):
     """Map each candidate pair to the clauses it needs under ``kind``."""
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
-    regions = {r: sys.constraint_region(r) for r in sys.structure.states}
-    options = {
-        r: [(inv, t, sys.region(inv)) for inv, t in sys.structure.out_transitions(r)]
-        for r in sys.structure.states
-    }
     needs = {}  # (q2, r) -> clauses that adapting from r into q2 adds
 
     def adapting_into(q2, r):
         if (q2, r) not in needs:
             runs = [
-                (t, *_branch(sys, q2, inv, t)) for inv, t, region in options[r] if q2 in region
+                (t, *_branch(sys, q2, region, t)) for _, t, region in sys.options(r) if q2 in region
             ]
             if kind == WEAK:
                 needs[q2, r] = [tuple((x, t) for t, ends, _ in runs for x in ends)] if runs else []
@@ -117,10 +111,11 @@ def _clauses(sys, kind):
     table = {}
     for q, r in candidate_pairs(sys):
         succs = sys.behaviour.successors(q)
+        region = sys.constraint_region(r)
         # adaptation cannot start while a steady move exists; successors
         # outside the constraint are never entered from here, and a
         # behaviour deadlock needs nothing
-        steady = [((q2, r),) for q2 in succs if q2 in regions[r]]
+        steady = [((q2, r),) for q2 in succs if q2 in region]
         table[q, r] = steady or [c for q2 in succs for c in adapting_into(q2, r)]
     return table
 
@@ -171,8 +166,3 @@ def equiv_partition(sys, kind):
         rows.setdefault(frozenset(row), []).append(q)
     blocks = sorted((frozenset(qs) for qs in rows.values()), key=lambda b: min(b))
     return EquivPartition(kind, tuple(blocks))
-
-
-def relation_to_json(rel):
-    pairs = [[q, r] for q, r in sorted(rel.pairs)]
-    return json.dumps({"kind": rel.kind, "pairs": pairs}, indent=2) + "\n"

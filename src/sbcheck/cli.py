@@ -47,9 +47,9 @@ from .flat import (
     export_dot,
     export_json,
     flatten,
+    state_json,
     successors,
 )
-from .formula import unparse
 from .model import check_well_formed, require_well_formed
 
 EXIT_OK = 0
@@ -79,14 +79,6 @@ def _yesno(value, color):
     if value:
         return _paint("yes", _GREEN, color)
     return _paint("no", _RED, color)
-
-
-def _state_json(state):
-    pending = None
-    if state.pending is not None:
-        inv, target = state.pending
-        pending = {"inv": unparse(inv), "target": target}
-    return {"q": state.q, "r": state.r, "pending": pending}
 
 
 def _build_parser():
@@ -250,7 +242,7 @@ def cmd_adapt(args, color):
             "discrepancy": discrepancy,
             "witness": None
             if witness is None
-            else [dict(_state_json(flat.states[i]), id=i) for i in witness],
+            else [dict(state_json(flat.states[i]), id=i) for i in witness],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -326,7 +318,7 @@ def cmd_ctl(args, color):
                     "satisfying": sorted(result.satisfying),
                     "witness": None
                     if result.witness is None
-                    else [dict(_state_json(flat.states[i]), id=i) for i in result.witness],
+                    else [dict(state_json(flat.states[i]), id=i) for i in result.witness],
                 },
                 indent=2,
             )
@@ -360,7 +352,7 @@ def cmd_simulate(args, color):
     system = ingest.load(args.file)
     require_well_formed(system)
     rng = random.Random(args.seed)
-    state = FlatState(system.behaviour.init, system.structure.init, None)
+    first = state = FlatState(system.behaviour.init, system.structure.init, None)
     steps = []
     stopped = "steps"
     for _ in range(args.steps):
@@ -376,9 +368,9 @@ def cmd_simulate(args, color):
             json.dumps(
                 {
                     "seed": args.seed,
-                    "initial": _state_json(FlatState(system.behaviour.init, system.structure.init, None)),
+                    "initial": state_json(first),
                     "steps": [
-                        {"rule": rule, "state": _state_json(s)} for rule, s in steps
+                        {"rule": rule, "state": state_json(s)} for rule, s in steps
                     ],
                     "stopped": stopped,
                 },
@@ -387,7 +379,6 @@ def cmd_simulate(args, color):
         )
     else:
         print(f"random walk of {system.name}, seed {args.seed}")
-        first = FlatState(system.behaviour.init, system.structure.init, None)
         print(f"  {0:>3}  {'init':<11} {first}")
         for n, (rule, s) in enumerate(steps, start=1):
             print(f"  {n:>3}  {rule:<11} {s}")

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import formula as F
-from .errors import ModelError
+from .errors import FormulaError, ModelError
 from .model import require_well_formed
 
 STEADY = "steady"
@@ -70,35 +70,32 @@ def successors(sys, state):
     The order is by target behaviour state, then by the structure
     machine's order of (invariant, target) options.
     """
-    if state.pending is None:
-        region = sys.constraint_region(state.r)
-        succs = sys.behaviour.successors(state.q)
+    q, r, pending = state.q, state.r, state.pending
+    succs = sys.behaviour.successors(q)
+    if pending is None:
+        region = sys.constraint_region(r)
         steady = [q2 for q2 in succs if q2 in region]
         if steady:
-            label = SteadyLabel(state.r)
-            return [FlatTransition(state, FlatState(q2, state.r, None), label) for q2 in steady]
+            label = SteadyLabel(r)
+            return [FlatTransition(state, FlatState(q2, r, None), label) for q2 in steady]
         # no steady move possible: adaptation may start
-        options = [
-            (inv, target, sys.region(inv), AdaptLabel(state.r, inv, target))
-            for inv, target in sys.structure.out_transitions(state.r)
-        ]
+        options = sys.options(r)
         return [
-            FlatTransition(state, FlatState(q2, state.r, (inv, target)), label)
+            FlatTransition(state, FlatState(q2, r, (inv, target)), AdaptLabel(r, inv, target))
             for q2 in succs
-            for inv, target, inv_region, label in options
+            for inv, target, inv_region in options
             if q2 in inv_region
         ]
-    inv, target = state.pending
-    label = AdaptLabel(state.r, inv, target)
-    if state.q in sys.constraint_region(target):
+    inv, target = pending
+    label = AdaptLabel(r, inv, target)
+    if q in sys.constraint_region(target):
         # adaptation ends here; the behaviour does not move
-        return [FlatTransition(state, FlatState(state.q, target, None), label)]
-    inv_region = sys.region(inv)
-    return [
-        FlatTransition(state, FlatState(q2, state.r, state.pending), label)
-        for q2 in sys.behaviour.successors(state.q)
-        if q2 in inv_region
-    ]
+        return [FlatTransition(state, FlatState(q, target, None), label)]
+    for inv2, target2, inv_region in sys.options(r):
+        if target2 == target and inv2 == inv:
+            return [FlatTransition(state, FlatState(q2, r, pending), label)
+                    for q2 in succs if q2 in inv_region]
+    raise ModelError(f"{state} is pending on no structure transition out of {r}")
 
 
 class FlatLTS:
@@ -187,14 +184,20 @@ def flatten(sys, roots=None):
 # ---------------------------------------------------------------------------
 # exports
 
+def state_json(state):
+    """The JSON form of a flat state: ``{"q", "r", "pending": {"inv", "target"}}``."""
+    pending = None
+    if state.pending is not None:
+        inv, target = state.pending
+        pending = {"inv": F.unparse(inv), "target": target}
+    return {"q": state.q, "r": state.r, "pending": pending}
+
+
 def export_json(flat):
     """Serialize to the stable JSON interchange form (byte-identical across runs)."""
-    states = []
-    for i, s in enumerate(flat.states):
-        pending = None
-        if s.pending is not None:
-            pending = {"inv": F.unparse(s.pending[0]), "target": s.pending[1]}
-        states.append({"id": i, "q": s.q, "r": s.r, "pending": pending, "class": flat.classes[i]})
+    states = [
+        {"id": i, **state_json(s), "class": flat.classes[i]} for i, s in enumerate(flat.states)
+    ]
     transitions = []
     for t in flat.transitions:
         adapt = isinstance(t.label, AdaptLabel)
@@ -217,18 +220,28 @@ def import_json(text, system=None):
 
     With ``system`` given, pending invariants and transition guards are
     typechecked against its observables, restoring full equality with the
-    original; without it they stay syntactic.
+    original, and every behaviour and structure state named must be one of
+    its states; without it they stay syntactic.
     """
     try:
         doc = json.loads(text)
     except ValueError as e:
         raise ModelError(f"invalid flat JSON: {e}") from None
 
-    def parse_inv(text_):
-        phi = F.parse_raw(text_)
-        if system is not None:
-            phi = F.typecheck(phi, system.observables)
-        return phi
+    def parse_inv(text_, where):
+        try:
+            phi = F.parse_raw(text_)
+            return phi if system is None else F.typecheck(phi, system.observables)
+        except FormulaError as e:
+            raise ModelError(f"invalid flat JSON: {where}: bad 'inv': {e}") from None
+
+    names = None if system is None else {
+        "behaviour": set(system.behaviour.states), "structure": set(system.structure.states)}
+
+    def known(value, what, where):
+        if names and value not in names[what]:
+            raise ModelError(f"invalid flat JSON: {where}: unknown {what} state {value!r}")
+        return value
 
     def index(value, what):
         if type(value) is not int or not 0 <= value < len(states):
@@ -240,11 +253,13 @@ def import_json(text, system=None):
             raise ModelError("invalid flat JSON: 'states' and 'transitions' must be lists")
         states = []
         seen = set()
-        for row in doc["states"]:
-            pending = None
-            if row["pending"] is not None:
-                pending = (parse_inv(row["pending"]["inv"]), row["pending"]["target"])
-            state = FlatState(row["q"], row["r"], pending)
+        for i, row in enumerate(doc["states"]):
+            where, pending = f"state {i}", row["pending"]
+            if pending is not None:
+                inv, target = parse_inv(pending["inv"], where), pending["target"]
+                pending = (inv, known(target, "structure", where))
+            q, r = known(row["q"], "behaviour", where), known(row["r"], "structure", where)
+            state = FlatState(q, r, pending)
             if state in seen:
                 raise ModelError(f"invalid flat JSON: duplicate state {state}")
             seen.add(state)
@@ -252,15 +267,18 @@ def import_json(text, system=None):
         if any(type(row["id"]) is not int or row["id"] != i for i, row in enumerate(doc["states"])):
             raise ModelError("invalid flat JSON: state ids must be 0..n-1 in order")
         transitions = []
-        for row in doc["transitions"]:
+        for i, row in enumerate(doc["transitions"]):
+            where = f"transition {i}"
             src = states[index(row["from"], "'from'")]
             dst = states[index(row["to"], "'to'")]
+            r = known(row["r"], "structure", where)
             if row["kind"] == "steady":
                 if row["inv"] is not None or row["target"] is not None:
                     raise ModelError("invalid flat JSON: a steady transition has no 'inv' or 'target'")
-                label = SteadyLabel(row["r"])
+                label = SteadyLabel(r)
             elif row["kind"] == "adapt":
-                label = AdaptLabel(row["r"], parse_inv(row["inv"]), row["target"])
+                inv, target = parse_inv(row["inv"], where), known(row["target"], "structure", where)
+                label = AdaptLabel(r, inv, target)
             else:
                 raise ModelError(f"invalid flat JSON: unknown transition kind {row['kind']!r}")
             transitions.append(FlatTransition(src, dst, label))

@@ -522,14 +522,6 @@ def _lookup(node, valuation, name):
         raise FormulaError(f"observable {name!r} is unbound in this valuation") from None
 
 
-def sat_set(phi, states, observation):
-    """States whose observation satisfies ``phi``.
-
-    ``observation`` maps each state to its valuation.
-    """
-    return {q for q in states if evaluate(phi, observation[q])}
-
-
 # ---------------------------------------------------------------------------
 # printing
 

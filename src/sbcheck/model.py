@@ -4,6 +4,11 @@ A behaviour machine steps through concrete states; a structure machine
 assigns each of its states a constraint formula over the observables and
 moves along invariant-guarded transitions.  The observation map ties the
 two levels together by giving every behaviour state a valuation.
+
+An ``SBSystem`` keeps one region table, keyed by structure state and
+transition, never by formula: the behaviour states each constraint admits,
+computed at construction, and those each invariant out of a structure
+state admits, computed on that state's first use (``SBSystem.options``).
 """
 
 from __future__ import annotations
@@ -12,6 +17,13 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .errors import ModelError
+
+
+def _lookup(table, key, missing):
+    try:
+        return table[key]
+    except KeyError:
+        raise ModelError(f"{missing} {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -39,10 +51,7 @@ class BehaviourMachine:
         object.__setattr__(self, "_succ", {q: tuple(v) for q, v in succ.items()})
 
     def successors(self, q):
-        try:
-            return self._succ[q]
-        except KeyError:
-            raise ModelError(f"unknown behaviour state {q!r}") from None
+        return _lookup(self._succ, q, "unknown behaviour state")
 
 
 @dataclass(frozen=True)
@@ -75,17 +84,11 @@ class StructureMachine:
         object.__setattr__(self, "_out", {r: tuple(v) for r, v in out.items()})
 
     def label(self, r):
-        try:
-            return self.labels[r]
-        except KeyError:
-            raise ModelError(f"unknown structure state {r!r}") from None
+        return _lookup(self.labels, r, "unknown structure state")
 
     def out_transitions(self, r):
         """Outgoing (invariant, target) pairs of ``r`` in a fixed order."""
-        try:
-            return self._out[r]
-        except KeyError:
-            raise ModelError(f"unknown structure state {r!r}") from None
+        return _lookup(self._out, r, "unknown structure state")
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,7 @@ class ObservationMap:
         )
 
     def valuation(self, q):
-        try:
-            return self.table[q]
-        except KeyError:
-            raise ModelError(f"no observation recorded for behaviour state {q!r}") from None
+        return _lookup(self.table, q, "no observation recorded for behaviour state")
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,7 @@ class SBSystem:
 
     def __post_init__(self):
         for q in self.behaviour.states:
-            v = self.observation.table.get(q)
-            if v is None:
-                raise ModelError(f"no observation recorded for behaviour state {q!r}")
-            F.check_valuation(self.observables, v)
+            F.check_valuation(self.observables, self.observation.valuation(q))
         extra = set(self.observation.table) - set(self.behaviour.states)
         if extra:
             raise ModelError(f"observation recorded for undeclared state {sorted(extra)[0]!r}")
@@ -140,25 +137,30 @@ class SBSystem:
             "structure",
             StructureMachine(self.structure.states, self.structure.init, labels, transitions),
         )
-        object.__setattr__(self, "_regions", {})
+        object.__setattr__(self, "_admits", {r: self.region(phi) for r, phi in labels.items()})
+        object.__setattr__(self, "_options", {})
 
     def observe(self, q):
         """Valuation of behaviour state ``q``."""
         return self.observation.valuation(q)
 
     def region(self, phi):
-        """All behaviour states satisfying ``phi`` (cached per formula)."""
-        cached = self._regions.get(phi)
-        if cached is None:
-            cached = frozenset(
-                F.sat_set(phi, self.behaviour.states, self.observation.table)
-            )
-            self._regions[phi] = cached
-        return cached
+        """All behaviour states satisfying ``phi``, evaluated afresh on each call."""
+        table = self.observation.table
+        return frozenset(q for q in self.behaviour.states if F.evaluate(phi, table[q]))
 
     def constraint_region(self, r):
         """Behaviour states satisfying the constraint of structure state ``r``."""
-        return self.region(self.structure.label(r))
+        return _lookup(self._admits, r, "unknown structure state")
+
+    def options(self, r):
+        """``(invariant, target, invariant region)`` of each structure
+        transition out of ``r``, in ``out_transitions`` order."""
+        if r not in self._options:
+            self._options[r] = tuple(
+                (inv, t, self.region(inv)) for inv, t in self.structure.out_transitions(r)
+            )
+        return self._options[r]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Weak and strong adaptability relations and the derived equivalences."""
 
-import json
-
 import pytest
 
 import gen
@@ -195,15 +193,3 @@ def test_partition_refines_relation_rows():
                 frozenset(r for (q2, r) in rel.pairs if q2 == q) for q in block
             }
             assert len(rows) == 1
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def test_relation_json(s1):
-    doc = json.loads(A.relation_to_json(A.strong_relation(s1)))
-    assert doc["kind"] == "strong"
-    assert ["moved", "r2"] in doc["pairs"]
-    assert doc["pairs"] == sorted(doc["pairs"])
-    assert len(doc["pairs"]) == 8

@@ -406,6 +406,22 @@ def test_color_defaults_off_when_piped():
     assert "\x1b[" not in res.stdout
 
 
+def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
+    # a left-nested chain of 500 conjunctions in one label
+    model = tmp_path / "deep.sbs"
+    model.write_text(
+        'system "deep"\n\nobservables {\n  x: bool;\n}\n\n'
+        "behaviour {\n  state q0 {x = true} init;\n  state q1 {x = false};\n"
+        "  q0 -> q1;\n  q1 -> q0;\n}\n\n"
+        f'structure {{\n  state r0: "{" && ".join(["x"] * 500)}" init;\n  state r1: "!x";\n'
+        '  r0 -["!x"]-> r1;\n  r1 -["x"]-> r0;\n}\n',
+        encoding="utf-8",
+    )
+    for argv in (["validate"], ["adapt", "--json"], ["flatten", "--json"], ["equiv"], ["simulate"]):
+        res = run(*argv, str(model))
+        assert res.returncode in (0, 1, 2, 3, 4), (argv, res.stderr)
+
+
 def test_internal_error_exits_5(monkeypatch, capsys):
     def crash(args, color):
         raise RuntimeError("boom")

@@ -174,6 +174,19 @@ def test_index_of_unknown_state(s0):
         flat.index_of(FL.FlatState("nosuch", "r0", None))
 
 
+def test_pending_state_needs_a_structure_transition(s0):
+    off = FL.FlatState("q011t", "r0", (F.BoolLit(False), "r2"))
+    with pytest.raises(ModelError, match="pending on no structure transition out of r0"):
+        FL.successors(s0, off)
+    # the same pending pair, parsed afresh, still finds its transition
+    r, (inv, target) = next((s.r, s.pending) for s in FL.flatten(s0).states if s.pending)
+    again = F.parse_formula(F.unparse(inv), s0.observables)
+    assert again is not inv
+    for q in set(s0.behaviour.states) - s0.constraint_region(target):
+        want = FL.successors(s0, FL.FlatState(q, r, (inv, target)))
+        assert FL.successors(s0, FL.FlatState(q, r, (again, target))) == want
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -265,6 +278,65 @@ def test_import_rejects_what_it_cannot_write_back(s0, where, field, value):
     row[field] = value
     with pytest.raises(ModelError, match="invalid flat JSON"):
         FL.import_json(json.dumps(doc))
+
+
+def test_import_with_system_checks_state_names(s0):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    doc["states"][3]["q"] = None
+    doc["states"][4]["r"] = 7
+    text = json.dumps(doc)
+    FL.import_json(text)  # without a system, names are not checked
+    with pytest.raises(ModelError, match="JSON: state 3: unknown behaviour state None"):
+        FL.import_json(text, system=s0)
+    doc["states"][3]["q"] = "q011t"
+    with pytest.raises(ModelError, match="JSON: state 4: unknown structure state 7"):
+        FL.import_json(json.dumps(doc), system=s0)
+
+
+@pytest.mark.parametrize("where, field", [
+    ("pending", "target"),
+    ("steady", "r"),
+    ("adapt", "r"),
+    ("adapt", "target"),
+])
+def test_import_with_system_checks_structure_names(s0, where, field):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    if where == "pending":
+        i = next(i for i, s in enumerate(doc["states"]) if s["pending"] is not None)
+        doc["states"][i]["pending"][field] = "q011t"
+        place = f"state {i}"
+    else:
+        i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == where)
+        doc["transitions"][i][field] = "q011t"
+        place = f"transition {i}"
+    with pytest.raises(ModelError, match=f"JSON: {place}: unknown structure state 'q011t'"):
+        FL.import_json(json.dumps(doc), system=s0)
+
+
+@pytest.mark.parametrize("with_system", [False, True])
+def test_import_reports_a_bad_invariant_at_its_json_location(s0, with_system):
+    system = s0 if with_system else None
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == "adapt")
+    doc["transitions"][i]["inv"] = "&&"
+    message = f"invalid flat JSON: transition {i}: bad 'inv': 1:1: expected a formula, found '&&'"
+    with pytest.raises(ModelError) as e:
+        FL.import_json(json.dumps(doc), system=system)
+    assert str(e.value) == message
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    i = next(i for i, s in enumerate(doc["states"]) if s["pending"] is not None)
+    doc["states"][i]["pending"]["inv"] = "(eat"
+    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: bad 'inv': 1:5: "):
+        FL.import_json(json.dumps(doc), system=system)
+
+
+def test_import_with_system_typechecks_invariants(s0):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == "adapt")
+    doc["transitions"][i]["inv"] = "bogus"
+    FL.import_json(json.dumps(doc))
+    with pytest.raises(ModelError, match=f"invalid flat JSON: transition {i}: bad 'inv': .*bogus"):
+        FL.import_json(json.dumps(doc), system=s0)
 
 
 def test_import_rejects_tables_that_are_not_lists():

@@ -6,6 +6,7 @@ import pytest
 
 import gen
 import sbcheck.formula as F
+import sbcheck.model as M
 from sbcheck.errors import FormulaError
 
 
@@ -216,13 +217,18 @@ def test_connective_semantics_match_python(subtests=None):
 
 
 def test_sat_set_matches_pointwise_evaluation():
+    # the satisfying set of any formula over the observables, as a CTL @(...)
+    # atom asks for it, is SBSystem.region
     rng = random.Random(7)
     o = obs()
-    states = [f"s{i}" for i in range(6)]
+    states = tuple(f"s{i}" for i in range(6))
     table = {s: gen.random_valuation(rng) for s in states}
+    st = M.StructureMachine(("r",), "r", {"r": F.BoolLit(True)}, frozenset())
+    beh = M.BehaviourMachine(states, "s0", frozenset())
+    sys = M.SBSystem("typed", o, beh, st, M.ObservationMap(table))
     for _ in range(50):
         phi = F.typecheck(gen.random_typed_formula(rng, 2), o)
-        got = set(F.sat_set(phi, states, table))
+        got = sys.region(phi)
         want = {s for s in states if F.evaluate(phi, table[s])}
         assert got == want
 

@@ -14,7 +14,7 @@ import gen
 import sbcheck.ctl as C
 import sbcheck.flat as FL
 from sbcheck import cli
-from sbcheck.errors import FormulaError, ModelError
+from sbcheck.errors import ModelError
 from sbcheck.ingest import bundled_model, bundled_model_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -105,7 +105,8 @@ def test_ctl_formula_strings_exit_with_documented_codes(capsys):
 
 
 def test_flat_json_field_mutants_are_rejected_or_written_back():
-    text = FL.export_json(FL.flatten(bundled_model("predator_s0")))
+    system = bundled_model("predator_s0")
+    text = FL.export_json(FL.flatten(system))
     doc = json.loads(text)
     rng = random.Random(11)
     n = len(doc["states"])
@@ -129,8 +130,9 @@ def test_flat_json_field_mutants_are_rejected_or_written_back():
         else:
             row[key] = rng.choice(values)
         mutant = json.dumps(bad, indent=2) + "\n"
-        try:
-            again = FL.export_json(FL.import_json(mutant))
-        except (ModelError, FormulaError):
-            continue
-        assert again == mutant, (case, spot, key, row.get(key, "<deleted>"))
+        for against in (None, system):
+            try:
+                again = FL.export_json(FL.import_json(mutant, system=against))
+            except ModelError:
+                continue
+            assert again == mutant, (case, spot, key, row.get(key, "<deleted>"), against)

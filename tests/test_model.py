@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import gen
 import oracles
 import sbcheck.formula as F
 import sbcheck.model as M
@@ -143,17 +144,24 @@ def test_regions_partition_is_not_total():
 
 
 def test_region_matches_satisfies_pointwise():
-    sys = oracles.predator_system("predator_s1")
-    for r in sys.structure.states:
-        phi = sys.structure.label(r)
-        for q in sys.behaviour.states:
-            assert (q in sys.constraint_region(r)) == F.evaluate(phi, sys.observe(q))
+    systems = [oracles.predator_system("predator_s1")] + [gen.random_system(s) for s in range(50)]
+    for sys in systems:
+        for r in sys.structure.states:
+            phi = sys.structure.label(r)
+            for q in sys.behaviour.states:
+                assert (q in sys.constraint_region(r)) == F.evaluate(phi, sys.observe(q))
+            options = sys.options(r)
+            assert [(inv, t) for inv, t, _ in options] == list(sys.structure.out_transitions(r))
+            for inv, _, region in options:
+                want = {q for q in sys.behaviour.states if F.evaluate(inv, sys.observe(q))}
+                assert region == want
 
 
-def test_region_is_cached():
+def test_options_of_an_unknown_structure_state_are_an_error():
     sys = oracles.predator_system("predator_s0")
-    phi = sys.structure.label("r0")
-    assert sys.region(phi) is sys.region(phi)
+    for lookup in (sys.constraint_region, sys.options):
+        with pytest.raises(ModelError, match="unknown structure state"):
+            lookup("nosuch")
 
 
 # ---------------------------------------------------------------------------
