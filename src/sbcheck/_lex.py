@@ -155,13 +155,21 @@ def level(node, levels):
 
 
 def binary(node, unparse, levels):
-    """Render a connective node, parenthesising an operand only where needed."""
+    """Render a connective node, parenthesising an operand only where needed.
+
+    A left-associative chain (``&&`` or ``||``) is walked down its left
+    spine in a loop, so its length costs no recursion.
+    """
     lvl = levels[type(node)]
-    left, right = unparse(node.left), unparse(node.right)
-    ll, rl = level(node.left, levels), level(node.right, levels)
     right_assoc = lvl == IMPLIES
-    if ll < lvl or (right_assoc and ll == lvl):
-        left = f"({left})"
-    if rl < lvl or (not right_assoc and rl == lvl):
-        right = f"({right})"
-    return f"{left} {_SYMBOL[lvl]} {right}"
+    parts = []
+    while True:
+        right, rl = unparse(node.right), level(node.right, levels)
+        parts.append(f"({right})" if rl < lvl or (not right_assoc and rl == lvl) else right)
+        node = node.left
+        ll = level(node, levels)
+        if right_assoc or ll != lvl:
+            break
+    left = unparse(node)
+    parts.append(f"({left})" if ll < lvl or (right_assoc and ll == lvl) else left)
+    return f" {_SYMBOL[lvl]} ".join(reversed(parts))

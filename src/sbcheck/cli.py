@@ -183,7 +183,7 @@ def cmd_flatten(args, color):
             tally[c] += 1
         print(
             f"flat system of {system.name}: "
-            f"{len(flat.states)} states, {len(flat.transitions)} transitions"
+            f"{len(flat.states)} states, {len(flat.edges)} transitions"
         )
         print(f"  initial: {flat.states[flat.init_index]}")
         print(
@@ -338,11 +338,10 @@ def cmd_ctl(args, color):
     return EXIT_OK if result.holds_at_init else EXIT_PROPERTY
 
 
-def _rule_name(transition):
-    src, dst = transition.source.pending, transition.target.pending
-    if src is None:
-        return "Steady" if dst is None else "AdaptStart"
-    return "Adapt" if dst is not None else "AdaptEnd"
+def _rule_name(source, target):
+    if source.pending is None:
+        return "Steady" if target.pending is None else "AdaptStart"
+    return "Adapt" if target.pending is not None else "AdaptEnd"
 
 
 def cmd_simulate(args, color):
@@ -361,8 +360,8 @@ def cmd_simulate(args, color):
             stopped = "deadend"
             break
         chosen = out[rng.randrange(len(out))]
-        steps.append((_rule_name(chosen), chosen.target))
-        state = chosen.target
+        steps.append((_rule_name(state, chosen), chosen))
+        state = chosen
     if args.json:
         print(
             json.dumps(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from . import _lex
 from . import formula as F
 from .errors import CtlError, FormulaError
-from .flat import ADAPTING, STEADY, AdaptLabel
+from .flat import ADAPTING, STEADY
 
 
 def _pos():
@@ -245,7 +245,7 @@ class _Graph:
     def __init__(self, flat):
         self.flat = flat
         self.n = len(flat.states)
-        self.succ = [flat.successor_ids(i) or (i,) for i in range(self.n)]
+        self.succ = [js or (i,) for i, js in enumerate(flat.succ)]
         pred = [[] for _ in range(self.n)]
         for i, targets in enumerate(self.succ):
             for j in targets:
@@ -353,7 +353,7 @@ def _shortest_path(flat, start, targets):
     work = deque([start])
     while work:
         i = work.popleft()
-        for j in flat.successor_ids(i):
+        for j in flat.succ[i]:
             if j not in parent:
                 parent[j] = i
                 if j in targets:
@@ -441,12 +441,12 @@ def ctl_oracle(flat, f):
     predecessor index); used for differential testing.
     """
     n = len(flat.states)
-    succ = [list(flat.successor_ids(i)) or [i] for i in range(n)]
+    succ = [list(js) or [i] for i, js in enumerate(flat.succ)]
     full = frozenset(range(n))
-    adapt_src = set()
-    for t in flat.transitions:
-        if isinstance(t.label, AdaptLabel):
-            adapt_src.add(flat.index_of(t.source))
+    adapt_src = {
+        i for i, j in flat.edges
+        if flat.states[i].pending is not None or flat.states[j].pending is not None
+    }
 
     def pre_e(S):
         return frozenset(i for i in range(n) if any(j in S for j in succ[i]))

@@ -15,13 +15,19 @@ rule family applies to any state:
 
 States where adaptation can neither continue nor end are kept and
 classified stuck.
+
+A move's label follows from its two endpoints: it is an adaptation move
+when either endpoint is pending, a steady move otherwise.  A flat system
+stores its transitions as pairs of state ids, and in the JSON form each
+transition row must equal the row :func:`export_json` writes for its
+endpoints.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formula as F
 from .errors import FormulaError, ModelError
@@ -45,27 +51,24 @@ class FlatState:
         return f"({self.q},{self.r},[{F.unparse(inv)} => {target}])"
 
 
-@dataclass(frozen=True)
-class SteadyLabel:
-    r: str
+class FlatTransition(NamedTuple):
+    """A move between two flat states; its label follows from them."""
 
-
-@dataclass(frozen=True)
-class AdaptLabel:
-    r: str
-    invariant: object
-    target: str
-
-
-@dataclass(frozen=True)
-class FlatTransition:
     source: FlatState
     target: FlatState
-    label: SteadyLabel | AdaptLabel
+
+    @property
+    def label(self):
+        """``("steady", r)``, or ``("adapt", r, invariant, target)`` from the
+        pending pair of whichever endpoint has one."""
+        pending = self.source.pending or self.target.pending
+        if pending is None:
+            return (STEADY, self.source.r)
+        return ("adapt", self.source.r, *pending)
 
 
 def successors(sys, state):
-    """Outgoing flat transitions of ``state``, in a fixed deterministic order.
+    """Successor flat states of ``state``, in a fixed deterministic order.
 
     The order is by target behaviour state, then by the structure
     machine's order of (invariant, target) options.
@@ -74,81 +77,68 @@ def successors(sys, state):
     succs = sys.behaviour.successors(q)
     if pending is None:
         region = sys.constraint_region(r)
-        steady = [q2 for q2 in succs if q2 in region]
-        if steady:
-            label = SteadyLabel(r)
-            return [FlatTransition(state, FlatState(q2, r, None), label) for q2 in steady]
+        steady = [FlatState(q2, r, None) for q2 in succs if q2 in region]
         # no steady move possible: adaptation may start
-        options = sys.options(r)
-        return [
-            FlatTransition(state, FlatState(q2, r, (inv, target)), AdaptLabel(r, inv, target))
+        return steady or [
+            FlatState(q2, r, (inv, target))
             for q2 in succs
-            for inv, target, inv_region in options
+            for inv, target, inv_region in sys.options(r)
             if q2 in inv_region
         ]
     inv, target = pending
-    label = AdaptLabel(r, inv, target)
     if q in sys.constraint_region(target):
         # adaptation ends here; the behaviour does not move
-        return [FlatTransition(state, FlatState(q, target, None), label)]
+        return [FlatState(q, target, None)]
     for inv2, target2, inv_region in sys.options(r):
         if target2 == target and inv2 == inv:
-            return [FlatTransition(state, FlatState(q2, r, pending), label)
-                    for q2 in succs if q2 in inv_region]
+            return [FlatState(q2, r, pending) for q2 in succs if q2 in inv_region]
     raise ModelError(f"{state} is pending on no structure transition out of {r}")
 
 
 class FlatLTS:
     """Reachable fragment of the flat semantics with stable state numbering.
 
-    Equality compares states, the initial index and transitions; the
-    backing system reference (used only to evaluate observation atoms) is
-    ignored, so a JSON round trip restores an equal value.
+    ``edges`` holds the transitions as ``(source id, target id)`` pairs in
+    a fixed order, and ``succ[i]`` the target ids of state i in that order.
+    Equality compares states, the initial index and edges; the backing
+    system reference (used only to evaluate observation atoms) is ignored,
+    so a JSON round trip restores an equal value.
 
-    ``classes[i]`` is 'adapting' when state i has an outgoing adaptation
-    transition, else 'steady' without a pending adaptation and 'stuck' with
-    one.
+    ``classes[i]`` is 'adapting' when state i has a successor and it or a
+    successor is pending (its moves are adaptation moves), else 'steady'
+    without a pending adaptation and 'stuck' with one.
     """
 
-    def __init__(self, states, init_index, transitions, system=None):
+    def __init__(self, states, init_index, edges, system=None):
         self.states = tuple(states)
         self.init_index = init_index
-        self.transitions = tuple(transitions)
+        self.edges = tuple(edges)
         self.system = system
-        self._index = {s: i for i, s in enumerate(self.states)}
-        out = [[] for _ in self.states]
-        for t in self.transitions:
-            out[self._index[t.source]].append(t)
-        self._out = [tuple(v) for v in out]
+        succ = [[] for _ in self.states]
+        for i, j in self.edges:
+            succ[i].append(j)
+        self.succ = tuple(map(tuple, succ))
+        pending = [s.pending is not None for s in self.states]
         self.classes = tuple(
-            ADAPTING if any(isinstance(t.label, AdaptLabel) for t in ts)
-            else STEADY if s.pending is None
-            else STUCK
-            for s, ts in zip(self.states, self._out)
+            ADAPTING if js and (pending[i] or any(pending[j] for j in js))
+            else STUCK if pending[i]
+            else STEADY
+            for i, js in enumerate(self.succ)
         )
 
-    def __len__(self):
-        return len(self.states)
+    @property
+    def transitions(self):
+        """The edges as :class:`FlatTransition` pairs of states."""
+        states = self.states
+        return tuple(FlatTransition(states[i], states[j]) for i, j in self.edges)
 
     def __eq__(self, other):
         return (
             isinstance(other, FlatLTS)
             and self.states == other.states
             and self.init_index == other.init_index
-            and self.transitions == other.transitions
+            and self.edges == other.edges
         )
-
-    def index_of(self, state):
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ModelError(f"state {state} is not part of this flat system") from None
-
-    def out_transitions(self, i):
-        return self._out[i]
-
-    def successor_ids(self, i):
-        return tuple(self._index[t.target] for t in self._out[i])
 
 
 def flatten(sys, roots=None):
@@ -168,17 +158,14 @@ def flatten(sys, roots=None):
         s.q not in sys.constraint_region(s.r) for s in states
     ):
         raise ModelError("flatten needs distinct roots (q, r) with q satisfying the constraint of r")
-    transitions = []
-    queue = deque(states)
-    while queue:
-        s = queue.popleft()
+    edges = []
+    for i, s in enumerate(states):  # breadth first: states grows as they are found
         for t in successors(sys, s):
-            if t.target not in number:
-                number[t.target] = len(states)
-                states.append(t.target)
-                queue.append(t.target)
-            transitions.append(t)
-    return FlatLTS(states, 0, transitions, system=sys)
+            j = number.setdefault(t, len(states))
+            if j == len(states):
+                states.append(t)
+            edges.append((i, j))
+    return FlatLTS(states, 0, edges, system=sys)
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +180,26 @@ def state_json(state):
     return {"q": state.q, "r": state.r, "pending": pending}
 
 
+def edge_json(states, i, j):
+    """The JSON row of the transition from ``states[i]`` to ``states[j]``."""
+    label = FlatTransition(states[i], states[j]).label
+    adapt = label[0] == "adapt"
+    return {
+        "from": i,
+        "to": j,
+        "kind": label[0],
+        "r": label[1],
+        "inv": F.unparse(label[2]) if adapt else None,
+        "target": label[3] if adapt else None,
+    }
+
+
 def export_json(flat):
     """Serialize to the stable JSON interchange form (byte-identical across runs)."""
     states = [
         {"id": i, **state_json(s), "class": flat.classes[i]} for i, s in enumerate(flat.states)
     ]
-    transitions = []
-    for t in flat.transitions:
-        adapt = isinstance(t.label, AdaptLabel)
-        transitions.append(
-            {
-                "from": flat.index_of(t.source),
-                "to": flat.index_of(t.target),
-                "kind": "adapt" if adapt else "steady",
-                "r": t.label.r,
-                "inv": F.unparse(t.label.invariant) if adapt else None,
-                "target": t.label.target if adapt else None,
-            }
-        )
+    transitions = [edge_json(flat.states, i, j) for i, j in flat.edges]
     doc = {"states": states, "init": flat.init_index, "transitions": transitions}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -218,10 +207,12 @@ def export_json(flat):
 def import_json(text, system=None):
     """Rebuild a FlatLTS from :func:`export_json` output.
 
-    With ``system`` given, pending invariants and transition guards are
-    typechecked against its observables, restoring full equality with the
-    original, and every behaviour and structure state named must be one of
-    its states; without it they stay syntactic.
+    Each transition row must equal the row :func:`export_json` writes for
+    its two endpoint states (see :func:`edge_json`).  With ``system``
+    given, pending invariants are typechecked against its observables,
+    restoring full equality with the original, and every behaviour and
+    structure state named must be one of its states; without it they stay
+    syntactic.
     """
     try:
         doc = json.loads(text)
@@ -266,28 +257,19 @@ def import_json(text, system=None):
             states.append(state)
         if any(type(row["id"]) is not int or row["id"] != i for i, row in enumerate(doc["states"])):
             raise ModelError("invalid flat JSON: state ids must be 0..n-1 in order")
-        transitions = []
-        for i, row in enumerate(doc["transitions"]):
-            where = f"transition {i}"
-            src = states[index(row["from"], "'from'")]
-            dst = states[index(row["to"], "'to'")]
-            r = known(row["r"], "structure", where)
-            if row["kind"] == "steady":
-                if row["inv"] is not None or row["target"] is not None:
-                    raise ModelError("invalid flat JSON: a steady transition has no 'inv' or 'target'")
-                label = SteadyLabel(r)
-            elif row["kind"] == "adapt":
-                inv, target = parse_inv(row["inv"], where), known(row["target"], "structure", where)
-                label = AdaptLabel(r, inv, target)
-            else:
-                raise ModelError(f"invalid flat JSON: unknown transition kind {row['kind']!r}")
-            transitions.append(FlatTransition(src, dst, label))
+        edges = []
+        for n, row in enumerate(doc["transitions"]):
+            edge = index(row["from"], "'from'"), index(row["to"], "'to'")
+            if row != edge_json(states, *edge):
+                raise ModelError(f"invalid flat JSON: transition {n} disagrees with its "
+                                 f"endpoint states {edge[0]} -> {edge[1]}")
+            edges.append(edge)
         init = index(doc["init"], "init")
         declared = [row["class"] for row in doc["states"]]
     except (KeyError, IndexError, TypeError) as e:
         raise ModelError(f"invalid flat JSON: {e!r}") from None
 
-    flat = FlatLTS(states, init, transitions, system=system)
+    flat = FlatLTS(states, init, edges, system=system)
     if list(flat.classes) != declared:
         raise ModelError("invalid flat JSON: 'class' tags disagree with the transition structure")
     return flat
@@ -318,14 +300,9 @@ def export_dot(flat):
             attrs.append("peripheries=2")
         lines.append(f'  n{i} [{", ".join(attrs)}];')
     lines.append(f"  __init -> n{flat.init_index};")
-    for t in flat.transitions:
-        if isinstance(t.label, AdaptLabel):
-            text = f"{t.label.r},{F.unparse(t.label.invariant)},{t.label.target}"
-        else:
-            text = t.label.r
-        lines.append(
-            f'  n{flat.index_of(t.source)} -> n{flat.index_of(t.target)} '
-            f'[label="{_dot_escape(text)}"];'
-        )
+    for i, j in flat.edges:
+        label = FlatTransition(flat.states[i], flat.states[j]).label
+        text = label[1] if label[0] == STEADY else f"{label[1]},{F.unparse(label[2])},{label[3]}"
+        lines.append(f'  n{i} -> n{j} [label="{_dot_escape(text)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

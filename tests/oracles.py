@@ -203,11 +203,11 @@ def flat_state_triple(state):
 
 
 def flat_label_tuple(label):
-    from sbcheck.flat import AdaptLabel
-
-    if isinstance(label, AdaptLabel):
-        return ("adapt", label.r, F.unparse(label.invariant), label.target)
-    return ("steady", label.r)
+    """A ``FlatTransition.label`` with its invariant as text, as in :func:`flat_oracle`."""
+    if label[0] == "adapt":
+        kind, r, inv, target = label
+        return (kind, r, F.unparse(inv), target)
+    return label
 
 
 # ---------------------------------------------------------------------------

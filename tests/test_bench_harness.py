@@ -21,3 +21,14 @@ def test_traced_smoke_run_of_the_chain_workload():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_bench_smoke_models_agree_with_the_oracles():
+    # bench/test_bench.py reads the flat transitions, their labels and
+    # tests/oracles.py; the default test paths do not collect it
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench/test_bench.py", "-q", "-p", "no:cacheprovider",
+         "-k", "agree_with_oracles"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -422,6 +422,16 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
         assert res.returncode in (0, 1, 2, 3, 4), (argv, res.stderr)
 
 
+@pytest.mark.parametrize("formula, code", [
+    ("EF @(" + " && ".join(["!eat"] * 500) + ")", 0),
+    (" && ".join(["EF steady"] * 500), 0),
+    (" || ".join(["adapting"] * 500), 1),
+], ids=["obs-and", "and", "or"])
+def test_long_connective_chain_in_a_ctl_formula_prints_back(formula, code):
+    res = run("ctl", S0, "--formula", formula)
+    assert res.returncode == code, res.stderr
+
+
 def test_internal_error_exits_5(monkeypatch, capsys):
     def crash(args, color):
         raise RuntimeError("boom")

@@ -232,7 +232,7 @@ COUNTER_CORNERS = {
 
 def test_fixpoints_count_duplicate_edges_and_deadlocks():
     flat = FL.import_json(json.dumps(COUNTER_CORNERS))
-    assert flat.successor_ids(0) == (1, 1, 2)
+    assert flat.succ[0] == (1, 1, 2)
     args = [C.parse_ctl(t) for t in ("steady", "adapting", "!steady", "in(r1)", "steady || in(r0)")]
     formulas = [C.Modal(op, a) for op in ("EF", "AF", "EG", "AG") for a in args]
     formulas += [C.Until(quant, a, b) for quant in "EA" for a in args for b in args]
@@ -313,7 +313,7 @@ def test_expansion_laws():
 
 
 def is_real_path(flat, path):
-    return all(b in flat.successor_ids(a) for a, b in zip(path, path[1:]))
+    return all(b in flat.succ[a] for a, b in zip(path, path[1:]))
 
 
 def test_failed_universal_check_yields_a_counterexample_path(s0):
@@ -353,7 +353,7 @@ def test_strong_counterexample_lasso(s0):
     # consecutive steps use real transitions, except that a deadend may
     # idle in place (path semantics totalize deadends with self-loops)
     for a, b in zip(lasso, lasso[1:]):
-        succs = flat.successor_ids(a)
+        succs = flat.succ[a]
         assert b in succs or (succs == () and b == a)
     # once the loop closes, steady states never appear again
     loop = lasso[lasso.index(lasso[-1]):]

@@ -57,9 +57,9 @@ def test_initial_flat_state(s0):
 
 def test_migrated_state_is_a_steady_deadend(s0):
     flat = FL.flatten(s0)
-    i = flat.index_of(FL.FlatState("moved", "r2", None))
+    i = flat.states.index(FL.FlatState("moved", "r2", None))
     assert flat.classes[i] == FL.STEADY
-    assert flat.successor_ids(i) == ()
+    assert flat.succ[i] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +99,27 @@ def systems_under_test():
         yield gen.random_system(seed)
 
 
+def is_steady_move(t):
+    return t.source.pending is None and t.target.pending is None
+
+
 def test_steady_and_adapt_moves_never_mix():
     # a state offering a steady move never offers an adaptation move too
     for sys in systems_under_test():
         flat = FL.flatten(sys)
-        for i in range(len(flat)):
-            kinds = {type(t.label) for t in flat.out_transitions(i)}
-            assert kinds in ({FL.SteadyLabel}, {FL.AdaptLabel}, set())
+        for i, s in enumerate(flat.states):
+            steady = {is_steady_move(FL.FlatTransition(s, flat.states[j])) for j in flat.succ[i]}
+            assert len(steady) <= 1
 
 
 def test_steady_rule_soundness():
     for sys in systems_under_test():
         flat = FL.flatten(sys)
         for t in flat.transitions:
-            if not isinstance(t.label, FL.SteadyLabel):
+            if not is_steady_move(t):
                 continue
-            assert t.source.pending is None and t.target.pending is None
-            assert t.source.r == t.target.r == t.label.r
+            assert t.label == ("steady", t.source.r)
+            assert t.source.r == t.target.r
             assert (t.source.q, t.target.q) in sys.behaviour.transitions
             assert t.target.q in sys.constraint_region(t.source.r)
 
@@ -124,13 +128,14 @@ def test_adaptation_rule_soundness():
     for sys in systems_under_test():
         flat = FL.flatten(sys)
         for t in flat.transitions:
-            if not isinstance(t.label, FL.AdaptLabel):
+            if is_steady_move(t):
                 continue
-            inv, target = t.label.invariant, t.label.target
+            inv, target = t.source.pending or t.target.pending
+            assert t.label == ("adapt", t.source.r, inv, target)
             if t.source.pending is None:
                 # start: declared structure transition, all steady moves blocked
                 assert (t.source.r, inv, target) in sys.structure.transitions
-                assert t.target.pending == (inv, target)
+                assert t.target.r == t.source.r
                 assert t.target.q in sys.region(inv)
                 region = sys.constraint_region(t.source.r)
                 succs = sys.behaviour.successors(t.source.q)
@@ -138,6 +143,7 @@ def test_adaptation_rule_soundness():
             elif t.target.pending is not None:
                 # continue: stay inside the invariant, target not yet reached
                 assert t.target.pending == t.source.pending
+                assert t.target.r == t.source.r
                 assert (t.source.q, t.target.q) in sys.behaviour.transitions
                 assert t.target.q in sys.region(inv)
                 assert t.source.q not in sys.constraint_region(target)
@@ -154,7 +160,7 @@ def test_stuck_states_have_pending_and_no_way_out():
         for i, s in enumerate(flat.states):
             if flat.classes[i] == FL.STUCK:
                 assert s.pending is not None
-                assert flat.out_transitions(i) == ()
+                assert flat.succ[i] == ()
             if flat.classes[i] == FL.STEADY:
                 assert s.pending is None
 
@@ -166,12 +172,6 @@ def test_flatten_requires_well_formed():
     sys = M.SBSystem("bad", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     with pytest.raises(ModelError):
         FL.flatten(sys)
-
-
-def test_index_of_unknown_state(s0):
-    flat = FL.flatten(s0)
-    with pytest.raises(ModelError):
-        flat.index_of(FL.FlatState("nosuch", "r0", None))
 
 
 def test_pending_state_needs_a_structure_transition(s0):
@@ -304,13 +304,32 @@ def test_import_with_system_checks_structure_names(s0, where, field):
     if where == "pending":
         i = next(i for i, s in enumerate(doc["states"]) if s["pending"] is not None)
         doc["states"][i]["pending"][field] = "q011t"
-        place = f"state {i}"
+        message = f"JSON: state {i}: unknown structure state 'q011t'"
     else:
+        # a transition row names only what its endpoint states already give
         i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == where)
         doc["transitions"][i][field] = "q011t"
-        place = f"transition {i}"
-    with pytest.raises(ModelError, match=f"JSON: {place}: unknown structure state 'q011t'"):
+        message = f"JSON: transition {i} disagrees with its endpoint states"
+    with pytest.raises(ModelError, match=message):
         FL.import_json(json.dumps(doc), system=s0)
+
+
+@pytest.mark.parametrize("with_system", [False, True])
+@pytest.mark.parametrize("kind, field, value", [
+    ("steady", "r", "r2"),
+    ("adapt", "inv", "true"),
+    ("adapt", "target", "r0"),
+])
+def test_import_rejects_a_row_its_endpoints_do_not_give(s0, kind, field, value, with_system):
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    i, row = next((i, t) for i, t in enumerate(doc["transitions"]) if t["kind"] == kind)
+    assert row[field] != value
+    row[field] = value
+    message = (f"invalid flat JSON: transition {i} disagrees with its endpoint states "
+               f"{row['from']} -> {row['to']}")
+    with pytest.raises(ModelError) as e:
+        FL.import_json(json.dumps(doc), system=s0 if with_system else None)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("with_system", [False, True])
@@ -319,7 +338,9 @@ def test_import_reports_a_bad_invariant_at_its_json_location(s0, with_system):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == "adapt")
     doc["transitions"][i]["inv"] = "&&"
-    message = f"invalid flat JSON: transition {i}: bad 'inv': 1:1: expected a formula, found '&&'"
+    t = doc["transitions"][i]
+    message = (f"invalid flat JSON: transition {i} disagrees with its endpoint states "
+               f"{t['from']} -> {t['to']}")
     with pytest.raises(ModelError) as e:
         FL.import_json(json.dumps(doc), system=system)
     assert str(e.value) == message
@@ -332,11 +353,13 @@ def test_import_reports_a_bad_invariant_at_its_json_location(s0, with_system):
 
 def test_import_with_system_typechecks_invariants(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
-    i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == "adapt")
-    doc["transitions"][i]["inv"] = "bogus"
-    FL.import_json(json.dumps(doc))
-    with pytest.raises(ModelError, match=f"invalid flat JSON: transition {i}: bad 'inv': .*bogus"):
-        FL.import_json(json.dumps(doc), system=s0)
+    # rename one invariant everywhere: in the pending states and the rows that carry it
+    old = next(s["pending"]["inv"] for s in doc["states"] if s["pending"] is not None)
+    text = json.dumps(doc).replace(json.dumps(old), json.dumps("bogus"))
+    FL.import_json(text)
+    i = next(i for i, s in enumerate(doc["states"]) if s["pending"] and s["pending"]["inv"] == old)
+    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: bad 'inv': .*bogus"):
+        FL.import_json(text, system=s0)
 
 
 def test_import_rejects_tables_that_are_not_lists():

@@ -132,6 +132,12 @@ def test_save_orders_transitions_deterministically():
     assert I.save(shuffled) == text
 
 
+def test_save_prints_a_long_conjunction_without_recursion():
+    label = " && ".join(["x"] * 500)
+    text = BASE.replace('state r: "x" init;', f'state r: "{label}" init;')
+    assert I.save(I.loads(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # files
 
