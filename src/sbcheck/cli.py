@@ -48,6 +48,7 @@ from .flat import (
     export_json,
     flatten,
     state_json,
+    state_text,
     successors,
 )
 from .model import check_well_formed, require_well_formed
@@ -185,7 +186,7 @@ def cmd_flatten(args, color):
             f"flat system of {system.name}: "
             f"{len(flat.states)} states, {len(flat.edges)} transitions"
         )
-        print(f"  initial: {flat.states[flat.init_index]}")
+        print(f"  initial: {state_text(system, flat.states[flat.init_index])}")
         print(
             f"  steady {tally[STEADY]}, adapting {tally[ADAPTING]}, "
             f"stuck {tally[STUCK]}"
@@ -195,7 +196,7 @@ def cmd_flatten(args, color):
 
 def cmd_adapt(args, color):
     system = ingest.load(args.file)
-    flat = flatten(system)
+    flat = flatten(system) if args.method != "relational" or args.witness else None
     if args.weak:
         kinds = [WEAK]
     elif args.strong:
@@ -242,7 +243,7 @@ def cmd_adapt(args, color):
             "discrepancy": discrepancy,
             "witness": None
             if witness is None
-            else [dict(state_json(flat.states[i]), id=i) for i in witness],
+            else [dict(state_json(system, flat.states[i]), id=i) for i in witness],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -268,7 +269,7 @@ def cmd_adapt(args, color):
                 loop = ""
                 if step == len(witness) - 1:
                     loop = f"  <- repeats step {witness.index(i)}"
-                print(f"  {step:>3}  {flat.states[i]}{loop}")
+                print(f"  {step:>3}  {state_text(system, flat.states[i])}{loop}")
 
     if discrepancy is not None:
         return EXIT_DISCREPANCY
@@ -318,7 +319,7 @@ def cmd_ctl(args, color):
                     "satisfying": sorted(result.satisfying),
                     "witness": None
                     if result.witness is None
-                    else [dict(state_json(flat.states[i]), id=i) for i in result.witness],
+                    else [dict(state_json(system, flat.states[i]), id=i) for i in result.witness],
                 },
                 indent=2,
             )
@@ -334,7 +335,7 @@ def cmd_ctl(args, color):
             title = "witness path" if result.holds_at_init else "counterexample path"
             print(f"{title}:")
             for step, i in enumerate(result.witness):
-                print(f"  {step:>3}  {flat.states[i]}")
+                print(f"  {step:>3}  {state_text(system, flat.states[i])}")
     return EXIT_OK if result.holds_at_init else EXIT_PROPERTY
 
 
@@ -367,9 +368,9 @@ def cmd_simulate(args, color):
             json.dumps(
                 {
                     "seed": args.seed,
-                    "initial": state_json(first),
+                    "initial": state_json(system, first),
                     "steps": [
-                        {"rule": rule, "state": state_json(s)} for rule, s in steps
+                        {"rule": rule, "state": state_json(system, s)} for rule, s in steps
                     ],
                     "stopped": stopped,
                 },
@@ -378,9 +379,9 @@ def cmd_simulate(args, color):
         )
     else:
         print(f"random walk of {system.name}, seed {args.seed}")
-        print(f"  {0:>3}  {'init':<11} {first}")
+        print(f"  {0:>3}  {'init':<11} {state_text(system, first)}")
         for n, (rule, s) in enumerate(steps, start=1):
-            print(f"  {n:>3}  {rule:<11} {s}")
+            print(f"  {n:>3}  {rule:<11} {state_text(system, s)}")
         if stopped == "deadend":
             print(f"stopped after {len(steps)} step(s): no move possible")
     return EXIT_OK

@@ -261,8 +261,6 @@ def _atom_set(flat, name):
 
 
 def _obs_set(flat, phi):
-    if flat.system is None:
-        raise CtlError("@(...) atoms need the source model; this flat system has none attached")
     try:
         checked = F.typecheck(phi, flat.system.observables)
     except FormulaError as e:
@@ -272,11 +270,7 @@ def _obs_set(flat, phi):
 
 
 def _in_set(flat, r, pos):
-    if flat.system is not None:
-        known = flat.system.structure.states
-    else:
-        known = sorted({s.r for s in flat.states})
-    if r not in known:
+    if r not in flat.system.structure.states:
         raise CtlError(f"unknown structure state {r!r} in in(...)", *(pos or (None, None)))
     return frozenset(i for i, s in enumerate(flat.states) if s.r == r)
 
@@ -321,10 +315,15 @@ def _sat(g, f):
         return _obs_set(flat, f.phi)
     if isinstance(f, CtlNot):
         return g.full - _sat(g, f.arg)
-    if isinstance(f, CtlAnd):
-        return _sat(g, f.left) & _sat(g, f.right)
-    if isinstance(f, CtlOr):
-        return _sat(g, f.left) | _sat(g, f.right)
+    if isinstance(f, (CtlAnd, CtlOr)):
+        kind, rights = type(f), []
+        while type(f) is kind:  # walk a left-nested chain down its left spine
+            rights.append(f.right)
+            f = f.left
+        S = _sat(g, f)
+        for right in reversed(rights):
+            S = S & _sat(g, right) if kind is CtlAnd else S | _sat(g, right)
+        return S
     if isinstance(f, CtlImplies):
         return (g.full - _sat(g, f.left)) | _sat(g, f.right)
     if isinstance(f, Modal):
@@ -481,12 +480,10 @@ def ctl_oracle(flat, f):
                 if flat.states[i].pending is None and i not in adapt_src
             )
         if isinstance(node, InState):
-            if flat.system is not None and node.r not in flat.system.structure.states:
+            if node.r not in flat.system.structure.states:
                 raise CtlError(f"unknown structure state {node.r!r} in in(...)")
             return frozenset(i for i in range(n) if flat.states[i].r == node.r)
         if isinstance(node, ObsHolds):
-            if flat.system is None:
-                raise CtlError("@(...) atoms need the source model")
             checked = F.typecheck(node.phi, flat.system.observables)
             return frozenset(
                 i for i in range(n)

@@ -1,8 +1,8 @@
 """Flat semantics: one transition system combining behaviour and structure.
 
-A flat state is (q, r, pending) where pending is empty or a single
-(invariant, target) pair recording an adaptation in progress.  Exactly one
-rule family applies to any state:
+A flat state is (q, r, pending) where pending is None or the index, in
+``sys.options(r)``, of the structure transition whose adaptation is in
+progress.  Exactly one rule family applies to any state:
 
 * steady moves follow behaviour transitions whose endpoint satisfies the
   active constraint;
@@ -18,9 +18,10 @@ classified stuck.
 
 A move's label follows from its two endpoints: it is an adaptation move
 when either endpoint is pending, a steady move otherwise.  A flat system
-stores its transitions as pairs of state ids, and in the JSON form each
-transition row must equal the row :func:`export_json` writes for its
-endpoints.
+stores its transitions as pairs of state ids and always has its model;
+the pending invariant and target are looked up through the model only at
+the edges (text, JSON, DOT, labels).  In the JSON form each transition
+row must equal the row :func:`export_json` writes for its endpoints.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import formula as F
-from .errors import FormulaError, ModelError
+from .errors import ModelError
 from .model import require_well_formed
 
 STEADY = "steady"
@@ -40,31 +41,38 @@ STUCK = "stuck"
 
 @dataclass(frozen=True)
 class FlatState:
+    """Behaviour state q, structure state r and, while an adaptation is under
+    way, the index in ``sys.options(r)`` of its structure transition."""
+
     q: str
     r: str
-    pending: tuple | None  # None, or (invariant Formula, target structure state)
-
-    def __str__(self):
-        if self.pending is None:
-            return f"({self.q},{self.r})"
-        inv, target = self.pending
-        return f"({self.q},{self.r},[{F.unparse(inv)} => {target}])"
+    pending: int | None
 
 
 class FlatTransition(NamedTuple):
-    """A move between two flat states; its label follows from them."""
+    """A move between two flat states: ``label`` is ``("steady", r)``, or
+    ``("adapt", r, invariant, target)`` from the pending endpoint."""
 
     source: FlatState
     target: FlatState
+    label: tuple
 
-    @property
-    def label(self):
-        """``("steady", r)``, or ``("adapt", r, invariant, target)`` from the
-        pending pair of whichever endpoint has one."""
-        pending = self.source.pending or self.target.pending
-        if pending is None:
-            return (STEADY, self.source.r)
-        return ("adapt", self.source.r, *pending)
+
+def adaptation(sys, state):
+    """The ``(invariant, target)`` of a pending state, None for a state with none."""
+    return None if state.pending is None else sys.options(state.r)[state.pending][:2]
+
+
+def _label(sys, source, target):
+    pair = adaptation(sys, source) or adaptation(sys, target)
+    return (STEADY, source.r) if pair is None else ("adapt", source.r, *pair)
+
+
+def state_text(sys, state):
+    """``(q,r)``, or ``(q,r,[invariant => target])`` for a pending state."""
+    pair = adaptation(sys, state)
+    tail = "" if pair is None else f",[{F.unparse(pair[0])} => {pair[1]}]"
+    return f"({state.q},{state.r}{tail})"
 
 
 def successors(sys, state):
@@ -80,28 +88,25 @@ def successors(sys, state):
         steady = [FlatState(q2, r, None) for q2 in succs if q2 in region]
         # no steady move possible: adaptation may start
         return steady or [
-            FlatState(q2, r, (inv, target))
+            FlatState(q2, r, k)
             for q2 in succs
-            for inv, target, inv_region in sys.options(r)
+            for k, (_, _, inv_region) in enumerate(sys.options(r))
             if q2 in inv_region
         ]
-    inv, target = pending
+    _, target, inv_region = sys.options(r)[pending]
     if q in sys.constraint_region(target):
         # adaptation ends here; the behaviour does not move
         return [FlatState(q, target, None)]
-    for inv2, target2, inv_region in sys.options(r):
-        if target2 == target and inv2 == inv:
-            return [FlatState(q2, r, pending) for q2 in succs if q2 in inv_region]
-    raise ModelError(f"{state} is pending on no structure transition out of {r}")
+    return [FlatState(q2, r, pending) for q2 in succs if q2 in inv_region]
 
 
 class FlatLTS:
-    """Reachable fragment of the flat semantics with stable state numbering.
+    """Reachable fragment of the flat semantics of ``system``, with stable
+    state numbering.
 
     ``edges`` holds the transitions as ``(source id, target id)`` pairs in
     a fixed order, and ``succ[i]`` the target ids of state i in that order.
-    Equality compares states, the initial index and edges; the backing
-    system reference (used only to evaluate observation atoms) is ignored,
+    Equality compares states, the initial index and edges, not the system,
     so a JSON round trip restores an equal value.
 
     ``classes[i]`` is 'adapting' when state i has a successor and it or a
@@ -109,7 +114,7 @@ class FlatLTS:
     without a pending adaptation and 'stuck' with one.
     """
 
-    def __init__(self, states, init_index, edges, system=None):
+    def __init__(self, states, init_index, edges, system):
         self.states = tuple(states)
         self.init_index = init_index
         self.edges = tuple(edges)
@@ -128,9 +133,12 @@ class FlatLTS:
 
     @property
     def transitions(self):
-        """The edges as :class:`FlatTransition` pairs of states."""
-        states = self.states
-        return tuple(FlatTransition(states[i], states[j]) for i, j in self.edges)
+        """The edges as labelled :class:`FlatTransition` triples."""
+        states, sys = self.states, self.system
+        return tuple(
+            FlatTransition(states[i], states[j], _label(sys, states[i], states[j]))
+            for i, j in self.edges
+        )
 
     def __eq__(self, other):
         return (
@@ -165,24 +173,22 @@ def flatten(sys, roots=None):
             if j == len(states):
                 states.append(t)
             edges.append((i, j))
-    return FlatLTS(states, 0, edges, system=sys)
+    return FlatLTS(states, 0, edges, sys)
 
 
 # ---------------------------------------------------------------------------
 # exports
 
-def state_json(state):
+def state_json(sys, state):
     """The JSON form of a flat state: ``{"q", "r", "pending": {"inv", "target"}}``."""
-    pending = None
-    if state.pending is not None:
-        inv, target = state.pending
-        pending = {"inv": F.unparse(inv), "target": target}
+    pair = adaptation(sys, state)
+    pending = None if pair is None else {"inv": F.unparse(pair[0]), "target": pair[1]}
     return {"q": state.q, "r": state.r, "pending": pending}
 
 
-def edge_json(states, i, j):
+def edge_json(sys, states, i, j):
     """The JSON row of the transition from ``states[i]`` to ``states[j]``."""
-    label = FlatTransition(states[i], states[j]).label
+    label = _label(sys, states[i], states[j])
     adapt = label[0] == "adapt"
     return {
         "from": i,
@@ -196,43 +202,45 @@ def edge_json(states, i, j):
 
 def export_json(flat):
     """Serialize to the stable JSON interchange form (byte-identical across runs)."""
+    sys = flat.system
     states = [
-        {"id": i, **state_json(s), "class": flat.classes[i]} for i, s in enumerate(flat.states)
+        {"id": i, **state_json(sys, s), "class": flat.classes[i]}
+        for i, s in enumerate(flat.states)
     ]
-    transitions = [edge_json(flat.states, i, j) for i, j in flat.edges]
+    transitions = [edge_json(sys, flat.states, i, j) for i, j in flat.edges]
     doc = {"states": states, "init": flat.init_index, "transitions": transitions}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def import_json(text, system=None):
-    """Rebuild a FlatLTS from :func:`export_json` output.
+def import_json(text, system):
+    """Rebuild a FlatLTS of ``system`` from :func:`export_json` output.
 
-    Each transition row must equal the row :func:`export_json` writes for
-    its two endpoint states (see :func:`edge_json`).  With ``system``
-    given, pending invariants are typechecked against its observables,
-    restoring full equality with the original, and every behaviour and
-    structure state named must be one of its states; without it they stay
-    syntactic.
+    Every behaviour and structure state named must be one of ``system``'s,
+    each pending object must equal the one :func:`state_json` writes for a
+    structure transition out of its state's ``r``, and each transition row
+    must equal the row :func:`export_json` writes for its two endpoint
+    states (see :func:`edge_json`).
     """
     try:
         doc = json.loads(text)
     except ValueError as e:
         raise ModelError(f"invalid flat JSON: {e}") from None
-
-    def parse_inv(text_, where):
-        try:
-            phi = F.parse_raw(text_)
-            return phi if system is None else F.typecheck(phi, system.observables)
-        except FormulaError as e:
-            raise ModelError(f"invalid flat JSON: {where}: bad 'inv': {e}") from None
-
-    names = None if system is None else {
-        "behaviour": set(system.behaviour.states), "structure": set(system.structure.states)}
+    names = {"behaviour": set(system.behaviour.states), "structure": set(system.structure.states)}
+    pendings = {}  # r -> the pending objects of its options, in options order
 
     def known(value, what, where):
-        if names and value not in names[what]:
+        if value not in names[what]:
             raise ModelError(f"invalid flat JSON: {where}: unknown {what} state {value!r}")
         return value
+
+    def option(pending, r, where):
+        if r not in pendings:
+            pendings[r] = [state_json(system, FlatState(None, r, k))["pending"]
+                           for k in range(len(system.options(r)))]
+        if pending not in pendings[r]:
+            raise ModelError(f"invalid flat JSON: {where}: pending {json.dumps(pending)} "
+                             f"is no structure transition out of {r!r}")
+        return pendings[r].index(pending)
 
     def index(value, what):
         if type(value) is not int or not 0 <= value < len(states):
@@ -245,14 +253,12 @@ def import_json(text, system=None):
         states = []
         seen = set()
         for i, row in enumerate(doc["states"]):
-            where, pending = f"state {i}", row["pending"]
-            if pending is not None:
-                inv, target = parse_inv(pending["inv"], where), pending["target"]
-                pending = (inv, known(target, "structure", where))
+            where = f"state {i}"
             q, r = known(row["q"], "behaviour", where), known(row["r"], "structure", where)
-            state = FlatState(q, r, pending)
+            pending = row["pending"]
+            state = FlatState(q, r, None if pending is None else option(pending, r, where))
             if state in seen:
-                raise ModelError(f"invalid flat JSON: duplicate state {state}")
+                raise ModelError(f"invalid flat JSON: duplicate state {state_text(system, state)}")
             seen.add(state)
             states.append(state)
         if any(type(row["id"]) is not int or row["id"] != i for i, row in enumerate(doc["states"])):
@@ -260,7 +266,7 @@ def import_json(text, system=None):
         edges = []
         for n, row in enumerate(doc["transitions"]):
             edge = index(row["from"], "'from'"), index(row["to"], "'to'")
-            if row != edge_json(states, *edge):
+            if row != edge_json(system, states, *edge):
                 raise ModelError(f"invalid flat JSON: transition {n} disagrees with its "
                                  f"endpoint states {edge[0]} -> {edge[1]}")
             edges.append(edge)
@@ -269,7 +275,7 @@ def import_json(text, system=None):
     except (KeyError, IndexError, TypeError) as e:
         raise ModelError(f"invalid flat JSON: {e!r}") from None
 
-    flat = FlatLTS(states, init, edges, system=system)
+    flat = FlatLTS(states, init, edges, system)
     if list(flat.classes) != declared:
         raise ModelError("invalid flat JSON: 'class' tags disagree with the transition structure")
     return flat
@@ -281,6 +287,7 @@ def _dot_escape(s):
 
 def export_dot(flat):
     """Graphviz rendering: adaptation-phase nodes shaded, stuck nodes double-bordered."""
+    sys = flat.system
     lines = [
         "digraph flat {",
         "  rankdir=LR;",
@@ -288,12 +295,10 @@ def export_dot(flat):
         "  __init [shape=point];",
     ]
     for i, s in enumerate(flat.states):
-        if s.pending is None:
-            label = f"{s.q},{s.r}"
-        else:
-            label = f"{s.q},{s.r},({F.unparse(s.pending[0])},{s.pending[1]})"
+        pair = adaptation(sys, s)
+        label = f"{s.q},{s.r}" + ("" if pair is None else f",({F.unparse(pair[0])},{pair[1]})")
         attrs = [f'label="{_dot_escape(label)}"']
-        if s.pending is not None:
+        if pair is not None:
             attrs.append("style=filled")
             attrs.append('fillcolor="#f4cccc"')
         if flat.classes[i] == STUCK:
@@ -301,7 +306,7 @@ def export_dot(flat):
         lines.append(f'  n{i} [{", ".join(attrs)}];')
     lines.append(f"  __init -> n{flat.init_index};")
     for i, j in flat.edges:
-        label = FlatTransition(flat.states[i], flat.states[j]).label
+        label = _label(sys, flat.states[i], flat.states[j])
         text = label[1] if label[0] == STEADY else f"{label[1]},{F.unparse(label[2])},{label[3]}"
         lines.append(f'  n{i} -> n{j} [label="{_dot_escape(text)}"];')
     lines.append("}")

@@ -265,13 +265,13 @@ def _block(p, observables, word, state_body, edge_middle):
             )
         return tok.text
 
-    transitions = set()
+    transitions = []
     while p.peek().kind == "ident":
         src = declared(p.take("ident"))
         middle = edge_middle(p, observables, src)
         dst = declared(p.take("ident", "expected the target state"))
         p.take("semi", "expected ';' after the transition")
-        transitions.add((src, *middle, dst))
+        transitions.append((src, *middle, dst))
     p.take("rbrace", f"expected '}}' closing the {word} block")
     if not table:
         raise ModelFileError(f"{word} declares no states", head.line, head.col)

@@ -56,31 +56,36 @@ class BehaviourMachine:
 
 @dataclass(frozen=True)
 class StructureMachine:
-    """Constraint automaton: states carry formulas, edges carry invariants."""
+    """Constraint automaton: states carry formulas, edges carry invariants.
+
+    ``transitions`` is a tuple in canonical ``(src, unparse(inv), dst)``
+    order, with one transition per key.
+    """
 
     states: tuple[str, ...]
     init: str
     labels: dict  # state id -> Formula
-    transitions: frozenset[tuple[str, object, str]]  # (src, invariant Formula, dst)
+    transitions: tuple[tuple[str, object, str], ...]  # (src, invariant Formula, dst)
 
     def __post_init__(self):
         states = tuple(sorted(self.states))
         if len(set(states)) != len(states):
             raise ModelError("duplicate structure state id")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
         known = set(states)
         if self.init not in known:
             raise ModelError(f"initial structure state {self.init!r} is not declared")
         if set(self.labels) != known:
             raise ModelError("every structure state needs exactly one constraint label")
-        out = {r: [] for r in states}
+        keyed = {}
         for src, inv, dst in self.transitions:
             if src not in known or dst not in known:
                 raise ModelError(f"structure transition {src!r} -> {dst!r} uses an undeclared state")
+            keyed.setdefault((src, F.unparse(inv), dst), (src, inv, dst))
+        object.__setattr__(self, "transitions", tuple(keyed[k] for k in sorted(keyed)))
+        out = {r: [] for r in states}
+        for src, inv, dst in self.transitions:
             out[src].append((inv, dst))
-        for r in states:
-            out[r].sort(key=lambda e: (F.unparse(e[0]), e[1]))
         object.__setattr__(self, "_out", {r: tuple(v) for r, v in out.items()})
 
     def label(self, r):
@@ -128,7 +133,7 @@ class SBSystem:
         if extra:
             raise ModelError(f"observation recorded for undeclared state {sorted(extra)[0]!r}")
         labels = {r: F.typecheck(phi, self.observables) for r, phi in self.structure.labels.items()}
-        transitions = frozenset(
+        transitions = tuple(
             (src, F.typecheck(inv, self.observables), dst)
             for src, inv, dst in self.structure.transitions
         )

@@ -119,6 +119,8 @@ def flat_oracle(system):
     states (set of triples), init (triple), transitions (set of
     (source, target, label) with label ('steady', r) or
     ('adapt', r, invariant-text, target)), classes (dict triple -> tag).
+    In what it returns, a triple names its pending pair by the pair's
+    index in ``out_transitions(r)``, as a flat state does.
     """
     B, S = system.behaviour, system.structure
     pendings = [None] + [(inv, dst) for (_, inv, dst) in S.transitions]
@@ -189,11 +191,16 @@ def flat_oracle(system):
             classes[a] = "steady"
         else:
             classes[a] = "stuck"
+
+    def named(a):
+        q, r, pu = a
+        return (q, r, None if pu is None else S.out_transitions(r).index(pu))
+
     return {
-        "states": reachable,
-        "init": init,
-        "transitions": kept,
-        "classes": classes,
+        "states": {named(a) for a in reachable},
+        "init": named(init),
+        "transitions": {(named(a), named(b), lab) for a, b, lab in kept},
+        "classes": {named(a): tag for a, tag in classes.items()},
     }
 
 

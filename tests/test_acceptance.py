@@ -164,7 +164,7 @@ def test_criterion_3_flat_semantics_invariants(corpus_flats):
                 assert s.q in sys.constraint_region(s.r), tag
             else:
                 # invariant soundness: adaptation phases satisfy the invariant
-                assert s.q in sys.region(s.pending[0]), tag
+                assert s.q in sys.options(s.r)[s.pending][2], tag
         for t in flat.transitions:
             src, dst = t.source, t.target
             if src.pending is None and dst.pending is None:
@@ -173,13 +173,13 @@ def test_criterion_3_flat_semantics_invariants(corpus_flats):
             elif src.pending is None:
                 # adaptation starts along a declared structure transition
                 assert dst.r == src.r, tag
-                assert (src.r, *dst.pending) in sys.structure.transitions, tag
+                assert (src.r, *FL.adaptation(sys, dst)) in sys.structure.transitions, tag
             elif dst.pending is not None:
                 # adaptation continues under the same pending pair
                 assert (dst.r, dst.pending) == (src.r, src.pending), tag
             else:
                 # adaptation ends: the behaviour is frozen, the structure switches
-                assert (dst.q, dst.r) == (src.q, src.pending[1]), tag
+                assert (dst.q, dst.r) == (src.q, FL.adaptation(sys, src)[1]), tag
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _rebuild(sys, qs=None, btrans=None, rs=None, strans=None):
         t for t in (btrans if btrans is not None else B.transitions)
         if t[0] in qs and t[1] in qs
     )
-    st = frozenset(
+    st = tuple(
         t for t in (strans if strans is not None else S.transitions)
         if t[0] in rs and t[2] in rs
     )
@@ -280,16 +280,11 @@ def _still_disagrees(sys, kind):
 def _shrink(sys, kind):
     """Greedy minimization preserving well-formedness and the disagreement."""
     assert _still_disagrees(sys, kind)
-    import sbcheck.formula as F
-
-    def strans_key(t):
-        return (t[0], F.unparse(t[1]), t[2])
-
     changed = True
     while changed:
         changed = False
-        for t in sorted(sys.structure.transitions, key=strans_key):
-            cand = _rebuild(sys, strans=sys.structure.transitions - {t})
+        for t in sys.structure.transitions:
+            cand = _rebuild(sys, strans=[u for u in sys.structure.transitions if u is not t])
             if _still_disagrees(cand, kind):
                 sys, changed = cand, True
                 break

@@ -9,6 +9,7 @@ import gen
 import oracles
 import sbcheck.ctl as C
 import sbcheck.flat as FL
+from sbcheck import ingest
 from sbcheck.errors import CtlError
 
 
@@ -150,18 +151,6 @@ def test_observation_atom(s0):
         C.check_ctl(flat, C.parse_ctl("@(nosuch)"))
 
 
-def test_detached_flat_supports_in_but_not_observation(s0):
-    flat = flat_of(s0)
-    detached = FL.import_json(FL.export_json(flat))
-    assert detached.system is None
-    S = C.check_ctl(detached, C.parse_ctl("in(r2)")).satisfying
-    assert S == {i for i, s in enumerate(detached.states) if s.r == "r2"}
-    with pytest.raises(CtlError):
-        C.check_ctl(detached, C.parse_ctl("in(zz)"))
-    with pytest.raises(CtlError):
-        C.check_ctl(detached, C.parse_ctl("@(moved)"))
-
-
 # ---------------------------------------------------------------------------
 # frozen verdicts on the bundled models
 
@@ -211,6 +200,23 @@ def _move(src, dst, kind="adapt", r="r0"):
     return {"from": src, "to": dst, "kind": kind, "r": r, "inv": inv, "target": target}
 
 
+# the model the corner cases below are read against
+CORNERS_MODEL = ingest.loads('''system "corners"
+observables { x: bool; }
+behaviour {
+  state a {x = true} init;
+  state b {x = false};
+  state c {x = false};
+  state d {x = true};
+  state e {x = true};
+}
+structure {
+  state r0: "true" init;
+  state r1: "x";
+  r0 -["!x"]-> r1;
+}
+''')
+
 # 0 adapts into 1 twice over and into the deadlock 2 once; 1 adapts into 3
 # twice over; 3 moves on to the deadlock 4.  A universal count that ignored
 # duplicate edges would let 0 into AF steady.
@@ -231,7 +237,7 @@ COUNTER_CORNERS = {
 
 
 def test_fixpoints_count_duplicate_edges_and_deadlocks():
-    flat = FL.import_json(json.dumps(COUNTER_CORNERS))
+    flat = FL.import_json(json.dumps(COUNTER_CORNERS), CORNERS_MODEL)
     assert flat.succ[0] == (1, 1, 2)
     args = [C.parse_ctl(t) for t in ("steady", "adapting", "!steady", "in(r1)", "steady || in(r0)")]
     formulas = [C.Modal(op, a) for op in ("EF", "AF", "EG", "AG") for a in args]

@@ -13,6 +13,7 @@ import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck.compare import rerooted
 from sbcheck.errors import ModelError
+from sbcheck.ingest import bundled_model
 
 
 def as_triple_set(flat):
@@ -108,7 +109,10 @@ def test_steady_and_adapt_moves_never_mix():
     for sys in systems_under_test():
         flat = FL.flatten(sys)
         for i, s in enumerate(flat.states):
-            steady = {is_steady_move(FL.FlatTransition(s, flat.states[j])) for j in flat.succ[i]}
+            steady = {
+                FL.adaptation(sys, s) is None and FL.adaptation(sys, flat.states[j]) is None
+                for j in flat.succ[i]
+            }
             assert len(steady) <= 1
 
 
@@ -130,7 +134,7 @@ def test_adaptation_rule_soundness():
         for t in flat.transitions:
             if is_steady_move(t):
                 continue
-            inv, target = t.source.pending or t.target.pending
+            inv, target = FL.adaptation(sys, t.source) or FL.adaptation(sys, t.target)
             assert t.label == ("adapt", t.source.r, inv, target)
             if t.source.pending is None:
                 # start: declared structure transition, all steady moves blocked
@@ -174,19 +178,6 @@ def test_flatten_requires_well_formed():
         FL.flatten(sys)
 
 
-def test_pending_state_needs_a_structure_transition(s0):
-    off = FL.FlatState("q011t", "r0", (F.BoolLit(False), "r2"))
-    with pytest.raises(ModelError, match="pending on no structure transition out of r0"):
-        FL.successors(s0, off)
-    # the same pending pair, parsed afresh, still finds its transition
-    r, (inv, target) = next((s.r, s.pending) for s in FL.flatten(s0).states if s.pending)
-    again = F.parse_formula(F.unparse(inv), s0.observables)
-    assert again is not inv
-    for q in set(s0.behaviour.states) - s0.constraint_region(target):
-        want = FL.successors(s0, FL.FlatState(q, r, (inv, target)))
-        assert FL.successors(s0, FL.FlatState(q, r, (again, target))) == want
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -195,8 +186,7 @@ def test_json_roundtrip(s0, s1):
     for sys in (s0, s1):
         flat = FL.flatten(sys)
         text = FL.export_json(flat)
-        assert FL.import_json(text, system=sys) == flat
-        assert FL.import_json(text) == flat  # equality ignores the backing system
+        assert FL.import_json(text, sys) == flat
 
 
 def test_json_is_byte_stable(s0):
@@ -207,7 +197,7 @@ def test_json_is_byte_stable(s0):
 
 def test_json_reexport_is_identity(s1):
     text = FL.export_json(FL.flatten(s1))
-    assert FL.export_json(FL.import_json(text)) == text
+    assert FL.export_json(FL.import_json(text, s1)) == text
 
 
 def test_json_schema_shape(s0):
@@ -231,28 +221,28 @@ def test_import_rejects_tampered_class(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     doc["states"][0]["class"] = "stuck"
     with pytest.raises(ModelError):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
 def test_import_rejects_bad_init(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     doc["init"] = 99
     with pytest.raises(ModelError):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
 def test_import_rejects_renumbered_states(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     doc["states"][0]["id"] = 5
     with pytest.raises(ModelError):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
 def test_import_rejects_duplicate_states(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     doc["states"][1] = dict(doc["states"][0], id=1)
     with pytest.raises(ModelError, match="duplicate state"):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
 @pytest.mark.parametrize("where, field, value", [
@@ -277,20 +267,18 @@ def test_import_rejects_what_it_cannot_write_back(s0, where, field, value):
         row = next(t for t in doc["transitions"] if t["kind"] == "adapt")
     row[field] = value
     with pytest.raises(ModelError, match="invalid flat JSON"):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
 def test_import_with_system_checks_state_names(s0):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     doc["states"][3]["q"] = None
     doc["states"][4]["r"] = 7
-    text = json.dumps(doc)
-    FL.import_json(text)  # without a system, names are not checked
     with pytest.raises(ModelError, match="JSON: state 3: unknown behaviour state None"):
-        FL.import_json(text, system=s0)
+        FL.import_json(json.dumps(doc), s0)
     doc["states"][3]["q"] = "q011t"
     with pytest.raises(ModelError, match="JSON: state 4: unknown structure state 7"):
-        FL.import_json(json.dumps(doc), system=s0)
+        FL.import_json(json.dumps(doc), s0)
 
 
 @pytest.mark.parametrize("where, field", [
@@ -304,23 +292,41 @@ def test_import_with_system_checks_structure_names(s0, where, field):
     if where == "pending":
         i = next(i for i, s in enumerate(doc["states"]) if s["pending"] is not None)
         doc["states"][i]["pending"][field] = "q011t"
-        message = f"JSON: state {i}: unknown structure state 'q011t'"
+        message = f"JSON: state {i}: pending .* is no structure transition out of"
     else:
         # a transition row names only what its endpoint states already give
         i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == where)
         doc["transitions"][i][field] = "q011t"
         message = f"JSON: transition {i} disagrees with its endpoint states"
     with pytest.raises(ModelError, match=message):
-        FL.import_json(json.dumps(doc), system=s0)
+        FL.import_json(json.dumps(doc), s0)
 
 
-@pytest.mark.parametrize("with_system", [False, True])
+@pytest.mark.parametrize("field, new", [("target", "r0"), ("inv", "!(eat)")])
+def test_import_rejects_a_pending_pair_that_is_no_structure_transition(s0, field, new):
+    # change the pair (!eat, r2) everywhere: in the pending states and the rows that carry it
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    for row in [s["pending"] for s in doc["states"]] + doc["transitions"]:
+        if row and (row["inv"], row["target"]) == ("!eat", "r2"):
+            row[field] = new
+    i, state = next((i, s) for i, s in enumerate(doc["states"]) if s["pending"]
+                    and s["pending"][field] == new)
+    message = (f"invalid flat JSON: state {i}: pending {json.dumps(state['pending'])} "
+               f"is no structure transition out of {state['r']!r}")
+    with pytest.raises(ModelError) as e:
+        FL.import_json(json.dumps(doc), s0)
+    assert str(e.value) == message
+
+
+# a flat system is read against a model equal to the one it was flattened
+# from: that model itself, or the same model loaded from its .sbs file
+@pytest.mark.parametrize("from_file", [False, True])
 @pytest.mark.parametrize("kind, field, value", [
     ("steady", "r", "r2"),
     ("adapt", "inv", "true"),
     ("adapt", "target", "r0"),
 ])
-def test_import_rejects_a_row_its_endpoints_do_not_give(s0, kind, field, value, with_system):
+def test_import_rejects_a_row_its_endpoints_do_not_give(s0, kind, field, value, from_file):
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     i, row = next((i, t) for i, t in enumerate(doc["transitions"]) if t["kind"] == kind)
     assert row[field] != value
@@ -328,13 +334,13 @@ def test_import_rejects_a_row_its_endpoints_do_not_give(s0, kind, field, value, 
     message = (f"invalid flat JSON: transition {i} disagrees with its endpoint states "
                f"{row['from']} -> {row['to']}")
     with pytest.raises(ModelError) as e:
-        FL.import_json(json.dumps(doc), system=s0 if with_system else None)
+        FL.import_json(json.dumps(doc), bundled_model("predator_s0") if from_file else s0)
     assert str(e.value) == message
 
 
-@pytest.mark.parametrize("with_system", [False, True])
-def test_import_reports_a_bad_invariant_at_its_json_location(s0, with_system):
-    system = s0 if with_system else None
+@pytest.mark.parametrize("from_file", [False, True])
+def test_import_reports_a_bad_invariant_at_its_json_location(s0, from_file):
+    system = bundled_model("predator_s0") if from_file else s0
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     i = next(i for i, t in enumerate(doc["transitions"]) if t["kind"] == "adapt")
     doc["transitions"][i]["inv"] = "&&"
@@ -342,13 +348,13 @@ def test_import_reports_a_bad_invariant_at_its_json_location(s0, with_system):
     message = (f"invalid flat JSON: transition {i} disagrees with its endpoint states "
                f"{t['from']} -> {t['to']}")
     with pytest.raises(ModelError) as e:
-        FL.import_json(json.dumps(doc), system=system)
+        FL.import_json(json.dumps(doc), system)
     assert str(e.value) == message
     doc = json.loads(FL.export_json(FL.flatten(s0)))
     i = next(i for i, s in enumerate(doc["states"]) if s["pending"] is not None)
     doc["states"][i]["pending"]["inv"] = "(eat"
-    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: bad 'inv': 1:5: "):
-        FL.import_json(json.dumps(doc), system=system)
+    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: pending .* is no "):
+        FL.import_json(json.dumps(doc), system)
 
 
 def test_import_with_system_typechecks_invariants(s0):
@@ -356,22 +362,21 @@ def test_import_with_system_typechecks_invariants(s0):
     # rename one invariant everywhere: in the pending states and the rows that carry it
     old = next(s["pending"]["inv"] for s in doc["states"] if s["pending"] is not None)
     text = json.dumps(doc).replace(json.dumps(old), json.dumps("bogus"))
-    FL.import_json(text)
     i = next(i for i, s in enumerate(doc["states"]) if s["pending"] and s["pending"]["inv"] == old)
-    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: bad 'inv': .*bogus"):
-        FL.import_json(text, system=s0)
+    with pytest.raises(ModelError, match=f"invalid flat JSON: state {i}: pending .*bogus.* is no "):
+        FL.import_json(text, s0)
 
 
-def test_import_rejects_tables_that_are_not_lists():
+def test_import_rejects_tables_that_are_not_lists(s0):
     doc = {"states": [{"id": 0, "q": "a", "r": "r", "pending": None, "class": "steady"}],
            "init": 0, "transitions": {}}
     with pytest.raises(ModelError, match="must be lists"):
-        FL.import_json(json.dumps(doc))
+        FL.import_json(json.dumps(doc), s0)
 
 
-def test_import_rejects_non_json():
+def test_import_rejects_non_json(s0):
     with pytest.raises(ModelError):
-        FL.import_json("not json at all")
+        FL.import_json("not json at all", s0)
 
 
 def test_rooted_flatten_matches_rerooted_system():
@@ -399,7 +404,7 @@ def test_flatten_rejects_bad_roots(s0):
 def test_json_roundtrip_on_random_systems():
     for seed in range(30):
         flat = FL.flatten(gen.random_system(seed))
-        assert FL.import_json(FL.export_json(flat)) == flat
+        assert FL.import_json(FL.export_json(flat), flat.system) == flat
 
 
 # ---------------------------------------------------------------------------
