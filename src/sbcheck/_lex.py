@@ -1,12 +1,14 @@
 """The front-end core shared by the three text languages.
 
-A language gives its token table to :class:`Lexer`, parses with one
-:class:`Parser` cursor, and, for the constraint and CTL languages, reads its
-connectives with :func:`connectives` and prints them with :func:`binary`.
+A language gives its token table to :class:`Lexer` and parses with one
+:class:`Parser` cursor.  The constraint and CTL languages share their
+connectives: the node classes :class:`BoolLit`, :class:`Not`, :class:`And`,
+:class:`Or` and :class:`Implies` live here, :func:`connectives` parses them
+and :func:`join` prints a chain with the fewest parentheses.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EOF = "eof"
 
@@ -120,33 +122,95 @@ class Parser:
         return self.error_cls(f"{msg}, found {found}", t.line, t.col)
 
 
-def connectives(p, operand, implies, or_, and_):
-    """Parse ``operand`` joined by ``&&``, then ``||``, then ``->``.
+def position():
+    """The ``pos`` field of an AST node: ``(line, col)`` or None, ignored by ``==``."""
+    return field(default=None, compare=False, repr=False)
 
-    ``&&`` and ``||`` associate to the left, ``->`` to the right.  The node
-    constructors are called as ``node(left, right, pos=(line, col))``.
+
+# ---------------------------------------------------------------------------
+# connective nodes, shared by constraint formulas and CTL
+
+
+@dataclass(frozen=True)
+class BoolLit:
+    value: bool
+    pos: tuple | None = position()
+
+
+@dataclass(frozen=True)
+class Not:
+    arg: object
+    pos: tuple | None = position()
+
+
+@dataclass(frozen=True, init=False)
+class _Chain:
+    """A connective over ``args``, a tuple of two or more operands.
+
+    An operand of the same connective on the chain's associative side (the
+    first for ``&&``/``||``, the last for ``->``) is spliced in, so chains
+    are one-to-one with binary trees: ``(a && b) && c`` builds the same node
+    as ``a && b && c``, while ``a && (b && c)`` keeps its inner node.
     """
 
-    def conjunction():
-        left = operand(p)
-        while p.peek().kind == "and":
-            t = p.take()
-            left = and_(left, operand(p), pos=(t.line, t.col))
-        return left
+    args: tuple
+    pos: tuple | None = position()
+    _side = 0  # index of the associative operand
 
-    left = conjunction()
-    while p.peek().kind == "or":
-        t = p.take()
-        left = or_(left, conjunction(), pos=(t.line, t.col))
-    if p.peek().kind == "arrow":
-        t = p.take()
-        return implies(left, connectives(p, operand, implies, or_, and_), pos=(t.line, t.col))
-    return left
+    def __init__(self, *args, pos=None):
+        if len(args) < 2:
+            raise TypeError(f"{type(self).__name__} needs two or more operands")
+        edge = args[self._side]
+        if type(edge) is type(self):
+            args = edge.args + args[1:] if self._side == 0 else args[:-1] + edge.args
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "pos", pos)
+
+
+class And(_Chain):
+    pass
+
+
+class Or(_Chain):
+    pass
+
+
+class Implies(_Chain):
+    _side = -1
 
 
 # precedence levels for printing, loosest first
 IMPLIES, OR, AND, UNARY, ATOM = 1, 2, 3, 4, 5
+LEVELS = {Implies: IMPLIES, Or: OR, And: AND, Not: UNARY}
 _SYMBOL = {IMPLIES: "->", OR: "||", AND: "&&"}
+_CONNECTIVE = {"arrow": Implies, "or": Or, "and": And}
+
+
+def connectives(p, operand):
+    """Parse ``operand`` joined by ``&&``, then ``||``, then ``->``.
+
+    One loop keeps the chains still open, loosest first.  An operator
+    closes every open chain that binds tighter, then extends the open chain
+    of its own connective or opens a new one.  So each run of one
+    connective is one node, whatever its length, and ``->`` costs no
+    recursion either.
+    """
+    chains = []  # (class, operands so far, position of its first operator)
+    x = operand(p)
+    while True:
+        cls = _CONNECTIVE.get(p.peek().kind)
+        lvl = LEVELS[cls] if cls else 0
+        while chains and LEVELS[chains[-1][0]] > lvl:
+            top, args, pos = chains.pop()
+            x = top(*args, x, pos=pos)
+        if cls is None:
+            return x
+        t = p.take()
+        if chains and chains[-1][0] is cls:
+            chains[-1][1].append(x)
+        else:
+            chains.append((cls, [x], (t.line, t.col)))
+        x = operand(p)
 
 
 def level(node, levels):
@@ -154,22 +218,15 @@ def level(node, levels):
     return levels.get(type(node), ATOM)
 
 
-def binary(node, unparse, levels):
-    """Render a connective node, parenthesising an operand only where needed.
+def join(node, unparse, levels):
+    """Render a connective chain, parenthesising each operand at or below its level.
 
-    A left-associative chain (``&&`` or ``||``) is walked down its left
-    spine in a loop, so its length costs no recursion.
+    The constructor has spliced away every same-connective operand that
+    needs no parentheses, so one rule serves both associativities.
     """
     lvl = levels[type(node)]
-    right_assoc = lvl == IMPLIES
     parts = []
-    while True:
-        right, rl = unparse(node.right), level(node.right, levels)
-        parts.append(f"({right})" if rl < lvl or (not right_assoc and rl == lvl) else right)
-        node = node.left
-        ll = level(node, levels)
-        if right_assoc or ll != lvl:
-            break
-    left = unparse(node)
-    parts.append(f"({left})" if ll < lvl or (right_assoc and ll == lvl) else left)
-    return f" {_SYMBOL[lvl]} ".join(reversed(parts))
+    for arg in node.args:
+        text = unparse(arg)
+        parts.append(f"({text})" if level(arg, levels) <= lvl else text)
+    return f" {_SYMBOL[lvl]} ".join(parts)

@@ -26,34 +26,25 @@ Adaptability characterisations checked at the initial state:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _lex
 from . import formula as F
+from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with formulas
 from .errors import CtlError, FormulaError
 from .flat import ADAPTING, STEADY
-
-
-def _pos():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class CtlBool:
-    value: bool
-    pos: tuple | None = _pos()
 
 
 @dataclass(frozen=True)
 class Atom:
     name: str  # 'adapting' or 'steady'
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
 class InState:
     r: str
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -61,41 +52,14 @@ class ObsHolds:
     """@(phi): the observation of the current behaviour state satisfies phi."""
 
     phi: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class CtlNot:
-    arg: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class CtlAnd:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class CtlOr:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class CtlImplies:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
 class Modal:
     op: str  # AX EX AF EF AG EG
     arg: object
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -103,7 +67,7 @@ class Until:
     quant: str  # 'A' or 'E'
     left: object
     right: object
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +89,14 @@ def parse_ctl(text):
 
 
 def _ctl(p):
-    return _lex.connectives(p, _unary, CtlImplies, CtlOr, CtlAnd)
+    return _lex.connectives(p, _unary)
 
 
 def _unary(p):
     t = p.peek()
     if t.kind == "not":
         p.take()
-        return CtlNot(_unary(p), pos=(t.line, t.col))
+        return Not(_unary(p), pos=(t.line, t.col))
     if t.kind == "ident" and t.text in _MODALS:
         p.take()
         return Modal(t.text, _unary(p), pos=(t.line, t.col))
@@ -144,7 +108,7 @@ def _primary(p):
     if t.kind == "ident":
         if t.text == "true" or t.text == "false":
             p.take()
-            return CtlBool(t.text == "true", pos=(t.line, t.col))
+            return BoolLit(t.text == "true", pos=(t.line, t.col))
         if t.text in ("adapting", "steady"):
             p.take()
             return Atom(t.text, pos=(t.line, t.col))
@@ -186,18 +150,12 @@ def _primary(p):
 # ---------------------------------------------------------------------------
 # printing
 
-_LEVELS = {
-    CtlImplies: _lex.IMPLIES,
-    CtlOr: _lex.OR,
-    CtlAnd: _lex.AND,
-    CtlNot: _lex.UNARY,
-    Modal: _lex.UNARY,
-}
+_LEVELS = {**_lex.LEVELS, Modal: _lex.UNARY}
 
 
 def unparse_ctl(f):
     """Render back to parseable text; parsing gives an equal AST."""
-    if isinstance(f, CtlBool):
+    if isinstance(f, BoolLit):
         return "true" if f.value else "false"
     if isinstance(f, Atom):
         return f.name
@@ -205,7 +163,7 @@ def unparse_ctl(f):
         return f"in({f.r})"
     if isinstance(f, ObsHolds):
         return f"@({F.unparse(f.phi)})"
-    if isinstance(f, CtlNot):
+    if isinstance(f, Not):
         inner = unparse_ctl(f.arg)
         return "!" + (inner if _lex.level(f.arg, _LEVELS) >= _lex.UNARY else f"({inner})")
     if isinstance(f, Modal):
@@ -213,20 +171,11 @@ def unparse_ctl(f):
         if _lex.level(f.arg, _LEVELS) >= _lex.UNARY:
             return f"{f.op} {inner}"
         return f"{f.op}({inner})"
-    if isinstance(f, (CtlAnd, CtlOr, CtlImplies)):
-        return _lex.binary(f, unparse_ctl, _LEVELS)
+    if isinstance(f, (And, Or, Implies)):
+        return _lex.join(f, unparse_ctl, _LEVELS)
     if isinstance(f, Until):
         return f"{f.quant}[{unparse_ctl(f.left)} U {unparse_ctl(f.right)}]"
     raise CtlError(f"not a CTL node: {f!r}")
-
-
-def _node_str(self):
-    return unparse_ctl(self)
-
-
-for _cls in (CtlBool, Atom, InState, ObsHolds, CtlNot, CtlAnd, CtlOr, CtlImplies, Modal, Until):
-    _cls.__str__ = _node_str
-del _cls
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +254,7 @@ def _until(g, A, B, universal):
 
 def _sat(g, f):
     flat = g.flat
-    if isinstance(f, CtlBool):
+    if isinstance(f, BoolLit):
         return g.full if f.value else frozenset()
     if isinstance(f, Atom):
         return _atom_set(flat, f.name)
@@ -313,19 +262,23 @@ def _sat(g, f):
         return _in_set(flat, f.r, f.pos)
     if isinstance(f, ObsHolds):
         return _obs_set(flat, f.phi)
-    if isinstance(f, CtlNot):
+    if isinstance(f, Not):
         return g.full - _sat(g, f.arg)
-    if isinstance(f, (CtlAnd, CtlOr)):
-        kind, rights = type(f), []
-        while type(f) is kind:  # walk a left-nested chain down its left spine
-            rights.append(f.right)
-            f = f.left
-        S = _sat(g, f)
-        for right in reversed(rights):
-            S = S & _sat(g, right) if kind is CtlAnd else S | _sat(g, right)
+    if isinstance(f, And):
+        S = _sat(g, f.args[0])
+        for arg in f.args[1:]:
+            S &= _sat(g, arg)
         return S
-    if isinstance(f, CtlImplies):
-        return (g.full - _sat(g, f.left)) | _sat(g, f.right)
+    if isinstance(f, Or):
+        S = _sat(g, f.args[0])
+        for arg in f.args[1:]:
+            S |= _sat(g, arg)
+        return S
+    if isinstance(f, Implies):  # a -> b -> c is !a || !b || c
+        S = frozenset()
+        for arg in f.args[:-1]:
+            S |= g.full - _sat(g, arg)
+        return S | _sat(g, f.args[-1])
     if isinstance(f, Modal):
         S = _sat(g, f.arg)
         if f.op == "EX":
@@ -388,12 +341,12 @@ def check_ctl(flat, f):
 
 def weak_formula():
     """EG (adapting -> EF steady)"""
-    return Modal("EG", CtlImplies(Atom("adapting"), Modal("EF", Atom("steady"))))
+    return Modal("EG", Implies(Atom("adapting"), Modal("EF", Atom("steady"))))
 
 
 def strong_formula():
     """AG (adapting -> AF steady)"""
-    return Modal("AG", CtlImplies(Atom("adapting"), Modal("AF", Atom("steady"))))
+    return Modal("AG", Implies(Atom("adapting"), Modal("AF", Atom("steady"))))
 
 
 def weak_adaptable_ctl(flat):
@@ -470,7 +423,7 @@ def ctl_oracle(flat, f):
             Z = nz
 
     def rec(node):
-        if isinstance(node, CtlBool):
+        if isinstance(node, BoolLit):
             return full if node.value else frozenset()
         if isinstance(node, Atom):
             if node.name == "adapting":
@@ -489,14 +442,14 @@ def ctl_oracle(flat, f):
                 i for i in range(n)
                 if F.evaluate(checked, flat.system.observe(flat.states[i].q))
             )
-        if isinstance(node, CtlNot):
+        if isinstance(node, Not):
             return full - rec(node.arg)
-        if isinstance(node, CtlAnd):
-            return rec(node.left) & rec(node.right)
-        if isinstance(node, CtlOr):
-            return rec(node.left) | rec(node.right)
-        if isinstance(node, CtlImplies):
-            return (full - rec(node.left)) | rec(node.right)
+        if isinstance(node, And):
+            return frozenset.intersection(*[rec(a) for a in node.args])
+        if isinstance(node, Or):
+            return frozenset.union(*[rec(a) for a in node.args])
+        if isinstance(node, Implies):
+            return frozenset.union(*[full - rec(a) for a in node.args[:-1]], rec(node.args[-1]))
         if isinstance(node, Modal):
             S = rec(node.arg)
             if node.op == "EX":

@@ -13,9 +13,10 @@ restrict the values a state may carry, not the literals a formula may use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import _lex
+from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with CTL
 from .errors import FormulaError, ModelError
 
 # ---------------------------------------------------------------------------
@@ -145,14 +146,10 @@ def check_valuation(observables, valuation):
 # abstract syntax
 
 
-def _pos():
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class IntLit:
     value: int
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ class Name:
     """Observable reference; a bare boolean atom or an integer/enum term."""
 
     name: str
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class EnumLit:
     """Enum value literal, produced by :func:`typecheck` for undeclared identifiers."""
 
     value: str
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -176,13 +173,7 @@ class Arith:
     op: str  # '+' or '-'
     left: object
     right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 @dataclass(frozen=True)
@@ -190,34 +181,7 @@ class Compare:
     op: str  # '==' '!=' '<' '<=' '>' '>='
     left: object
     right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
-    pos: tuple | None = _pos()
+    pos: tuple | None = _lex.position()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +238,7 @@ def parse_formula(text, observables):
 
 
 def _formula(p):
-    return _lex.connectives(p, _not, Implies, Or, And)
+    return _lex.connectives(p, _not)
 
 
 def _not(p):
@@ -404,9 +368,7 @@ def _check_formula(phi, obs):
     if isinstance(phi, Not):
         return replace(phi, arg=_check_formula(phi.arg, obs))
     if isinstance(phi, (And, Or, Implies)):
-        return replace(
-            phi, left=_check_formula(phi.left, obs), right=_check_formula(phi.right, obs)
-        )
+        return type(phi)(*[_check_formula(a, obs) for a in phi.args], pos=phi.pos)
     if isinstance(phi, Compare):
         left, lt = _check_term(phi.left, obs)
         right, rt = _check_term(phi.right, obs)
@@ -474,11 +436,20 @@ def evaluate(phi, valuation):
     if isinstance(phi, Not):
         return not evaluate(phi.arg, valuation)
     if isinstance(phi, And):
-        return evaluate(phi.left, valuation) and evaluate(phi.right, valuation)
+        for arg in phi.args:
+            if not evaluate(arg, valuation):
+                return False
+        return True
     if isinstance(phi, Or):
-        return evaluate(phi.left, valuation) or evaluate(phi.right, valuation)
-    if isinstance(phi, Implies):
-        return (not evaluate(phi.left, valuation)) or evaluate(phi.right, valuation)
+        for arg in phi.args:
+            if evaluate(arg, valuation):
+                return True
+        return False
+    if isinstance(phi, Implies):  # a -> b -> c holds when a or b fails, or c holds
+        for arg in phi.args[:-1]:
+            if not evaluate(arg, valuation):
+                return True
+        return evaluate(phi.args[-1], valuation)
     if isinstance(phi, Compare):
         lv = _eval_term(phi.left, valuation)
         rv = _eval_term(phi.right, valuation)
@@ -525,9 +496,6 @@ def _lookup(node, valuation, name):
 # ---------------------------------------------------------------------------
 # printing
 
-_LEVELS = {Implies: _lex.IMPLIES, Or: _lex.OR, And: _lex.AND, Not: _lex.UNARY}
-
-
 def unparse(phi):
     """Render ``phi`` as parseable text; parsing it back gives an equal AST."""
     if isinstance(phi, BoolLit):
@@ -538,11 +506,11 @@ def unparse(phi):
         return f"{_unparse_term(phi.left)} {phi.op} {_unparse_term(phi.right)}"
     if isinstance(phi, Not):
         inner = unparse(phi.arg)
-        if _lex.level(phi.arg, _LEVELS) < _lex.UNARY:
+        if _lex.level(phi.arg, _lex.LEVELS) < _lex.UNARY:
             inner = f"({inner})"
         return "!" + inner
     if isinstance(phi, (And, Or, Implies)):
-        return _lex.binary(phi, unparse, _LEVELS)
+        return _lex.join(phi, unparse, _lex.LEVELS)
     raise FormulaError(f"not a formula node: {phi!r}")
 
 
@@ -561,17 +529,3 @@ def _unparse_term(t):
         return f"{left} {t.op} {right}"
     raise FormulaError(f"not a term node: {t!r}")
 
-
-def _node_str(self):
-    return unparse(self)
-
-
-def _term_str(self):
-    return _unparse_term(self)
-
-
-for _cls in (BoolLit, Name, Compare, Not, And, Or, Implies):
-    _cls.__str__ = _node_str
-for _cls in (IntLit, EnumLit, Arith):
-    _cls.__str__ = _term_str
-del _cls

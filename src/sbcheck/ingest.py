@@ -26,7 +26,8 @@ State declarations come before transitions inside each block.  Quoted
 strings hold constraint formula syntax.  ``save`` emits a canonical form:
 observables in declaration order, states sorted by id, transitions sorted,
 formulas reprinted with canonical spacing; ``save(load(text))`` is a fixed
-point and ``load(save(sys))`` equals ``sys``.
+point and ``load(save(sys))`` equals ``sys``.  A quoted string cannot hold a
+newline, so ``save`` refuses a system whose name does.
 """
 
 from __future__ import annotations
@@ -316,6 +317,8 @@ def load(path):
 
 
 def _quote(text):
+    if "\n" in text:
+        raise ModelError(f"cannot save {text!r}: a .sbs string cannot hold a newline")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

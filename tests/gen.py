@@ -100,7 +100,7 @@ def random_ctl_formula(rng, structure_states, obs_names, depth):
             kinds += ["obs", "obs"]
         c = rng.choice(kinds)
         if c == "bool":
-            return C.CtlBool(rng.random() < 0.5)
+            return C.BoolLit(rng.random() < 0.5)
         if c == "adapting":
             return C.Atom("adapting")
         if c == "steady":
@@ -111,16 +111,16 @@ def random_ctl_formula(rng, structure_states, obs_names, depth):
     c = rng.randrange(7)
     a = random_ctl_formula(rng, structure_states, obs_names, depth - 1)
     if c == 0:
-        return C.CtlNot(a)
+        return C.Not(a)
     if c == 1:
         return C.Modal(rng.choice(("AX", "EX", "AF", "EF", "AG", "EG")), a)
     b = random_ctl_formula(rng, structure_states, obs_names, depth - 1)
     if c == 2:
-        return C.CtlAnd(a, b)
+        return C.And(a, b)
     if c == 3:
-        return C.CtlOr(a, b)
+        return C.Or(a, b)
     if c == 4:
-        return C.CtlImplies(a, b)
+        return C.Implies(a, b)
     if c == 5:
         return C.Until("A", a, b)
     return C.Until("E", a, b)

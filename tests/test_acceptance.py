@@ -217,16 +217,16 @@ def test_criterion_4_ctl_checker_differential_and_laws():
         # universal operators directly rather than by duality)
         full = frozenset(range(len(flat.states)))
         f = gen.random_ctl_formula(rng, rs, names, 2)
-        nf = C.CtlNot(f)
+        nf = C.Not(f)
         o = lambda node: C.ctl_oracle(flat, node)
         assert o(C.Modal("AX", f)) == full - o(C.Modal("EX", nf)), sys.name
         assert o(C.Modal("AF", f)) == full - o(C.Modal("EG", nf)), sys.name
         assert o(C.Modal("AG", f)) == full - o(C.Modal("EF", nf)), sys.name
-        top = C.CtlBool(True)
+        top = C.BoolLit(True)
         assert o(C.Modal("EF", f)) == o(C.Until("E", top, f)), sys.name
         assert o(C.Modal("AF", f)) == o(C.Until("A", top, f)), sys.name
-        assert o(C.Modal("EG", f)) == o(C.CtlAnd(f, C.Modal("EX", C.Modal("EG", f)))), sys.name
-        assert o(C.Modal("AG", f)) == o(C.CtlAnd(f, C.Modal("AX", C.Modal("AG", f)))), sys.name
+        assert o(C.Modal("EG", f)) == o(C.And(f, C.Modal("EX", C.Modal("EG", f)))), sys.name
+        assert o(C.Modal("AG", f)) == o(C.And(f, C.Modal("AX", C.Modal("AG", f)))), sys.name
 
 
 # ---------------------------------------------------------------------------

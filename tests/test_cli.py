@@ -407,28 +407,29 @@ def test_color_defaults_off_when_piped():
 
 
 def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
-    # a left-nested chain of 500 conjunctions, in one label, and in one
+    # a chain of 500, and of 2000, conjunctions, in one label, and in one
     # invariant that the initial state adapts through
-    deep = " && ".join(["x"] * 500)
-    models = {
-        "label": ("state q0 {x = true} init;\n  state q1 {x = false};\n  q0 -> q1;\n  q1 -> q0;",
-                  f'state r0: "{deep}" init;\n  state r1: "!x";\n'
-                  '  r0 -["!x"]-> r1;\n  r1 -["x"]-> r0;'),
-        "invariant": ("state q0 {x = false} init;\n  state q1 {x = true};\n  q0 -> q1;\n  q1 -> q1;",
-                      f'state r0: "!x" init;\n  state r1: "x";\n  r0 -["{deep}"]-> r1;'),
-    }
-    for name, (behaviour, structure) in models.items():
-        model = tmp_path / f"{name}.sbs"
-        model.write_text(
-            f'system "deep"\n\nobservables {{\n  x: bool;\n}}\n\n'
-            f"behaviour {{\n  {behaviour}\n}}\n\nstructure {{\n  {structure}\n}}\n",
-            encoding="utf-8",
-        )
-        for argv in (["validate"], ["adapt", "--json", "--witness"], ["flatten", "--json"],
-                     ["flatten", "--dot"], ["equiv"], ["simulate"],
-                     ["ctl", "--formula", "EF in(r1)"]):
-            res = run(*argv, str(model))
-            assert res.returncode in (0, 1, 2, 3, 4), (name, argv, res.stderr)
+    for n in (500, 2000):
+        deep = " && ".join(["x"] * n)
+        models = {
+            "label": ("state q0 {x = true} init;\n  state q1 {x = false};\n  q0 -> q1;\n  q1 -> q0;",
+                      f'state r0: "{deep}" init;\n  state r1: "!x";\n'
+                      '  r0 -["!x"]-> r1;\n  r1 -["x"]-> r0;'),
+            "invariant": ("state q0 {x = false} init;\n  state q1 {x = true};\n  q0 -> q1;\n  q1 -> q1;",
+                          f'state r0: "!x" init;\n  state r1: "x";\n  r0 -["{deep}"]-> r1;'),
+        }
+        for name, (behaviour, structure) in models.items():
+            model = tmp_path / f"{name}-{n}.sbs"
+            model.write_text(
+                f'system "deep"\n\nobservables {{\n  x: bool;\n}}\n\n'
+                f"behaviour {{\n  {behaviour}\n}}\n\nstructure {{\n  {structure}\n}}\n",
+                encoding="utf-8",
+            )
+            for argv in (["validate"], ["adapt", "--json", "--witness"], ["flatten", "--json"],
+                         ["flatten", "--dot"], ["equiv"], ["simulate"],
+                         ["ctl", "--formula", "EF in(r1)"]):
+                res = run(*argv, str(model))
+                assert res.returncode in (0, 1, 2, 3, 4), (name, n, argv, res.stderr)
 
 
 @pytest.mark.parametrize("formula, code", [
@@ -438,7 +439,10 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
     (" && ".join(["EF steady"] * 2000), 0),
     (" || ".join(["adapting"] * 2000), 1),
     (" && ".join(["in(r0)"] * 2000), 0),
-], ids=["obs-and", "and", "or", "and-2000", "or-2000", "in-and-2000"])
+    ("EF @(" + " && ".join(["!eat"] * 2000) + ")", 0),
+    (" -> ".join(["steady"] * 2000), 0),
+], ids=["obs-and", "and", "or", "and-2000", "or-2000", "in-and-2000", "obs-and-2000",
+        "implies-2000"])
 def test_long_connective_chain_in_a_ctl_formula_prints_back(formula, code):
     res = run("ctl", S0, "--formula", formula)
     assert res.returncode == code, res.stderr

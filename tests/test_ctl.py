@@ -33,25 +33,43 @@ def test_parse_of_named_formulas():
 
 def test_modalities_bind_like_negation():
     f = C.parse_ctl("AG adapting -> steady")
-    assert isinstance(f, C.CtlImplies)
-    assert isinstance(f.left, C.Modal) and f.left.op == "AG"
+    assert isinstance(f, C.Implies)
+    assert isinstance(f.args[0], C.Modal) and f.args[0].op == "AG"
 
     g = C.parse_ctl("!AG steady")
-    assert isinstance(g, C.CtlNot) and isinstance(g.arg, C.Modal)
+    assert isinstance(g, C.Not) and isinstance(g.arg, C.Modal)
 
 
 def test_connective_precedence():
     f = C.parse_ctl("!adapting && steady || in(r0) -> EX true")
-    assert isinstance(f, C.CtlImplies)
-    assert isinstance(f.left, C.CtlOr)
-    assert isinstance(f.left.left, C.CtlAnd)
-    assert isinstance(f.left.left.left, C.CtlNot)
-    assert isinstance(f.right, C.Modal) and f.right.op == "EX"
+    assert isinstance(f, C.Implies)
+    assert isinstance(f.args[0], C.Or)
+    assert isinstance(f.args[0].args[0], C.And)
+    assert isinstance(f.args[0].args[0].args[0], C.Not)
+    assert isinstance(f.args[1], C.Modal) and f.args[1].op == "EX"
 
 
 def test_implication_is_right_associative():
     f = C.parse_ctl("steady -> steady -> steady")
-    assert isinstance(f.right, C.CtlImplies)
+    steady = C.Atom("steady")
+    assert f == C.Implies(steady, C.Implies(steady, steady))  # the right operand is itself a chain
+
+
+def test_a_chain_splices_only_its_associative_side():
+    a, b, c = C.Atom("steady"), C.Atom("adapting"), C.InState("r0")
+    assert C.parse_ctl("(steady && adapting) && in(r0)") == C.And(a, b, c)
+    assert C.parse_ctl("steady && adapting && in(r0)") == C.And(a, b, c)
+    assert C.parse_ctl("(steady || adapting) || in(r0)") == C.Or(a, b, c)
+    assert C.parse_ctl("steady -> (adapting -> in(r0))") == C.Implies(a, b, c)
+    assert C.parse_ctl("steady -> adapting -> in(r0)") == C.Implies(a, b, c)
+    for text, args, flat in [
+        ("steady && (adapting && in(r0))", (a, C.And(b, c)), C.And(a, b, c)),
+        ("steady || (adapting || in(r0))", (a, C.Or(b, c)), C.Or(a, b, c)),
+        ("(steady -> adapting) -> in(r0)", (C.Implies(a, b), c), C.Implies(a, b, c)),
+    ]:
+        f = C.parse_ctl(text)
+        assert f.args == args and f != flat
+        assert C.unparse_ctl(f) == text
 
 
 def test_until_forms():
@@ -62,7 +80,7 @@ def test_until_forms():
 
 def test_until_children_may_be_implications():
     f = C.parse_ctl("E[adapting -> steady U in(r1)]")
-    assert isinstance(f.left, C.CtlImplies)
+    assert isinstance(f.left, C.Implies)
     assert isinstance(f.right, C.InState) and f.right.r == "r1"
 
 
@@ -273,7 +291,7 @@ def test_quantifier_dualities():
         full = frozenset(range(len(flat.states)))
         for _ in range(20):
             f = gen.random_ctl_formula(rng, ("r0",), (), 2)
-            nf = C.CtlNot(f)
+            nf = C.Not(f)
             assert C.ctl_oracle(flat, C.Modal("AX", f)) == full - C.ctl_oracle(
                 flat, C.Modal("EX", nf)
             )
@@ -290,7 +308,7 @@ def test_finally_is_until_with_true():
     for flat in law_flats():
         for _ in range(10):
             f = gen.random_ctl_formula(rng, ("r0",), (), 2)
-            top = C.CtlBool(True)
+            top = C.BoolLit(True)
             assert C.ctl_oracle(flat, C.Modal("EF", f)) == C.ctl_oracle(
                 flat, C.Until("E", top, f)
             )
@@ -306,11 +324,11 @@ def test_expansion_laws():
             f = gen.random_ctl_formula(rng, ("r0",), (), 2)
             eg = C.Modal("EG", f)
             assert C.ctl_oracle(flat, eg) == C.ctl_oracle(
-                flat, C.CtlAnd(f, C.Modal("EX", eg))
+                flat, C.And(f, C.Modal("EX", eg))
             )
             af = C.Modal("AF", f)
             assert C.ctl_oracle(flat, af) == C.ctl_oracle(
-                flat, C.CtlOr(f, C.Modal("AX", af))
+                flat, C.Or(f, C.Modal("AX", af))
             )
 
 

@@ -1,6 +1,8 @@
 """Constraint formula parsing, typing, evaluation and printing."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,25 +22,41 @@ def obs():
 
 def test_implication_is_right_associative():
     f = F.parse_formula("eat -> eat -> eat", obs())
+    eat = F.Name("eat")
     assert isinstance(f, F.Implies)
-    assert isinstance(f.right, F.Implies)
-    assert isinstance(f.left, F.Name)
+    assert f == F.Implies(eat, F.Implies(eat, eat))  # the right operand is itself a chain
+    assert isinstance(f.args[0], F.Name)
 
 
 def test_precedence_not_and_or_implies():
     f = F.parse_formula("!eat && eat || eat -> eat", obs())
     # ((!eat && eat) || eat) -> eat
     assert isinstance(f, F.Implies)
-    assert isinstance(f.left, F.Or)
-    assert isinstance(f.left.left, F.And)
-    assert isinstance(f.left.left.left, F.Not)
+    assert isinstance(f.args[0], F.Or)
+    assert isinstance(f.args[0].args[0], F.And)
+    assert isinstance(f.args[0].args[0].args[0], F.Not)
 
 
 def test_comparison_binds_tighter_than_bool_ops():
     f = F.parse_formula("p < 1 && count >= 0", obs())
     assert isinstance(f, F.And)
-    assert isinstance(f.left, F.Compare) and f.left.op == "<"
-    assert isinstance(f.right, F.Compare) and f.right.op == ">="
+    assert isinstance(f.args[0], F.Compare) and f.args[0].op == "<"
+    assert isinstance(f.args[1], F.Compare) and f.args[1].op == ">="
+
+
+def test_a_chain_splices_only_its_associative_side():
+    a, b, c = (F.Name(x) for x in "abc")
+    assert F.parse_raw("(a && b) && c") == F.parse_raw("a && b && c") == F.And(a, b, c)
+    assert F.parse_raw("(a || b) || c") == F.parse_raw("a || b || c") == F.Or(a, b, c)
+    assert F.parse_raw("a -> (b -> c)") == F.parse_raw("a -> b -> c") == F.Implies(a, b, c)
+    for text, args, flat in [
+        ("a && (b && c)", (a, F.And(b, c)), F.And(a, b, c)),
+        ("a || (b || c)", (a, F.Or(b, c)), F.Or(a, b, c)),
+        ("(a -> b) -> c", (F.Implies(a, b), c), F.Implies(a, b, c)),
+    ]:
+        f = F.parse_raw(text)
+        assert f.args == args and f != flat
+        assert F.unparse(f) == text
 
 
 def test_terms_are_left_associative():
@@ -50,9 +68,9 @@ def test_terms_are_left_associative():
 def test_parenthesised_formula_and_term():
     f = F.parse_formula("(eat -> eat) && p - (1 + 1) == 0", obs())
     assert isinstance(f, F.And)
-    assert isinstance(f.left, F.Implies)
-    assert isinstance(f.right.left, F.Arith)
-    assert isinstance(f.right.left.right, F.Arith)
+    assert isinstance(f.args[0], F.Implies)
+    assert isinstance(f.args[1].left, F.Arith)
+    assert isinstance(f.args[1].left.right, F.Arith)
 
 
 def test_nested_groups_read_terms_linearly(monkeypatch):
@@ -88,6 +106,14 @@ def test_malformed_nested_groups_read_terms_linearly(monkeypatch):
             F.parse_raw(text)
         assert (e.value.line, e.value.col) == (1, col)
         assert calls <= 2 * n + 4, text[-12:]
+
+
+def test_nested_groups_and_negations_parse_to_their_limits():
+    # from the top of a fresh interpreter's stack; 198 nested groups overflowed
+    # when each group took five frames, and the "!" limit stays where it was
+    code = "import sbcheck.formula as F; F.parse_raw('(' * 200 + 'x' + ')' * 200); F.parse_raw('!' * 987 + 'x')"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_comments_and_whitespace():
@@ -268,11 +294,6 @@ def test_roundtrip_right_nested_terms():
     checked = F.typecheck(t, o)
     text = F.unparse(checked)
     assert F.parse_formula(text, o) == checked
-
-
-def test_str_is_unparse():
-    f = F.parse_formula("p == 0 || eat", obs())
-    assert str(f) == "p == 0 || eat"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Seeded fuzzing of the three front ends: `.sbs` models, CTL text, flat JSON.
+"""Seeded fuzzing of the front ends: `.sbs` models, CTL text, flat JSON, connective chains.
 
-Each family mutates valid inputs with a fixed seed, so a failure names the
-case that reproduces it.  Bad input must give a documented exit code or
-error class, never an internal failure.
+Each family mutates valid inputs, or builds them, with a fixed seed, so a
+failure names the case that reproduces it.  Bad input must give a
+documented exit code or error class, never an internal failure, and a
+valid formula must print back to the tree it parses to.
 """
 
 import json
@@ -11,8 +12,10 @@ import random
 import sys
 
 import gen
+import pytest
 import sbcheck.ctl as C
 import sbcheck.flat as FL
+import sbcheck.formula as F
 from sbcheck import cli
 from sbcheck.errors import ModelError
 from sbcheck.ingest import bundled_model, bundled_model_path
@@ -135,3 +138,43 @@ def test_flat_json_field_mutants_are_rejected_or_written_back():
         except ModelError:
             continue
         assert again == mutant, (case, spot, key, row.get(key, "<deleted>"))
+
+
+def _chain_text(rng, operands, n, depth=0):
+    """``n`` operands joined by ``&&``/``||``/``->``, some runs of them grouped.
+
+    One connective dominates so that long runs of it occur; a group may be
+    redundant (one operand, or the associative side of its own connective)
+    or needed.
+    """
+    main = rng.choice(["&&", "||", "->"])
+    parts = []
+    while n:
+        k = min(n, rng.choice([1, 2, 3, 50]))
+        if depth < 4 and rng.random() < 0.1:
+            parts.append("(" + _chain_text(rng, operands, k, depth + 1) + ")")
+        else:
+            k = 1
+            parts.append(rng.choice(operands))
+        n -= k
+    text = parts[0]
+    for part in parts[1:]:
+        op = main if rng.random() < 0.8 else rng.choice(["&&", "||", "->"])
+        text += f" {op} {part}"
+    return text
+
+
+@pytest.mark.parametrize("parse, unparse, operands", [
+    (F.parse_raw, F.unparse, ["a", "b", "!a", "true", "x == 1", "(a)", "!(a && b)"]),
+    (C.parse_ctl, C.unparse_ctl,
+     ["steady", "adapting", "in(r0)", "EF steady", "!adapting", "@(a && b -> c)",
+      "AX(steady || adapting)"]),
+], ids=["formula", "ctl"])
+def test_connective_chains_print_back_to_the_same_tree(parse, unparse, operands):
+    rng = random.Random(5)
+    for case, n in enumerate([1, 2, 3, 5, 20, 200] * 20 + [3000] * 3):
+        text = _chain_text(rng, operands, n)
+        tree = parse(text)
+        printed = unparse(tree)
+        assert parse(printed) == tree, (case, text[:200])
+        assert unparse(parse(printed)) == printed, (case, text[:200])

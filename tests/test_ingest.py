@@ -1,5 +1,6 @@
 """Model file parsing, canonical saving and bundled models."""
 
+import dataclasses
 import pathlib
 import random
 
@@ -81,11 +82,15 @@ def test_roundtrip_random_systems():
 
 def test_roundtrip_quotes_and_backslashes_in_name():
     sys = I.loads(BASE)
-    import dataclasses
-
     odd = dataclasses.replace(sys, name='a "quoted" \\ name')
     again = I.loads(I.save(odd))
     assert again.name == 'a "quoted" \\ name'
+
+
+def test_save_refuses_a_newline_in_the_name():
+    odd = dataclasses.replace(I.loads(BASE), name="two\nlines")
+    with pytest.raises(ModelError, match="newline"):
+        I.save(odd)
 
 
 def test_roundtrip_every_domain_kind():
