@@ -17,6 +17,16 @@ clauses cover each move the flat semantics can take from (q, r, no-pending):
 Behaviour successors the flat semantics cannot move to (they violate the
 active constraint while a steady move exists, or satisfy no enabled
 invariant) impose no requirement.
+
+Clauses are built on demand from a set of roots, giving a table closed
+under clause members, and solved by a counter worklist (Liu & Smolka,
+ICALP 1998): each clause counts its live members, each pair lists the
+clauses it is a member of, and a dropped pair decrements those counts, so
+a pair drops once, when it has an empty clause or a count reaches 0.  The
+relation roots the table at every candidate pair; a verdict roots it at
+the initial pair alone.  On a closed table D the two agree, because with G
+the global relation and L the one on D, G ∩ D satisfies every clause in D
+(so G ∩ D ⊆ L) and L ∪ G satisfies every clause (so L ⊆ G): L = G ∩ D.
 """
 
 from __future__ import annotations
@@ -89,8 +99,8 @@ def _branch(sys, start, inv_region, target):
     return endpoints, finite
 
 
-def _clauses(sys, kind):
-    """Map each candidate pair to the clauses it needs under ``kind``."""
+def _clauses(sys, kind, roots):
+    """Map ``roots``, and every pair their clauses reach, to its clauses under ``kind``."""
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
     needs = {}  # (q2, r) -> clauses that adapting from r into q2 adds
@@ -109,26 +119,61 @@ def _clauses(sys, kind):
         return needs[q2, r]
 
     table = {}
-    for q, r in candidate_pairs(sys):
+    todo = list(roots)
+    seen = set(todo)
+    while todo:
+        q, r = p = todo.pop()
         succs = sys.behaviour.successors(q)
         region = sys.constraint_region(r)
         # adaptation cannot start while a steady move exists; successors
         # outside the constraint are never entered from here, and a
         # behaviour deadlock needs nothing
         steady = [((q2, r),) for q2 in succs if q2 in region]
-        table[q, r] = steady or [c for q2 in succs for c in adapting_into(q2, r)]
+        table[p] = clauses = steady or [c for q2 in succs for c in adapting_into(q2, r)]
+        for c in clauses:
+            for m in c:
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
     return table
+
+
+def _solve(table):
+    """The greatest set of pairs of a closed table whose every clause keeps a member."""
+    dropped = [p for p, clauses in table.items() if () in clauses]
+    if not dropped:
+        return frozenset(table)  # no count can reach 0
+    watch = {p: [] for p in table}  # member -> its dependent pairs or counters
+    count = []  # live members of each clause with more than one
+    owner = []  # the pair each counter belongs to
+    for p, clauses in table.items():
+        for c in clauses:
+            if len(c) == 1:
+                watch[c[0]].append(p)
+            elif c:
+                members = dict.fromkeys(c)
+                for m in members:
+                    watch[m].append(len(count))
+                count.append(len(members))
+                owner.append(p)
+    live = set(table)
+    while dropped:
+        p = dropped.pop()
+        if p in live:
+            live.remove(p)
+            for w in watch[p]:
+                if w.__class__ is int:
+                    count[w] -= 1
+                    if count[w]:
+                        continue
+                    w = owner[w]
+                dropped.append(w)
+    return frozenset(live)
 
 
 def _relation(sys, kind):
     require_well_formed(sys)
-    table = _clauses(sys, kind)
-    pairs = frozenset(table)
-    while True:
-        refined = frozenset(p for p in pairs if all(not pairs.isdisjoint(c) for c in table[p]))
-        if len(refined) == len(pairs):
-            return AdaptRelation(kind, pairs)
-        pairs = refined
+    return AdaptRelation(kind, _solve(_clauses(sys, kind, candidate_pairs(sys))))
 
 
 def weak_relation(sys):
@@ -141,14 +186,19 @@ def strong_relation(sys):
     return _relation(sys, STRONG)
 
 
+def adaptable(sys, kind):
+    """Whether the initial pair is in the ``kind`` relation, solving only what it needs."""
+    require_well_formed(sys)
+    init = (sys.behaviour.init, sys.structure.init)
+    return init in _solve(_clauses(sys, kind, [init]))
+
+
 def is_weak_adaptable(sys):
-    rel = weak_relation(sys)
-    return rel.holds_for(sys.behaviour.init, sys.structure.init)
+    return adaptable(sys, WEAK)
 
 
 def is_strong_adaptable(sys):
-    rel = strong_relation(sys)
-    return rel.holds_for(sys.behaviour.init, sys.structure.init)
+    return adaptable(sys, STRONG)
 
 
 def equiv_partition(sys, kind):

@@ -22,13 +22,7 @@ import random
 import sys
 
 from . import ingest
-from .adapt import (
-    STRONG,
-    WEAK,
-    equiv_partition,
-    strong_relation,
-    weak_relation,
-)
+from .adapt import STRONG, WEAK, adaptable, equiv_partition
 from .compare import compare_methods, find_discrepancy
 from .ctl import (
     check_ctl,
@@ -208,11 +202,8 @@ def cmd_adapt(args, color):
     discrepancy = None
     for kind in kinds:
         if args.method == "relational":
-            rel = weak_relation(system) if kind == WEAK else strong_relation(system)
-            verdicts = {
-                "relational": rel.holds_for(system.behaviour.init, system.structure.init)
-            }
-            holds = verdicts["relational"]
+            holds = adaptable(system, kind)
+            verdicts = {"relational": holds}
         elif args.method == "ctl":
             phi = weak_formula() if kind == WEAK else strong_formula()
             verdicts = {"ctl": check_ctl(flat, phi).holds_at_init}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .adapt import WEAK, candidate_pairs, strong_relation, weak_relation
+from .adapt import WEAK, adaptable, candidate_pairs, strong_relation, weak_relation
 from .ctl import check_ctl, strong_formula, weak_formula
 from .flat import flatten
 
@@ -50,14 +50,11 @@ def _relation_and_formula(sys, kind):
 
 def compare_methods(sys, kind, flat=None):
     """Verdicts of both methods on the system's initial pair."""
-    rel, phi = _relation_and_formula(sys, kind)
+    relational = adaptable(sys, kind)
     if flat is None:
         flat = flatten(sys)
-    return MethodVerdicts(
-        kind=kind,
-        relational=rel.holds_for(sys.behaviour.init, sys.structure.init),
-        ctl=check_ctl(flat, phi).holds_at_init,
-    )
+    phi = weak_formula() if kind == WEAK else strong_formula()
+    return MethodVerdicts(kind=kind, relational=relational, ctl=check_ctl(flat, phi).holds_at_init)
 
 
 def pair_disagreements(sys, kind):

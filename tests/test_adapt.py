@@ -8,6 +8,7 @@ import sbcheck.adapt as A
 import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck.errors import ModelError
+from sbcheck.ingest import loads
 
 R0_REGION = frozenset({"q000t", "q001t", "q010f", "q011f", "q011t"})
 R1_REGION = frozenset({"q100t", "q101f", "q110t", "q111f"})
@@ -94,7 +95,7 @@ def test_result_is_a_fixpoint():
         sys = gen.random_system(seed)
         for kind in (A.WEAK, A.STRONG):
             pairs = A._relation(sys, kind).pairs
-            table = A._clauses(sys, kind)
+            table = A._clauses(sys, kind, A.candidate_pairs(sys))
             for p in pairs:
                 assert all(not pairs.isdisjoint(c) for c in table[p])
 
@@ -121,6 +122,75 @@ def test_single_state_system():
     assert A.weak_relation(sys).pairs == {("a", "r")}
     assert A.strong_relation(sys).pairs == {("a", "r")}
     assert A.is_weak_adaptable(sys) and A.is_strong_adaptable(sys)
+
+
+def drop_cascade(n):
+    """q0 -> .. -> q{n-1} -> z in r0 ("s"); only z fails "s", and adapting
+    into it cycles at z, so (q{n-1}, r0) drops, then (q{n-2}, r0), .. in turn."""
+    states = [f"  state q{i} {{s = true, d = false}}{' init' if i == 0 else ''};" for i in range(n)]
+    steps = [f"  q{i} -> q{i + 1};" for i in range(n - 1)] + [f"  q{n - 1} -> z;", "  z -> z;"]
+    return loads("\n".join([
+        'system "cascade"', "observables {", "  s: bool;", "  d: bool;", "}", "behaviour {",
+        *states, "  state z {s = false, d = false};", *steps, "}", "structure {",
+        '  state r0: "s" init;', '  state r1: "d || s";', '  r0 -["!s"]-> r1;', "}",
+    ]))
+
+
+def test_drop_cascade_reads_each_clause_member_a_bounded_number_of_times(monkeypatch):
+    # a sweep over the whole table drops one pair per round: quadratic
+    visits = 0
+
+    class Counted(tuple):
+        """A clause that counts how often its members are read."""
+
+        def __iter__(self):
+            nonlocal visits
+            for m in tuple.__iter__(self):
+                visits += 1
+                yield m
+
+        def __getitem__(self, i):
+            nonlocal visits
+            visits += 1
+            return tuple.__getitem__(self, i)
+
+    clauses = A._clauses
+
+    def counted(sys, kind, roots):
+        return {p: [Counted(c) for c in cs] for p, cs in clauses(sys, kind, roots).items()}
+
+    monkeypatch.setattr(A, "_clauses", counted)
+    for n in (500, 1000, 2000):
+        sys = drop_cascade(n)
+        for kind in (A.WEAK, A.STRONG):
+            visits = 0
+            pairs = A._relation(sys, kind).pairs
+            assert visits <= 3 * n, (n, kind)
+            if n == 2000:
+                assert pairs == {(f"q{i}", "r1") for i in range(n)}, kind
+                assert not A.adaptable(sys, kind)
+
+
+def test_local_solve_agrees_with_the_global_relation():
+    for seed in range(1000):
+        sys = gen.random_system(seed)
+        cand = A.candidate_pairs(sys)
+        for kind in (A.WEAK, A.STRONG):
+            pairs = A._relation(sys, kind).pairs
+            for p in sorted(cand):
+                table = A._clauses(sys, kind, [p])
+                assert all(m in table for cs in table.values() for c in cs for m in c), (seed, p)
+                assert (p in A._solve(table)) == (p in pairs), (seed, kind, p)
+            table = A._clauses(sys, kind, cand)
+            assert all(m in table for cs in table.values() for c in cs for m in c), seed
+
+
+def test_initial_pair_verdicts_match_the_oracle():
+    for seed in range(1000):
+        sys = gen.random_system(seed)
+        init = (sys.behaviour.init, sys.structure.init)
+        assert A.is_weak_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=False)), seed
+        assert A.is_strong_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=True)), seed
 
 
 def test_long_adaptation_chain_needs_no_recursion():

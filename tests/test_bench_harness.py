@@ -5,14 +5,17 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_smoke_run_of_the_chain_workload():
+@pytest.mark.parametrize("workload", ["wide", "chain", "discrepancy"])
+def test_traced_smoke_run(workload):
     # --trace 1 wraps the layer functions by name, so a renamed or removed
     # function the harness traces makes the run fail
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "chain", "--size", "smoke",
+        [sys.executable, "bench/run.py", "--workload", workload, "--size", "smoke",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
     )
@@ -21,6 +24,11 @@ def test_traced_smoke_run_of_the_chain_workload():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    # the adapt verdict solves locally; only the discrepancy search builds
+    # the whole relation through compare.weak_relation
+    trace = json.loads((ROOT / "bench" / "_out" / f"trace-{workload}.json").read_text())
+    reached = any(span["name"] == "adapt.weak_relation" for span in trace["spans"])
+    assert reached == (workload == "discrepancy")
 
 
 def test_bench_smoke_models_agree_with_the_oracles():

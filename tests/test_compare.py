@@ -1,10 +1,18 @@
 """Cross-checking the relational and the CTL methods, pair by pair."""
 
+import pathlib
+import sys
+
 import gen
 import sbcheck.adapt as A
 import sbcheck.compare as C
 import sbcheck.ctl as CTL
+from sbcheck import cli
 from sbcheck.flat import flatten
+from sbcheck.ingest import loads
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 # random systems whose initial pair the two methods answer differently
 KNOWN_DISAGREEMENTS = {(304, A.WEAK), (395, A.STRONG), (586, A.WEAK)}
@@ -31,3 +39,27 @@ def test_pair_disagreements_match_per_pair_definition():
             init = (sys.behaviour.init, sys.structure.init)
             if (seed, kind) in KNOWN_DISAGREEMENTS:
                 assert init in [pair for pair, _, _ in diffs], (seed, kind)
+
+
+def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch, tmp_path):
+    # r0 is "true" in a wide model: every pair the initial pair depends on
+    # has a steady move, while the whole relation walks adaptation branches
+    text = workloads.model_text("wide", 1)
+    path = tmp_path / "wide.sbs"
+    path.write_text(text, encoding="utf-8")
+    system = loads(text)
+    walks = 0
+    branch = A._branch
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return branch(*args)
+
+    monkeypatch.setattr(A, "_branch", counted)
+    for kind in (A.WEAK, A.STRONG):
+        assert C.compare_methods(system, kind).agree
+    assert cli.main(["adapt", "--method", "relational", str(path)]) == cli.EXIT_OK
+    assert walks == 0
+    A.weak_relation(system)
+    assert walks > 0
