@@ -8,59 +8,80 @@ and :func:`join` prints a chain with the fewest parentheses.
 """
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 EOF = "eof"
 
-# Skipped between tokens: the kinds start with "_" so no token table can
-# name them.  A "//" comment runs to the end of the line.
-_SKIP = [("_nl", r"\n"), ("_ws", r"[ \t\r]+"), ("_comment", r"//[^\n]*")]
+# Taken up after every token and before the first: whitespace, newlines
+# and "//" comments, which run to the end of the line.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_NEWLINE = re.compile(r"\n")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A token of kind ``kind`` spelled ``text`` at ``offset`` in its source.
+
+    ``lines`` holds the offsets of the source's newlines, one list shared
+    by all its tokens, so ``line`` and ``col`` cost a bisection and only
+    when read: by an error or an AST ``pos``.
+    """
+
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
+    lines: list
+
+    @property
+    def line(self):
+        return bisect_right(self.lines, self.offset) + 1
+
+    @property
+    def col(self):
+        i = bisect_right(self.lines, self.offset)
+        return self.offset - (self.lines[i - 1] if i else -1)
 
 
 class Lexer:
     """A token table compiled into one master regex.
 
-    ``rules`` is an ordered list of ``(kind, pattern)`` strings; at each
-    position the first pattern that matches wins, so longer operators go
-    before their prefixes.  Errors are raised as ``error_cls(message, line,
-    col)``.
+    ``rules`` is an ordered list of ``(kind, pattern)`` strings, patterns
+    without capturing groups; at each position the first pattern that
+    matches wins, so longer operators go before their prefixes.  Errors
+    are raised as ``error_cls(message, line, col)``.
     """
 
     def __init__(self, rules, error_cls):
+        self.rules = rules
         self.error_cls = error_cls
-        self._match = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _SKIP + rules)).match
+        alternatives = "".join(f"(?P<{k}>{p})|" for k, p in rules)
+        # One match per token, with the skip after it; where no rule
+        # matches, "_bad" takes the rest of the text.
+        self._scan = re.compile(f"(?:{alternatives}(?P<_bad>[\\s\\S]+)){_SKIP}").finditer
+        self._lead = re.compile(_SKIP).match
 
     def tokenize(self, text):
         """Split ``text`` into tokens, always ending with an EOF token."""
-        out = []
-        match = self._match
-        pos, n = 0, len(text)
-        line, line_start = 1, 0
-        m = None
-        while pos < n:
-            m = match(text, pos)
-            if m is None:
+        lines = [m.start() for m in _NEWLINE.finditer(text)]
+        new = tuple.__new__
+        out = [
+            new(Token, (m.lastgroup, m[m.lastindex], m.start(), lines))
+            for m in self._scan(text, self._lead(text).end())
+        ]
+        end = 0
+        if out:
+            last = out[-1]
+            if last.kind == "_bad":
                 raise self.error_cls(
-                    f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+                    f"unexpected character {last.text[0]!r}", last.line, last.col
                 )
-            kind = m.lastgroup
-            if kind == "_nl":
-                line += 1
-                line_start = m.end()
-            elif kind[0] != "_":
-                out.append(Token(kind, m.group(), line, pos - line_start + 1))
-            pos = m.end()
-        if m is not None and m.lastgroup == "_comment":
-            pos = m.start()  # after a comment that ends the text, EOF sits where it starts
-        out.append(Token(EOF, "", line, pos - line_start + 1))
+            end = last.offset + len(last.text)
+        # After a comment that ends the text, EOF sits where it starts.  On
+        # the last line of the skip after the last token, only blanks can
+        # come before that comment.
+        comment = text.find("//", max(end, text.rfind("\n", end) + 1))
+        out.append(new(Token, (EOF, "", len(text) if comment < 0 else comment, lines)))
         return out
 
     def parser(self, text):
@@ -141,6 +162,19 @@ class BoolLit:
 class Not:
     arg: object
     pos: tuple | None = position()
+
+
+def not_run(node):
+    """The chain of :class:`Not` nodes that starts at ``node``, outermost first.
+
+    A walk over a formula takes a run of ``!`` in one step, so any length
+    costs one frame.
+    """
+    run = []
+    while isinstance(node, Not):
+        run.append(node)
+        node = node.arg
+    return run
 
 
 @dataclass(frozen=True, init=False)

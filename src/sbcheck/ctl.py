@@ -93,14 +93,14 @@ def _ctl(p):
 
 
 def _unary(p):
-    t = p.peek()
-    if t.kind == "not":
-        p.take()
-        return Not(_unary(p), pos=(t.line, t.col))
-    if t.kind == "ident" and t.text in _MODALS:
-        p.take()
-        return Modal(t.text, _unary(p), pos=(t.line, t.col))
-    return _primary(p)
+    ops = []  # a run of '!' and modal operators is read in a loop, so any length parses
+    while p.peek().kind == "not" or p.peek().kind == "ident" and p.peek().text in _MODALS:
+        ops.append(p.take())
+    f = _primary(p)
+    for t in reversed(ops):
+        pos = (t.line, t.col)
+        f = Not(f, pos=pos) if t.kind == "not" else Modal(t.text, f, pos=pos)
+    return f
 
 
 def _primary(p):
@@ -164,8 +164,10 @@ def unparse_ctl(f):
     if isinstance(f, ObsHolds):
         return f"@({F.unparse(f.phi)})"
     if isinstance(f, Not):
-        inner = unparse_ctl(f.arg)
-        return "!" + (inner if _lex.level(f.arg, _LEVELS) >= _lex.UNARY else f"({inner})")
+        run = _lex.not_run(f)
+        arg = run[-1].arg
+        inner = unparse_ctl(arg)
+        return "!" * len(run) + (inner if _lex.level(arg, _LEVELS) >= _lex.UNARY else f"({inner})")
     if isinstance(f, Modal):
         inner = unparse_ctl(f.arg)
         if _lex.level(f.arg, _LEVELS) >= _lex.UNARY:
@@ -263,7 +265,9 @@ def _sat(g, f):
     if isinstance(f, ObsHolds):
         return _obs_set(flat, f.phi)
     if isinstance(f, Not):
-        return g.full - _sat(g, f.arg)
+        run = _lex.not_run(f)
+        S = _sat(g, run[-1].arg)
+        return g.full - S if len(run) % 2 else S
     if isinstance(f, And):
         S = _sat(g, f.args[0])
         for arg in f.args[1:]:

@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import formula as F
 from .errors import ModelError
 from .model import require_well_formed
 
@@ -63,15 +62,20 @@ def adaptation(sys, state):
     return None if state.pending is None else sys.options(state.r)[state.pending][:2]
 
 
-def _label(sys, source, target):
-    pair = adaptation(sys, source) or adaptation(sys, target)
+def _written(sys, state):
+    """As :func:`adaptation`, with the invariant as its canonical text."""
+    return None if state.pending is None else sys.structure.out_texts(state.r)[state.pending]
+
+
+def _label(sys, source, target, pair_of=adaptation):
+    pair = pair_of(sys, source) or pair_of(sys, target)
     return (STEADY, source.r) if pair is None else ("adapt", source.r, *pair)
 
 
 def state_text(sys, state):
     """``(q,r)``, or ``(q,r,[invariant => target])`` for a pending state."""
-    pair = adaptation(sys, state)
-    tail = "" if pair is None else f",[{F.unparse(pair[0])} => {pair[1]}]"
+    pair = _written(sys, state)
+    tail = "" if pair is None else f",[{pair[0]} => {pair[1]}]"
     return f"({state.q},{state.r}{tail})"
 
 
@@ -181,21 +185,21 @@ def flatten(sys, roots=None):
 
 def state_json(sys, state):
     """The JSON form of a flat state: ``{"q", "r", "pending": {"inv", "target"}}``."""
-    pair = adaptation(sys, state)
-    pending = None if pair is None else {"inv": F.unparse(pair[0]), "target": pair[1]}
+    pair = _written(sys, state)
+    pending = None if pair is None else {"inv": pair[0], "target": pair[1]}
     return {"q": state.q, "r": state.r, "pending": pending}
 
 
 def edge_json(sys, states, i, j):
     """The JSON row of the transition from ``states[i]`` to ``states[j]``."""
-    label = _label(sys, states[i], states[j])
+    label = _label(sys, states[i], states[j], _written)
     adapt = label[0] == "adapt"
     return {
         "from": i,
         "to": j,
         "kind": label[0],
         "r": label[1],
-        "inv": F.unparse(label[2]) if adapt else None,
+        "inv": label[2] if adapt else None,
         "target": label[3] if adapt else None,
     }
 
@@ -295,8 +299,8 @@ def export_dot(flat):
         "  __init [shape=point];",
     ]
     for i, s in enumerate(flat.states):
-        pair = adaptation(sys, s)
-        label = f"{s.q},{s.r}" + ("" if pair is None else f",({F.unparse(pair[0])},{pair[1]})")
+        pair = _written(sys, s)
+        label = f"{s.q},{s.r}" + ("" if pair is None else f",({pair[0]},{pair[1]})")
         attrs = [f'label="{_dot_escape(label)}"']
         if pair is not None:
             attrs.append("style=filled")
@@ -306,8 +310,8 @@ def export_dot(flat):
         lines.append(f'  n{i} [{", ".join(attrs)}];')
     lines.append(f"  __init -> n{flat.init_index};")
     for i, j in flat.edges:
-        label = _label(sys, flat.states[i], flat.states[j])
-        text = label[1] if label[0] == STEADY else f"{label[1]},{F.unparse(label[2])},{label[3]}"
+        label = _label(sys, flat.states[i], flat.states[j], _written)
+        text = label[1] if label[0] == STEADY else f"{label[1]},{label[2]},{label[3]}"
         lines.append(f'  n{i} -> n{j} [label="{_dot_escape(text)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

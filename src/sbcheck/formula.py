@@ -86,6 +86,8 @@ class Observables:
 
     def __init__(self, decls):
         self.decls = tuple(decls)
+        self._names = tuple(d.name for d in self.decls)
+        self._name_set = frozenset(self._names)
         self._domains = {}
         self._enum_owner = {}
         for d in self.decls:
@@ -99,7 +101,7 @@ class Observables:
                     self._enum_owner[v] = d.name
 
     def names(self):
-        return tuple(d.name for d in self.decls)
+        return self._names
 
     def domain(self, name):
         try:
@@ -123,9 +125,9 @@ class Observables:
 
 def check_valuation(observables, valuation):
     """Raise ModelError unless ``valuation`` binds exactly the declared names to in-domain values."""
-    names = set(observables.names())
-    got = set(valuation)
-    if got != names:
+    names = observables._name_set
+    if valuation.keys() != names:
+        got = set(valuation)
         missing = sorted(names - got)
         extra = sorted(got - names)
         parts = []
@@ -242,10 +244,13 @@ def _formula(p):
 
 
 def _not(p):
-    if p.peek().kind == "not":
-        t = p.take()
-        return Not(_not(p), pos=(t.line, t.col))
-    return _atom(p)
+    bangs = []  # a run of '!' is read as a count, so any length parses
+    while p.peek().kind == "not":
+        bangs.append(p.take())
+    f = _atom(p)
+    for t in reversed(bangs):
+        f = Not(f, pos=(t.line, t.col))
+    return f
 
 
 def _atom(p):
@@ -366,7 +371,11 @@ def _check_formula(phi, obs):
             )
         return phi
     if isinstance(phi, Not):
-        return replace(phi, arg=_check_formula(phi.arg, obs))
+        run = _lex.not_run(phi)
+        inner = _check_formula(run[-1].arg, obs)
+        for n in reversed(run):
+            inner = replace(n, arg=inner)
+        return inner
     if isinstance(phi, (And, Or, Implies)):
         return type(phi)(*[_check_formula(a, obs) for a in phi.args], pos=phi.pos)
     if isinstance(phi, Compare):
@@ -434,7 +443,12 @@ def evaluate(phi, valuation):
             raise FormulaError(f"observable {phi.name!r} is not boolean here")
         return v
     if isinstance(phi, Not):
-        return not evaluate(phi.arg, valuation)
+        negate = True
+        phi = phi.arg
+        while isinstance(phi, Not):  # a run of "!" costs one frame
+            negate = not negate
+            phi = phi.arg
+        return evaluate(phi, valuation) != negate
     if isinstance(phi, And):
         for arg in phi.args:
             if not evaluate(arg, valuation):
@@ -505,10 +519,12 @@ def unparse(phi):
     if isinstance(phi, Compare):
         return f"{_unparse_term(phi.left)} {phi.op} {_unparse_term(phi.right)}"
     if isinstance(phi, Not):
-        inner = unparse(phi.arg)
-        if _lex.level(phi.arg, _lex.LEVELS) < _lex.UNARY:
+        run = _lex.not_run(phi)
+        arg = run[-1].arg
+        inner = unparse(arg)
+        if _lex.level(arg, _lex.LEVELS) < _lex.UNARY:
             inner = f"({inner})"
-        return "!" + inner
+        return "!" * len(run) + inner
     if isinstance(phi, (And, Or, Implies)):
         return _lex.join(phi, unparse, _lex.LEVELS)
     raise FormulaError(f"not a formula node: {phi!r}")

@@ -199,8 +199,8 @@ def _valuation(p, observables, id_tok):
                 continue
             break
     p.take("rbrace", "expected '}' closing the valuation")
-    missing = [n for n in observables.names() if n not in val]
-    if missing:
+    if len(val) < len(observables.names()):  # every name in val is declared
+        missing = [n for n in observables.names() if n not in val]
         raise ModelFileError(
             f"state {id_tok.text!r} leaves {missing[0]!r} unassigned",
             id_tok.line,

@@ -59,7 +59,8 @@ class StructureMachine:
     """Constraint automaton: states carry formulas, edges carry invariants.
 
     ``transitions`` is a tuple in canonical ``(src, unparse(inv), dst)``
-    order, with one transition per key.
+    order, with one transition per key; the canonical invariant texts are
+    kept for the exports.
     """
 
     states: tuple[str, ...]
@@ -82,11 +83,16 @@ class StructureMachine:
             if src not in known or dst not in known:
                 raise ModelError(f"structure transition {src!r} -> {dst!r} uses an undeclared state")
             keyed.setdefault((src, F.unparse(inv), dst), (src, inv, dst))
-        object.__setattr__(self, "transitions", tuple(keyed[k] for k in sorted(keyed)))
+        keys = sorted(keyed)
+        object.__setattr__(self, "transitions", tuple(keyed[k] for k in keys))
         out = {r: [] for r in states}
-        for src, inv, dst in self.transitions:
-            out[src].append((inv, dst))
+        texts = {r: [] for r in states}
+        for key in keys:
+            src, text, dst = key
+            out[src].append((keyed[key][1], dst))
+            texts[src].append((text, dst))
         object.__setattr__(self, "_out", {r: tuple(v) for r, v in out.items()})
+        object.__setattr__(self, "_out_texts", {r: tuple(v) for r, v in texts.items()})
 
     def label(self, r):
         return _lookup(self.labels, r, "unknown structure state")
@@ -94,6 +100,10 @@ class StructureMachine:
     def out_transitions(self, r):
         """Outgoing (invariant, target) pairs of ``r`` in a fixed order."""
         return _lookup(self._out, r, "unknown structure state")
+
+    def out_texts(self, r):
+        """``(unparse(invariant), target)`` of each of :meth:`out_transitions`."""
+        return _lookup(self._out_texts, r, "unknown structure state")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 Everything here recomputes results with different algorithms than the
 package modules: the flat oracle enumerates all conceivable flat states
 globally and applies each rule as a standalone predicate, the relation
-oracle enumerates adaptation runs explicitly, and the predator machine
-is rebuilt from the prose rules of the case study.  Tests compare these
+oracle enumerates adaptation runs explicitly, the token oracle walks the
+text one character at a time, and the predator machine is rebuilt from
+the prose rules of the case study.  Tests compare these
 against the package and freeze the agreed numbers.
 """
 
+import re
 from collections import deque
 
 import sbcheck.formula as F
@@ -330,3 +332,51 @@ def relation_oracle(system, strong):
         if not drop:
             return frozenset(pairs)
         pairs -= drop
+
+
+# ---------------------------------------------------------------------------
+# tokens, found one position at a time
+
+
+def tokens_oracle(rules, error_cls, text):
+    """Naive reference tokenizer over a ``(kind, pattern)`` rule table.
+
+    Blanks, newlines and ``//`` comments are skipped by hand with the line
+    and column counted as it goes; anywhere else each rule is tried in table
+    order with its own ``re.match``.  Returns ``(kind, text, line, col)``
+    tuples ending with ``("eof", "", line, col)``, where EOF after a comment
+    that ends the text sits where the comment starts, or raises
+    ``error_cls("unexpected character ...", line, col)``.
+    """
+    compiled = [(kind, re.compile(pattern)) for kind, pattern in rules]
+    out = []
+    pos, line, col = 0, 1, 1
+    eof = None
+    while pos < len(text):
+        c = text[pos]
+        if c == "\n":
+            pos, line, col = pos + 1, line + 1, 1
+        elif c in " \t\r":
+            pos, col = pos + 1, col + 1
+        elif text.startswith("//", pos):
+            end = text.find("\n", pos)
+            if end < 0:
+                eof = (line, col)
+                break
+            pos, col = end, col + end - pos
+        else:
+            for kind, pattern in compiled:
+                m = pattern.match(text, pos)
+                if m:
+                    break
+            else:
+                raise error_cls(f"unexpected character {c!r}", line, col)
+            word = m.group()
+            out.append((kind, word, line, col))
+            pos += len(word)
+            if "\n" in word:
+                line, col = line + word.count("\n"), len(word) - word.rfind("\n")
+            else:
+                col += len(word)
+    out.append(("eof", "", *(eof or (line, col))))
+    return out

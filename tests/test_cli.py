@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from sbcheck import cli
-from sbcheck.ingest import bundled_model_path
+from sbcheck.ingest import bundled_model_path, load, loads, save
 
 S0 = str(bundled_model_path("predator_s0"))
 S1 = str(bundled_model_path("predator_s1"))
@@ -432,6 +432,28 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
                 assert res.returncode in (0, 1, 2, 3, 4), (name, n, argv, res.stderr)
 
 
+def test_long_negation_run_gives_a_documented_exit_code(tmp_path):
+    # 3000 "!" before a label and an invariant the initial state adapts through
+    bangs = "!" * 3000
+    text = (
+        f'system "bangs"\n\nobservables {{\n  x: bool;\n}}\n\n'
+        "behaviour {\n  state q0 {x = true} init;\n  state q1 {x = false};\n"
+        "  q0 -> q1;\n  q1 -> q1;\n}\n\n"
+        f'structure {{\n  state r0: "{bangs}x" init;\n  state r1: "!x";\n'
+        f'  r0 -["{bangs}!x"]-> r1;\n}}\n'
+    )
+    model = tmp_path / "bangs.sbs"
+    model.write_text(text, encoding="utf-8")
+    assert run("validate", str(model)).returncode == 0
+    for argv in (["adapt", "--json", "--witness"], ["flatten", "--json"], ["flatten", "--dot"],
+                 ["equiv"], ["simulate"], ["ctl", "--formula", f"EF @({bangs}x)"]):
+        res = run(*argv, str(model))
+        assert res.returncode in (0, 1), (argv, res.stderr)
+    saved = save(load(model))
+    assert f'"{bangs}x"' in saved and f'"{bangs}!x"' in saved
+    assert save(loads(saved)) == saved
+
+
 @pytest.mark.parametrize("formula, code", [
     ("EF @(" + " && ".join(["!eat"] * 500) + ")", 0),
     (" && ".join(["EF steady"] * 500), 0),
@@ -441,8 +463,12 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
     (" && ".join(["in(r0)"] * 2000), 0),
     ("EF @(" + " && ".join(["!eat"] * 2000) + ")", 0),
     (" -> ".join(["steady"] * 2000), 0),
+    ("!" * 3000 + "steady", 0),
+    ("!" * 3001 + "steady", 1),
+    ("!" * 3000 + "AG " + "!" * 3000 + "adapting", 1),
+    ("EF @(" + "!" * 3001 + "eat)", 0),
 ], ids=["obs-and", "and", "or", "and-2000", "or-2000", "in-and-2000", "obs-and-2000",
-        "implies-2000"])
+        "implies-2000", "not-3000", "not-3001", "not-around-a-modal", "obs-not-3001"])
 def test_long_connective_chain_in_a_ctl_formula_prints_back(formula, code):
     res = run("ctl", S0, "--formula", formula)
     assert res.returncode == code, res.stderr

@@ -110,7 +110,7 @@ def test_malformed_nested_groups_read_terms_linearly(monkeypatch):
 
 def test_nested_groups_and_negations_parse_to_their_limits():
     # from the top of a fresh interpreter's stack; 198 nested groups overflowed
-    # when each group took five frames, and the "!" limit stays where it was
+    # when each group took five frames (a run of "!" is read in a loop now)
     code = "import sbcheck.formula as F; F.parse_raw('(' * 200 + 'x' + ')' * 200); F.parse_raw('!' * 987 + 'x')"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

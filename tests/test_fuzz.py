@@ -1,4 +1,4 @@
-"""Seeded fuzzing of the front ends: `.sbs` models, CTL text, flat JSON, connective chains.
+"""Seeded fuzzing of the front ends: tokens, `.sbs` models, CTL text, flat JSON, connective chains.
 
 Each family mutates valid inputs, or builds them, with a fixed seed, so a
 failure names the case that reproduces it.  Bad input must give a
@@ -12,10 +12,12 @@ import random
 import sys
 
 import gen
+import oracles
 import pytest
 import sbcheck.ctl as C
 import sbcheck.flat as FL
 import sbcheck.formula as F
+import sbcheck.ingest as I
 from sbcheck import cli
 from sbcheck.errors import ModelError
 from sbcheck.ingest import bundled_model, bundled_model_path
@@ -57,6 +59,32 @@ def _mutant(rng, text):
             lines[i] = " ".join(words)
         lines = lines or [""]
     return "\n".join(lines)
+
+
+SOUP = [
+    "->", "!=", "<=", ">=", "==", "&&", "||", "!", "<", ">", "+", "-", "(", ")", "[", "]", "@",
+    "..", "-[", "]->", "{", "}", ":", ";", ",", "=", "0", "42", "x", "q0", "AG", "_a1", '"x"',
+    '"a // b"', '"\\""', '"', " ", " ", "\t", "\r", "\n", "\n", "//", "// c", "/", "$", "#",
+    "?", "\\", ".", "|", "&", "\u00e9",
+]
+
+
+@pytest.mark.parametrize("lexer", [I.LEXER, F.LEXER, C.LEXER], ids=["sbs", "formula", "ctl"])
+def test_lexer_agrees_with_the_token_oracle(lexer):
+    rng = random.Random(12)
+    sources = _sources()
+    texts = [_mutant(rng, rng.choice(sources)) for _ in range(150)]
+    texts += ["".join(rng.choices(SOUP, k=rng.randint(0, 30))) for _ in range(500)]
+    for case, text in enumerate(texts):
+        try:
+            want = oracles.tokens_oracle(lexer.rules, lexer.error_cls, text)
+        except lexer.error_cls as e:
+            want = (type(e), e.message, e.line, e.col)
+        try:
+            got = [(t.kind, t.text, t.line, t.col) for t in lexer.tokenize(text)]
+        except lexer.error_cls as e:
+            got = (type(e), e.message, e.line, e.col)
+        assert got == want, (case, text)
 
 
 def _exit_code(argv, capsys):

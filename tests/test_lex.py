@@ -54,6 +54,12 @@ ERRORS = {"formula": FormulaError, "ctl": CtlError, "sbs": ModelFileError}
         ("formula", "x && y // note", "ident 1:1, and 1:3, ident 1:6, eof 1:8"),
         ("ctl", "steady\n  //", "ident 1:1, eof 2:3"),
         ("sbs", "", "eof 1:1"),
+        # a carriage return is a blank; "//" inside a string starts no comment
+        ("sbs", "a\r\nb", "ident 1:1, ident 2:1, eof 2:2"),
+        ("sbs", 'x "a // b"', "ident 1:1, string 1:3, eof 1:11"),
+        ("sbs", 'x "a // b" // c', "ident 1:1, string 1:3, eof 1:12"),
+        ("sbs", "a;// c", "ident 1:1, semi 1:2, eof 1:3"),
+        ("formula", "  \n  ", "eof 2:3"),
     ],
 )
 def test_token_kinds_and_positions(lang, text, want):
@@ -69,6 +75,8 @@ def test_token_kinds_and_positions(lang, text, want):
         ("ctl", "a // c\n\t\t#", 2, 3, "#"),
         ("ctl", "AG {", 1, 4, "{"),
         ("sbs", "a\n\n  b ?", 3, 5, "?"),
+        ("sbs", "a\nb ?", 2, 3, "?"),
+        ("formula", "x\r\n$", 2, 1, "$"),
     ],
 )
 def test_unexpected_character_position(lang, text, line, col, char):
