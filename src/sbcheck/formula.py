@@ -347,7 +347,8 @@ def typecheck(phi, observables):
     """Validate ``phi`` against the declarations.
 
     Returns the formula with undeclared identifiers that name enum values
-    rewritten to :class:`EnumLit`.  Idempotent on already-checked formulas.
+    rewritten to :class:`EnumLit`; where it rewrites nothing, ``phi`` itself,
+    so an already-checked formula costs no new node.
     Raises :class:`FormulaError` on undeclared names and type mismatches.
     """
     return _check_formula(phi, observables)
@@ -373,11 +374,16 @@ def _check_formula(phi, obs):
     if isinstance(phi, Not):
         run = _lex.not_run(phi)
         inner = _check_formula(run[-1].arg, obs)
+        if inner is run[-1].arg:
+            return phi
         for n in reversed(run):
             inner = replace(n, arg=inner)
         return inner
     if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(*[_check_formula(a, obs) for a in phi.args], pos=phi.pos)
+        args = [_check_formula(a, obs) for a in phi.args]
+        if all(new is old for new, old in zip(args, phi.args)):
+            return phi
+        return type(phi)(*args, pos=phi.pos)
     if isinstance(phi, Compare):
         left, lt = _check_term(phi.left, obs)
         right, rt = _check_term(phi.right, obs)
@@ -392,6 +398,8 @@ def _check_formula(phi, obs):
                 raise FormulaError(
                     f"operands of {phi.op!r} have mismatched types", *(phi.pos or (None, None))
                 )
+        if left is phi.left and right is phi.right:
+            return phi
         return replace(phi, left=left, right=right)
     raise FormulaError(f"not a formula node: {phi!r}")
 
@@ -405,6 +413,8 @@ def _check_term(t, obs):
         right, rt = _check_term(t.right, obs)
         if lt != _INT or rt != _INT:
             raise FormulaError("arithmetic on a non-integer operand", *(t.pos or (None, None)))
+        if left is t.left and right is t.right:
+            return t, _INT
         return replace(t, left=left, right=right), _INT
     if isinstance(t, EnumLit):
         owner = obs.enum_owner(t.value)

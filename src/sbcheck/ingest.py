@@ -23,7 +23,10 @@ Layout (``//`` comments and whitespace are free-form)::
     }
 
 State declarations come before transitions inside each block.  Quoted
-strings hold constraint formula syntax.  ``save`` emits a canonical form:
+strings hold constraint formula syntax.  A behaviour statement with only
+blanks inside, ``state q {...} init;`` or ``a -> b;``, is one token of
+:data:`STATEMENTS`; text that reader rejects is read again token by token
+(:data:`LEXER`), which reports every error.  ``save`` emits a canonical form:
 observables in declaration order, states sorted by id, transitions sorted,
 formulas reprinted with canonical spacing; ``save(load(text))`` is a fixed
 point and ``load(save(sys))`` equals ``sys``.  A quoted string cannot hold a
@@ -33,12 +36,14 @@ newline, so ``save`` refuses a system whose name does.
 from __future__ import annotations
 
 import pathlib
+import re
 
 from . import _lex
 from . import formula as F
 from .errors import FormulaError, ModelError, ModelFileError
 from .model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
 LEXER = _lex.Lexer(
     [
         ("string", r'"(?:[^"\\\n]|\\.)*"'),
@@ -56,10 +61,35 @@ LEXER = _lex.Lexer(
         ("assign", r"="),
         ("minus", r"-"),
         ("int", r"[0-9]+"),
-        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("ident", _ID),
     ],
     ModelFileError,
 )
+
+_BLANKS = r"[ \t\r\n]*"
+_ASSIGN = rf"{_ID}{_BLANKS}={_BLANKS}(?:-{_BLANKS}[0-9]+|[0-9]+|{_ID}){_BLANKS}"
+
+# The token grammar's rules behind two that take a whole behaviour statement
+# with only blanks inside.  Every word in them is followed by a blank or by
+# punctuation, so each ends where the token grammar would end it; and every
+# run of blanks is followed by a required character, so a failed match
+# backtracks in linear time.
+STATEMENTS = _lex.Lexer(
+    [
+        ("bstate", rf"state[ \t\r\n]+{_ID}{_BLANKS}\{{{_BLANKS}"
+                   rf"(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?\}}{_BLANKS}(?:init{_BLANKS})?;"),
+        ("bedge", rf"{_ID}{_BLANKS}->{_BLANKS}{_ID}{_BLANKS};"),
+        *LEXER.rules,
+    ],
+    ModelFileError,
+)
+_STATE_PARTS = re.compile(rf"state{_BLANKS}({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?").match
+_EDGE_PARTS = re.compile(rf"({_ID}){_BLANKS}->{_BLANKS}({_ID})").match
+_ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
+
+
+class _Reread(Exception):
+    """A behaviour statement token the token grammar must read instead."""
 
 
 def _unquote(text):
@@ -209,6 +239,22 @@ def _valuation(p, observables, id_tok):
     return val
 
 
+def _assignments(body):
+    """The valuation in the body of a ``bstate`` token; an observable assigned
+    twice raises :class:`_Reread`, :class:`SBSystem` rejects other errors."""
+    val = {}
+    for name, minus, text in _ASSIGNMENTS(body):
+        if name in val:
+            raise _Reread
+        if text[0] in "0123456789":
+            val[name] = -int(text) if minus else int(text)
+        elif text in ("true", "false"):
+            val[name] = text == "true"
+        else:
+            val[name] = text
+    return val
+
+
 def _constraint(p, observables, id_tok):
     p.take("colon", "expected ':' before the constraint string")
     s_tok = p.take("string", "expected the constraint as a quoted string")
@@ -228,7 +274,7 @@ def _guarded_arrow(p, observables, src):
     return (inv,)
 
 
-def _block(p, observables, word, state_body, edge_middle):
+def _block(p, observables, word, state_body, edge_middle, bodies=None):
     """Read a ``behaviour`` or ``structure`` block.
 
     ``state_body(p, observables, id_tok)`` reads what follows a state id and
@@ -236,12 +282,28 @@ def _block(p, observables, word, state_body, edge_middle):
     what lies between a transition's source and target and returns the
     tuple placed between them.  Returns (entries by state id, initial state
     id, transitions).
+
+    Given ``bodies``, a dict from valuation text to valuation, the block also
+    takes each ``bstate`` and ``bedge`` token in one step.  Of their errors it
+    catches only those that would overwrite an entry; :class:`SBSystem`
+    rejects the rest.
     """
     head = p.keyword(word)
     p.take("lbrace", f"expected '{{' opening the {word} block")
     table = {}
     init = None
-    while p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident":
+    while True:
+        if bodies is not None and p.peek().kind == "bstate":
+            q, body, marked = _STATE_PARTS(p.take().text).groups()
+            if q in table or marked and init is not None:
+                raise _Reread
+            if body not in bodies:
+                bodies[body] = _assignments(body)
+            table[q] = bodies[body]
+            init = q if marked else init
+            continue
+        if not (p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident"):
+            break
         p.take()
         id_tok = p.take("ident")
         if id_tok.text in table:
@@ -267,7 +329,10 @@ def _block(p, observables, word, state_body, edge_middle):
         return tok.text
 
     transitions = []
-    while p.peek().kind == "ident":
+    while (t := p.peek()).kind == "ident" or t.kind == "bedge" and bodies is not None:
+        if t.kind == "bedge":
+            transitions.append(_EDGE_PARTS(p.take().text).groups())
+            continue
         src = declared(p.take("ident"))
         middle = edge_middle(p, observables, src)
         dst = declared(p.take("ident", "expected the target state"))
@@ -287,11 +352,18 @@ def loads(text):
     Raises :class:`ModelFileError` with a line:col position on any syntax
     or semantic problem in the text.
     """
-    p = LEXER.parser(text)
+    try:
+        return _read(STATEMENTS.parser(text))
+    except (ModelFileError, _Reread):
+        return _read(LEXER.parser(text))
+
+
+def _read(p):
+    """The system in the tokens of parser ``p``."""
     p.keyword("system")
     name_tok = p.take("string", "expected the system name as a quoted string")
     observables = _parse_observables(p)
-    table, q_init, q_edges = _block(p, observables, "behaviour", _valuation, _arrow)
+    table, q_init, q_edges = _block(p, observables, "behaviour", _valuation, _arrow, {})
     labels, r_init, r_edges = _block(p, observables, "structure", _constraint, _guarded_arrow)
     if p.peek().kind != _lex.EOF:
         raise p.fail("unexpected trailing input")

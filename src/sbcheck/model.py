@@ -40,15 +40,16 @@ class BehaviourMachine:
             raise ModelError("duplicate behaviour state id")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", frozenset(self.transitions))
-        known = set(states)
-        if self.init not in known:
-            raise ModelError(f"initial behaviour state {self.init!r} is not declared")
         succ = {q: [] for q in states}
-        for src, dst in sorted(self.transitions):
-            if src not in known or dst not in known:
+        if self.init not in succ:
+            raise ModelError(f"initial behaviour state {self.init!r} is not declared")
+        for src, dst in self.transitions:
+            if src not in succ or dst not in succ:
+                # name the first such transition in sorted order
+                src, dst = min(t for t in self.transitions if t[0] not in succ or t[1] not in succ)
                 raise ModelError(f"behaviour transition {src!r} -> {dst!r} uses an undeclared state")
             succ[src].append(dst)
-        object.__setattr__(self, "_succ", {q: tuple(v) for q, v in succ.items()})
+        object.__setattr__(self, "_succ", {q: tuple(sorted(v)) for q, v in succ.items()})
 
     def successors(self, q):
         return _lookup(self._succ, q, "unknown behaviour state")
@@ -137,22 +138,31 @@ class SBSystem:
     observation: ObservationMap
 
     def __post_init__(self):
-        for q in self.behaviour.states:
-            F.check_valuation(self.observables, self.observation.valuation(q))
+        classes = {}  # the behaviour states of each valuation, keyed by its items
+        try:
+            for q in self.behaviour.states:
+                v = self.observation.valuation(q)
+                classes.setdefault(tuple(v.items()), (v, []))[1].append(q)
+        except TypeError:  # an unhashable value, outside every domain
+            F.check_valuation(self.observables, v)
+            raise
+        for v, _ in classes.values():
+            F.check_valuation(self.observables, v)
+        object.__setattr__(self, "_classes", tuple(classes.values()))
         extra = set(self.observation.table) - set(self.behaviour.states)
         if extra:
             raise ModelError(f"observation recorded for undeclared state {sorted(extra)[0]!r}")
-        labels = {r: F.typecheck(phi, self.observables) for r, phi in self.structure.labels.items()}
+        m = self.structure
+        labels = {r: F.typecheck(phi, self.observables) for r, phi in m.labels.items()}
         transitions = tuple(
-            (src, F.typecheck(inv, self.observables), dst)
-            for src, inv, dst in self.structure.transitions
+            (src, F.typecheck(inv, self.observables), dst) for src, inv, dst in m.transitions
         )
-        object.__setattr__(
-            self,
-            "structure",
-            StructureMachine(self.structure.states, self.structure.init, labels, transitions),
-        )
-        object.__setattr__(self, "_admits", {r: self.region(phi) for r, phi in labels.items()})
+        if any(labels[r] is not phi for r, phi in m.labels.items()) or any(
+            new[1] is not old[1] for new, old in zip(transitions, m.transitions)
+        ):
+            m = StructureMachine(m.states, m.init, labels, transitions)
+            object.__setattr__(self, "structure", m)
+        object.__setattr__(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
         object.__setattr__(self, "_options", {})
 
     def observe(self, q):
@@ -160,9 +170,9 @@ class SBSystem:
         return self.observation.valuation(q)
 
     def region(self, phi):
-        """All behaviour states satisfying ``phi``, evaluated afresh on each call."""
-        table = self.observation.table
-        return frozenset(q for q in self.behaviour.states if F.evaluate(phi, table[q]))
+        """All behaviour states satisfying ``phi``, evaluated afresh on each call,
+        once per distinct valuation."""
+        return frozenset(q for v, qs in self._classes if F.evaluate(phi, v) for q in qs)
 
     def constraint_region(self, r):
         """Behaviour states satisfying the constraint of structure state ``r``."""

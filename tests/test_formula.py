@@ -287,6 +287,18 @@ def test_roundtrip_random_formulas():
         assert F.unparse(again) == text
 
 
+def test_typecheck_returns_a_checked_formula_itself():
+    rng = random.Random(98)
+    o = obs()
+    for _ in range(200):
+        # parsed text names enum values with a Name, which typecheck rewrites
+        raw = F.parse_raw(F.unparse(gen.random_typed_formula(rng, 3)))
+        checked = F.typecheck(raw, o)
+        assert F.typecheck(checked, o) is checked
+        if "mode" not in F.unparse(raw):
+            assert checked is raw
+
+
 def test_roundtrip_right_nested_terms():
     # programmatically built right-nested subtraction needs parentheses
     o = obs()

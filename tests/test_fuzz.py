@@ -19,7 +19,7 @@ import sbcheck.flat as FL
 import sbcheck.formula as F
 import sbcheck.ingest as I
 from sbcheck import cli
-from sbcheck.errors import ModelError
+from sbcheck.errors import ModelError, ModelFileError
 from sbcheck.ingest import bundled_model, bundled_model_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,11 +65,13 @@ SOUP = [
     "->", "!=", "<=", ">=", "==", "&&", "||", "!", "<", ">", "+", "-", "(", ")", "[", "]", "@",
     "..", "-[", "]->", "{", "}", ":", ";", ",", "=", "0", "42", "x", "q0", "AG", "_a1", '"x"',
     '"a // b"', '"\\""', '"', " ", " ", "\t", "\r", "\n", "\n", "//", "// c", "/", "$", "#",
-    "?", "\\", ".", "|", "&", "\u00e9",
+    "?", "\\", ".", "|", "&", "\u00e9", "state", "init", "true", "= ",
 ]
 
 
-@pytest.mark.parametrize("lexer", [I.LEXER, F.LEXER, C.LEXER], ids=["sbs", "formula", "ctl"])
+@pytest.mark.parametrize(
+    "lexer", [I.LEXER, F.LEXER, C.LEXER, I.STATEMENTS], ids=["sbs", "formula", "ctl", "statements"]
+)
 def test_lexer_agrees_with_the_token_oracle(lexer):
     rng = random.Random(12)
     sources = _sources()
@@ -85,6 +87,93 @@ def test_lexer_agrees_with_the_token_oracle(lexer):
         except lexer.error_cls as e:
             got = (type(e), e.message, e.line, e.col)
         assert got == want, (case, text)
+
+
+def _gap(rng, required=False):
+    r = rng.random()
+    if r < 0.01:
+        return " // c\n"
+    if r < 0.15:
+        return rng.choice(["\t", "\r\n", "\n", "  ", " \r\n\t"])
+    return "" if r < 0.35 and (not required or r < 0.17) else " "
+
+
+VALUES = {
+    "b": ["true", "false"],
+    "n": ["0", "-3", "- 3", "-\n2", "5", "005", "-0", "-\t1"],
+    "m": ["red", "green", "blue"],
+    "z": ["1"],
+}
+BAD_VALUES = ["1", "red", "6", "-4", "x", "purple", "true", "2", "3red", "-", "--1"]
+
+
+def _random_model(rng):
+    """A model whose behaviour block spells its statements in random ways.
+
+    Blanks, CRLF, tabs and comments go between the words, and a few
+    statements carry an error: a value outside its domain, a missing,
+    repeated or undeclared assignment, an undeclared state, a second or no
+    ``init``, or a state after a transition.
+    """
+    ids = rng.sample(["q0", "q1", "q2", "q3", "state", "init", "a_1"], rng.randint(1, 5))
+    marked = {rng.choice(ids)} if rng.random() < 0.95 else set(rng.sample(ids, min(2, len(ids))))
+    states = []
+    for q in ids:
+        names = rng.sample(["b", "n", "m"], 3)
+        if rng.random() < 0.02:
+            del names[0]
+        if rng.random() < 0.02:
+            names.insert(rng.randrange(len(names) + 1), rng.choice(["b", "z"]))
+        body = ("," + _gap(rng)).join(
+            f"{n}{_gap(rng)}={_gap(rng)}"
+            f"{rng.choice(VALUES[n] if rng.random() < 0.98 else BAD_VALUES)}{_gap(rng)}"
+            for n in names
+        )
+        init = f"{_gap(rng)}init" if q in marked else ""
+        head = f"state{_gap(rng, True)}{q}{_gap(rng)}"
+        states.append(f"{head}{{{_gap(rng)}{body}}}{init}{_gap(rng)};")
+    ends = ids + ["zz"] * (rng.random() < 0.03)
+    edges = [
+        f"{rng.choice(ends)}{_gap(rng)}->{_gap(rng)}{rng.choice(ends)}{_gap(rng)};"
+        for _ in range(rng.randint(0, 6))
+    ]
+    statements = states + edges
+    if rng.random() < 0.03:
+        statements.append(statements.pop(rng.randrange(len(states))))
+    sep = rng.choice(["\n  ", "\r\n\t", " ", "\n// note\n"])
+    return (
+        'system "f"\n\n'
+        "observables {\n  b: bool;\n  n: int[-3..5];\n  m: enum {red, green, blue};\n}\n\n"
+        f"behaviour {{{sep}{sep.join(statements)}\n}}\n\n"
+        'structure {\n  state r: "b || m == red" init;\n  r -["n > 0"]-> r;\n}\n'
+    )
+
+
+def _read_outcome(read, text):
+    """What ``read(text)`` gives: the system with its valuations' item order, or the error."""
+    try:
+        system = read(text)
+    except ModelFileError as e:
+        return (type(e), e.message, e.line, e.col)
+    valuations = [tuple(system.observe(q).items()) for q in system.behaviour.states]
+    return system, I.save(system), valuations
+
+
+def test_statement_reader_agrees_with_the_token_grammar():
+    rng = random.Random(13)
+    sources = _sources()
+    texts = [_mutant(rng, rng.choice(sources)) for _ in range(200)]
+    texts += [_random_model(rng) for _ in range(800)]
+    fast = 0
+    for case, text in enumerate(texts):
+        want = _read_outcome(lambda t: I._read(I.LEXER.parser(t)), text)
+        assert _read_outcome(I.loads, text) == want, (case, text)
+        try:
+            I._read(I.STATEMENTS.parser(text))
+        except (ModelFileError, I._Reread):
+            continue
+        fast += 1
+    assert fast >= len(texts) // 2  # most texts take the statement path
 
 
 def _exit_code(argv, capsys):

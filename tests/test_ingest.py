@@ -1,5 +1,6 @@
 """Model file parsing, canonical saving and bundled models."""
 
+import collections
 import dataclasses
 import pathlib
 import random
@@ -10,6 +11,7 @@ import gen
 import oracles
 import sbcheck.formula as F
 import sbcheck.ingest as I
+import sbcheck.model as M
 from sbcheck.errors import ModelError, ModelFileError
 
 BASE = '''system "t"
@@ -141,6 +143,36 @@ def test_save_prints_a_long_conjunction_without_recursion():
     label = " && ".join(["x"] * 500)
     text = BASE.replace('state r: "x" init;', f'state r: "{label}" init;')
     assert I.save(I.loads(text)) == text
+
+
+def test_saved_behaviour_statements_are_one_token_each():
+    artifacts = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
+    systems = [gen.random_system(seed) for seed in range(60)]
+    systems += [I.bundled_model(w) for w in ("predator_s0", "predator_s1")]
+    systems += [I.load(path) for path in sorted(artifacts.glob("*.sbs"))]
+    systems.append(I.loads(DOMAINS))
+    for sys in systems:
+        text = I.save(sys)
+        kinds = collections.Counter(t.kind for t in I.STATEMENTS.tokenize(text))
+        assert kinds["bstate"] == len(sys.behaviour.states), text
+        assert kinds["bedge"] == len(sys.behaviour.transitions), text
+        assert I._read(I.STATEMENTS.parser(text)) == sys  # read without falling back
+        assert I.loads(text) == sys
+
+
+def test_a_load_builds_one_structure_machine(monkeypatch):
+    built = []
+    post_init = M.StructureMachine.__post_init__
+
+    def counted(machine):
+        built.append(machine)
+        post_init(machine)
+
+    monkeypatch.setattr(M.StructureMachine, "__post_init__", counted)
+    text = DOMAINS.replace('init;\n}\n', 'init;\n  r -["m != blue && n + 1 > 0"]-> r;\n}\n')
+    sys = I.loads(text)
+    assert built == [sys.structure]
+    assert len(sys.structure.transitions) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +334,106 @@ def test_trailing_input():
 def test_comments_are_ignored():
     text = BASE.replace("a -> b;", "a -> b; // one feeding step")
     assert I.loads(text) == I.loads(BASE)
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the behaviour statements, pinned to the token grammar's results
+
+DOMAINS = '''system "d"
+
+observables {
+  b: bool;
+  n: int[-3..5];
+  m: enum {red, green, blue};
+}
+
+behaviour {
+  state s0 {b = true, n = -3, m = red} init;
+  state s1 {b = false, n = 5, m = blue};
+  s0 -> s1;
+}
+
+structure {
+  state r: "n < 0 && m == red" init;
+}
+'''
+
+STATE_NAMED_STATE = BASE.replace(
+    "state a {x = true} init;\n  state b {x = false};\n  a -> b;",
+    "state b {x = false};\n  state state {x = true} init;\n  state -> b;",
+)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        (BASE.replace("{x = true} init;", "{x = true // c\n  } init;"), BASE),
+        (BASE.replace("state a {", "state // c\n  a {"), BASE),
+        (BASE.replace("a -> b;", "a -> // c\n  b;"), BASE),
+        (DOMAINS.replace("n = -3", "n = - 3"), DOMAINS),
+        (DOMAINS.replace("n = -3", "n = -\n 3"), DOMAINS),
+        (BASE.replace("} init;", "}init;"), BASE),
+        (BASE.replace("a {x = true} init;", "a{x=true}init;").replace("a -> b;", "a->b;"), BASE),
+        (BASE.replace("\n", "\r\n").replace("  ", "\t"), BASE),
+        (BASE.replace("state a ", "state state").replace("a -> b", "state->b"), STATE_NAMED_STATE),
+        (
+            DOMAINS.replace("{b = false, n = 5, m = blue}", "{m = red, b = true, n = -3}"),
+            DOMAINS.replace("{b = false, n = 5, m = blue}", "{b = true, n = -3, m = red}"),
+        ),
+    ],
+    ids=[
+        "comment-in-valuation", "comment-after-state", "comment-in-transition", "minus-blank",
+        "minus-newline", "init-without-blank", "no-blanks", "crlf-and-tabs", "state-named-state",
+        "equal-valuations-in-another-order",
+    ],
+)
+def test_behaviour_statement_spellings_load_as_their_canonical_form(text, canonical):
+    sys = I.loads(text)
+    assert sys == I.loads(canonical)
+    assert I.save(sys) == canonical
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        (BASE.replace("} init;", "} init2;"), 8, 22,
+         "expected ';' after the state declaration, found 'init2'"),
+        (BASE.replace("state b {", "stateb {"), 9, 3,
+         "transition uses undeclared behaviour state 'stateb'"),
+        (DOMAINS.replace("n = -3", "n = 3red"), 10, 28,
+         "expected '}' closing the valuation, found 'red'"),
+        (DOMAINS.replace("n = 5", "n = 6"), 11, 28, "value 6 of 'n' outside domain int[-3..5]"),
+        (DOMAINS.replace("n = -3", "n = - 4"), 10, 27, "value -4 of 'n' outside domain int[-3..5]"),
+        (DOMAINS.replace("m = blue", "m = purple"), 11, 35,
+         "value purple of 'm' outside domain enum {red, green, blue}"),
+        (DOMAINS.replace("b = false", "b = 1"), 11, 17, "value 1 of 'b' outside domain bool"),
+        (DOMAINS.replace("m = blue", "b = true"), 11, 31, "observable 'b' assigned twice"),
+        (DOMAINS.replace("m = blue", "m = blue, z = 1"), 11, 41, "undeclared observable 'z'"),
+        (DOMAINS.replace(", m = blue", ""), 11, 9, "state 's1' leaves 'm' unassigned"),
+        (BASE.replace("a -> b;", "a -> b;\n  state c {x = true};"), 11, 3,
+         "transition uses undeclared behaviour state 'state'"),
+        (BASE.replace('state r: "x" init;', 'state r: "x" init;\n  a -> b;'), 15, 3,
+         "transition uses undeclared structure state 'a'"),
+        (BASE.replace('state r: "x" init;', 'state r: "x" init;\n  state c {x = true};'), 15, 11,
+         "expected ':' before the constraint string, found '{'"),
+        (BASE.replace("a -> b;", "zz -> b;"), 10, 3,
+         "transition uses undeclared behaviour state 'zz'"),
+        (BASE.replace("b {x = false};", "b {x = false};\n  state a {x = false};"), 10, 9,
+         "duplicate behaviour state 'a'"),
+        (BASE.replace("state b {x = false};", "state b {x = false}init;"), 9, 9,
+         "behaviour declares a second initial state"),
+        (STATE_NAMED_STATE.replace("state b ", "state state "), 9, 9,
+         "duplicate behaviour state 'state'"),
+    ],
+    ids=[
+        "glued-init", "glued-state", "glued-value", "int-outside-domain", "negative-outside-domain",
+        "enum-outside-domain", "int-for-bool", "assigned-twice", "undeclared-observable",
+        "missing-assignment", "state-after-transition", "transition-in-structure",
+        "valuation-in-structure", "transition-from-undeclared", "duplicate-id",
+        "second-init-without-blank", "duplicate-state-named-state",
+    ],
+)
+def test_behaviour_statement_errors_keep_their_text_and_position(text, line, col, message):
+    with pytest.raises(ModelFileError) as e:
+        I.loads(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)

@@ -102,6 +102,8 @@ def test_system_rejects_bad_valuations():
         M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {"x": 1}, "b": {"x": False}}))
     with pytest.raises(Exception):
         M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {}, "b": {"x": False}}))
+    with pytest.raises(ModelError, match="outside domain"):
+        M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {"x": [True]}, "b": {"x": False}}))
 
 
 def test_system_typechecks_structure_formulas():
@@ -155,6 +157,18 @@ def test_region_matches_satisfies_pointwise():
             for inv, _, region in options:
                 want = {q for q in sys.behaviour.states if F.evaluate(inv, sys.observe(q))}
                 assert region == want
+
+
+def test_region_evaluates_once_per_valuation(monkeypatch):
+    obs, _, st, _ = tiny_parts()
+    qs = [f"q{i}" for i in range(100)]
+    beh = M.BehaviourMachine(tuple(qs), "q0", frozenset())
+    sys = M.SBSystem("t", obs, beh, st, M.ObservationMap({q: {"x": q < "q5"} for q in qs}))
+    valuations = []
+    evaluate = F.evaluate
+    monkeypatch.setattr(F, "evaluate", lambda phi, v: valuations.append(v) or evaluate(phi, v))
+    assert sys.region(F.Name("x")) == {q for q in qs if q < "q5"}
+    assert sorted(v["x"] for v in valuations) == [False, True]
 
 
 def test_options_of_an_unknown_structure_state_are_an_error():
