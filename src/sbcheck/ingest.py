@@ -85,11 +85,8 @@ STATEMENTS = _lex.Lexer(
 )
 _STATE_PARTS = re.compile(rf"state{_BLANKS}({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?").match
 _EDGE_PARTS = re.compile(rf"({_ID}){_BLANKS}->{_BLANKS}({_ID})").match
+_REREAD = "a behaviour statement the token grammar must read"
 _ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
-
-
-class _Reread(Exception):
-    """A behaviour statement token the token grammar must read instead."""
 
 
 def _unquote(text):
@@ -241,11 +238,12 @@ def _valuation(p, observables, id_tok):
 
 def _assignments(body):
     """The valuation in the body of a ``bstate`` token; an observable assigned
-    twice raises :class:`_Reread`, :class:`SBSystem` rejects other errors."""
+    twice raises :class:`ModelFileError` for the token grammar to report,
+    :class:`SBSystem` rejects other errors."""
     val = {}
     for name, minus, text in _ASSIGNMENTS(body):
         if name in val:
-            raise _Reread
+            raise ModelFileError(_REREAD)
         if text[0] in "0123456789":
             val[name] = -int(text) if minus else int(text)
         elif text in ("true", "false"):
@@ -274,7 +272,7 @@ def _guarded_arrow(p, observables, src):
     return (inv,)
 
 
-def _block(p, observables, word, state_body, edge_middle, bodies=None):
+def _block(p, observables, word, state_body, edge_middle):
     """Read a ``behaviour`` or ``structure`` block.
 
     ``state_body(p, observables, id_tok)`` reads what follows a state id and
@@ -283,8 +281,8 @@ def _block(p, observables, word, state_body, edge_middle, bodies=None):
     tuple placed between them.  Returns (entries by state id, initial state
     id, transitions).
 
-    Given ``bodies``, a dict from valuation text to valuation, the block also
-    takes each ``bstate`` and ``bedge`` token in one step.  Of their errors it
+    The behaviour block also takes each ``bstate`` and ``bedge`` token in
+    one step, reading each distinct valuation text once.  Of their errors it
     catches only those that would overwrite an entry; :class:`SBSystem`
     rejects the rest.
     """
@@ -292,11 +290,12 @@ def _block(p, observables, word, state_body, edge_middle, bodies=None):
     p.take("lbrace", f"expected '{{' opening the {word} block")
     table = {}
     init = None
+    bodies = {} if word == "behaviour" else None  # valuation text -> valuation
     while True:
         if bodies is not None and p.peek().kind == "bstate":
             q, body, marked = _STATE_PARTS(p.take().text).groups()
             if q in table or marked and init is not None:
-                raise _Reread
+                raise ModelFileError(_REREAD)
             if body not in bodies:
                 bodies[body] = _assignments(body)
             table[q] = bodies[body]
@@ -354,7 +353,7 @@ def loads(text):
     """
     try:
         return _read(STATEMENTS.parser(text))
-    except (ModelFileError, _Reread):
+    except ModelFileError:
         return _read(LEXER.parser(text))
 
 
@@ -363,7 +362,7 @@ def _read(p):
     p.keyword("system")
     name_tok = p.take("string", "expected the system name as a quoted string")
     observables = _parse_observables(p)
-    table, q_init, q_edges = _block(p, observables, "behaviour", _valuation, _arrow, {})
+    table, q_init, q_edges = _block(p, observables, "behaviour", _valuation, _arrow)
     labels, r_init, r_edges = _block(p, observables, "structure", _constraint, _guarded_arrow)
     if p.peek().kind != _lex.EOF:
         raise p.fail("unexpected trailing input")

@@ -138,11 +138,12 @@ class SBSystem:
     observation: ObservationMap
 
     def __post_init__(self):
-        classes = {}  # the behaviour states of each valuation, keyed by its items
+        classes = {}  # the behaviour states of each valuation, keyed by its typed items
         try:
             for q in self.behaviour.states:
                 v = self.observation.valuation(q)
-                classes.setdefault(tuple(v.items()), (v, []))[1].append(q)
+                key = tuple((n, type(x), x) for n, x in v.items())  # 1 == True, yet not in bool
+                classes.setdefault(key, (v, []))[1].append(q)
         except TypeError:  # an unhashable value, outside every domain
             F.check_valuation(self.observables, v)
             raise

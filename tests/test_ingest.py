@@ -424,6 +424,11 @@ def test_behaviour_statement_spellings_load_as_their_canonical_form(text, canoni
          "behaviour declares a second initial state"),
         (STATE_NAMED_STATE.replace("state b ", "state state "), 9, 9,
          "duplicate behaviour state 'state'"),
+        (DOMAINS.replace("n = -3", "n = 1").replace("b = false, n = 5, m = blue",
+                                                     "b = true, n = true, m = red"), 11, 27,
+         "value true of 'n' outside domain int[-3..5]"),
+        (DOMAINS.replace("b = false, n = 5, m = blue", "b = 1, n = -3, m = red"), 11, 17,
+         "value 1 of 'b' outside domain bool"),
     ],
     ids=[
         "glued-init", "glued-state", "glued-value", "int-outside-domain", "negative-outside-domain",
@@ -431,6 +436,7 @@ def test_behaviour_statement_spellings_load_as_their_canonical_form(text, canoni
         "missing-assignment", "state-after-transition", "transition-in-structure",
         "valuation-in-structure", "transition-from-undeclared", "duplicate-id",
         "second-init-without-blank", "duplicate-state-named-state",
+        "true-for-int-after-equal-int", "int-for-bool-after-equal-bool",
     ],
 )
 def test_behaviour_statement_errors_keep_their_text_and_position(text, line, col, message):

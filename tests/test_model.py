@@ -104,6 +104,8 @@ def test_system_rejects_bad_valuations():
         M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {}, "b": {"x": False}}))
     with pytest.raises(ModelError, match="outside domain"):
         M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {"x": [True]}, "b": {"x": False}}))
+    with pytest.raises(ModelError, match="value 0 of 'x' outside domain"):  # 0 == False
+        M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {"x": False}, "b": {"x": 0}}))
 
 
 def test_system_typechecks_structure_formulas():
