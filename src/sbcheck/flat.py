@@ -27,7 +27,7 @@ row must equal the row :func:`export_json` writes for its endpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import ModelError
@@ -38,10 +38,13 @@ ADAPTING = "adapting"
 STUCK = "stuck"
 
 
-@dataclass(frozen=True)
-class FlatState:
+class FlatState(NamedTuple):
     """Behaviour state q, structure state r and, while an adaptation is under
-    way, the index in ``sys.options(r)`` of its structure transition."""
+    way, the index in ``sys.options(r)`` of its structure transition.
+
+    A flat state is a tuple: it equals, and hashes as, the plain tuple
+    ``(q, r, pending)``.
+    """
 
     q: str
     r: str
@@ -204,16 +207,57 @@ def edge_json(sys, states, i, j):
     }
 
 
+def _json(value, depth):
+    """``json.dumps(value, indent=2)`` for a scalar, or a dict of scalars and
+    such dicts, nested ``depth`` levels deep."""
+    if type(value) is not dict or not value:
+        return json.dumps(value)
+    pad = "\n" + "  " * depth
+    members = ",".join(f"{pad}  {json.dumps(k)}: {_json(v, depth + 1)}" for k, v in value.items())
+    return f"{{{members}{pad}}}"
+
+
+def _cut(row):
+    """The text of ``row``, an item of a top-level list, cut around its first
+    two values: ``(before, between, after)``."""
+    (first, _), (second, _), *rest = row.items()
+    return (f'{{\n      {json.dumps(first)}: ', f',\n      {json.dumps(second)}: ',
+            "," + _json(dict(rest), 2)[1:])
+
+
+def _list(rows):
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
+
 def export_json(flat):
-    """Serialize to the stable JSON interchange form (byte-identical across runs)."""
-    sys = flat.system
-    states = [
-        {"id": i, **state_json(sys, s), "class": flat.classes[i]}
-        for i, s in enumerate(flat.states)
-    ]
-    transitions = [edge_json(sys, flat.states, i, j) for i, j in flat.edges]
-    doc = {"states": states, "init": flat.init_index, "transitions": transitions}
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to the stable JSON interchange form (byte-identical across runs).
+
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` of
+    ``{"states": [...], "init": ..., "transitions": [...]}``, whose state rows
+    are :func:`state_json` between an ``id`` and a ``class`` and whose
+    transition rows are :func:`edge_json`.  It is written directly: all of a
+    state row but its id and ``q`` depends only on ``(r, pending, class)``,
+    and all of a transition row but its ids only on the ``(r, pending)`` of
+    its endpoints, so each such tail is rendered once.
+    """
+    sys, states, classes = flat.system, flat.states, flat.classes
+    state_rows, cuts = [], {}
+    for i, s in enumerate(states):
+        key = s.r, s.pending, classes[i]
+        cut = cuts.get(key)
+        if cut is None:
+            cut = cuts[key] = _cut({"id": i, **state_json(sys, s), "class": classes[i]})
+        state_rows.append(f"{cut[0]}{i}{cut[1]}{encode_basestring_ascii(s.q)}{cut[2]}")
+    edge_rows, cuts = [], {}
+    for i, j in flat.edges:
+        s, t = states[i], states[j]
+        key = s.r, s.pending, t.r, t.pending
+        cut = cuts.get(key)
+        if cut is None:
+            cut = cuts[key] = _cut(edge_json(sys, states, i, j))
+        edge_rows.append(f"{cut[0]}{i}{cut[1]}{j}{cut[2]}")
+    return (f'{{\n  "states": {_list(state_rows)},\n  "init": {flat.init_index},\n'
+            f'  "transitions": {_list(edge_rows)}\n}}\n')
 
 
 def import_json(text, system):

@@ -407,6 +407,63 @@ def test_json_roundtrip_on_random_systems():
         assert FL.import_json(FL.export_json(flat), flat.system) == flat
 
 
+def assert_written_as_json_dumps(flat):
+    """``export_json`` is ``json.dumps(indent=2)`` of the state_json/edge_json
+    rows; returns the text."""
+    out = FL.export_json(flat)
+    doc = json.loads(out)
+    assert json.dumps(doc, indent=2) + "\n" == out
+    sys = flat.system
+    states = [{"id": i, **FL.state_json(sys, s), "class": flat.classes[i]}
+              for i, s in enumerate(flat.states)]
+    edges = [FL.edge_json(sys, flat.states, i, j) for i, j in flat.edges]
+    assert [list(row.items()) for row in doc["states"]] == [list(row.items()) for row in states]
+    assert [list(row.items()) for row in doc["transitions"]] == [list(row.items()) for row in edges]
+    assert doc["init"] == flat.init_index
+    return out
+
+
+def test_json_is_laid_out_as_json_dumps():
+    for seed in range(1000):
+        assert_written_as_json_dumps(FL.flatten(gen.random_system(seed)))
+    for which in ("predator_s0", "predator_s1"):
+        assert_written_as_json_dumps(FL.flatten(bundled_model(which)))
+
+
+def escaped_system(qs, transitions):
+    """Behaviour states ``qs`` (name, x) and two structure states whose ids
+    need JSON escapes: ``r "x"`` (constraint x) and ``r\\any`` (constraint
+    true), with a transition each way."""
+    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
+    beh = M.BehaviourMachine(tuple(q for q, _ in qs), qs[0][0], frozenset(transitions))
+    up, down = 'r "x"', "r\\any"
+    labels = {up: F.parse_formula("x", obs), down: F.parse_formula("true", obs)}
+    strans = {(up, F.parse_formula("true", obs), down), (down, F.parse_formula("x", obs), up)}
+    st = M.StructureMachine((up, down), up, labels, frozenset(strans))
+    return M.SBSystem("escapes", obs, beh, st, M.ObservationMap({q: {"x": x} for q, x in qs}))
+
+
+def test_json_escapes_names_and_writes_an_empty_move_list():
+    quote, slash, tab, accent = 'say "hi"', "back\\slash", "tab\there", "caf\u00e9"
+    cycle = escaped_system(
+        [(quote, True), (slash, False), (tab, False), (accent, True)],
+        [(quote, slash), (slash, tab), (tab, accent), (accent, quote)],
+    )
+    alone = escaped_system([(accent + tab, True)], [])
+    for sys in (cycle, alone):
+        flat = FL.flatten(sys)
+        out = assert_written_as_json_dumps(flat)
+        assert out.isascii()
+        assert FL.import_json(out, sys) == flat
+        assert FL.export_json(FL.import_json(out, sys)) == out
+    flat = FL.flatten(cycle)
+    assert {s.q for s in flat.states} == {quote, slash, tab, accent}
+    assert {s.r for s in flat.states} == {'r "x"', "r\\any"}
+    assert any(s.pending is not None for s in flat.states)
+    assert len(FL.flatten(alone).states) == 1
+    assert FL.export_json(FL.flatten(alone)).endswith('"transitions": []\n}\n')
+
+
 # ---------------------------------------------------------------------------
 # DOT rendering
 
