@@ -23,14 +23,16 @@ Layout (``//`` comments and whitespace are free-form)::
     }
 
 State declarations come before transitions inside each block.  Quoted
-strings hold constraint formula syntax.  A behaviour statement with only
-blanks inside, ``state q {...} init;`` or ``a -> b;``, is one token of
-:data:`STATEMENTS`; text that reader rejects is read again token by token
-(:data:`LEXER`), which reports every error.  ``save`` emits a canonical form:
-observables in declaration order, states sorted by id, transitions sorted,
-formulas reprinted with canonical spacing; ``save(load(text))`` is a fixed
-point and ``load(save(sys))`` equals ``sys``.  A quoted string cannot hold a
-newline, so ``save`` refuses a system whose name does.
+strings hold constraint formula syntax.  A run of at most :data:`RUN`
+behaviour statements, ``state q {...} init;`` or ``a -> b;``, with only
+blanks inside and between them is one token of :data:`STATEMENTS`, whose
+statements one ``findall`` splits into parts; text that reader rejects is
+read again token by token (:data:`LEXER`), which reports every error.
+``save`` emits a canonical form: observables in declaration order, states
+sorted by id, transitions sorted, formulas reprinted with canonical spacing;
+``save(load(text))`` is a fixed point and ``load(save(sys))`` equals ``sys``.
+A quoted string cannot hold a newline, so ``save`` refuses a system whose
+name does.
 """
 
 from __future__ import annotations
@@ -68,23 +70,33 @@ LEXER = _lex.Lexer(
 
 _BLANKS = r"[ \t\r\n]*"
 _ASSIGN = rf"{_ID}{_BLANKS}={_BLANKS}(?:-{_BLANKS}[0-9]+|[0-9]+|{_ID}){_BLANKS}"
+_VALUATION = re.compile(rf"{_BLANKS}(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?").fullmatch
 
-# The token grammar's rules behind two that take a whole behaviour statement
-# with only blanks inside.  Every word in them is followed by a blank or by
+_STATEMENT = (
+    rf"state[ \t\r\n]+{_ID}{_BLANKS}\{{[A-Za-z0-9_ \t\r\n=,-]*\}}{_BLANKS}(?:init{_BLANKS})?;"
+    rf"|{_ID}{_BLANKS}->{_BLANKS}{_ID}{_BLANKS};"
+)
+RUN = 64  # behaviour statements in one ``run`` token at most
+
+# The token grammar's rules behind one that takes a run of behaviour
+# statements, ``state q {...} init;`` or ``a -> b;``, with only blanks inside
+# and between them.  Every word in a statement is followed by a blank or by
 # punctuation, so each ends where the token grammar would end it; and every
 # run of blanks is followed by a required character, so a failed match
-# backtracks in linear time.
+# backtracks in linear time.  A valuation is matched here only by its
+# characters; ``_block`` checks it against the token grammar (``_VALUATION``)
+# once per distinct text.  A run is bounded because ``re`` keeps backtracking
+# state for each repetition it has matched: unbounded, that grows with the
+# block, and the possessive ``*+`` that would drop it needs Python 3.11.
 STATEMENTS = _lex.Lexer(
-    [
-        ("bstate", rf"state[ \t\r\n]+{_ID}{_BLANKS}\{{{_BLANKS}"
-                   rf"(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?\}}{_BLANKS}(?:init{_BLANKS})?;"),
-        ("bedge", rf"{_ID}{_BLANKS}->{_BLANKS}{_ID}{_BLANKS};"),
-        *LEXER.rules,
-    ],
+    [("run", rf"(?:{_STATEMENT})(?:{_BLANKS}(?:{_STATEMENT})){{0,{RUN - 1}}}"), *LEXER.rules],
     ModelFileError,
 )
-_STATE_PARTS = re.compile(rf"state{_BLANKS}({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?").match
-_EDGE_PARTS = re.compile(rf"({_ID}){_BLANKS}->{_BLANKS}({_ID})").match
+# (state id, valuation text, "init" or "", source, target) of each statement in a run
+_RUN_PARTS = re.compile(
+    rf"state[ \t\r\n]+({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?{_BLANKS};"
+    rf"|({_ID}){_BLANKS}->{_BLANKS}({_ID})"
+).findall
 _REREAD = "a behaviour statement the token grammar must read"
 _ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
 
@@ -237,9 +249,14 @@ def _valuation(p, observables, id_tok):
 
 
 def _assignments(body):
-    """The valuation in the body of a ``bstate`` token; an observable assigned
-    twice raises :class:`ModelFileError` for the token grammar to report,
-    :class:`SBSystem` rejects other errors."""
+    """The valuation in the body of a state in a ``run`` token.
+
+    A body the token grammar would read otherwise, or one that assigns an
+    observable twice, raises :class:`ModelFileError` for the token grammar
+    to report; :class:`SBSystem` rejects other errors.
+    """
+    if not _VALUATION(body):
+        raise ModelFileError(_REREAD)
     val = {}
     for name, minus, text in _ASSIGNMENTS(body):
         if name in val:
@@ -281,27 +298,37 @@ def _block(p, observables, word, state_body, edge_middle):
     tuple placed between them.  Returns (entries by state id, initial state
     id, transitions).
 
-    The behaviour block also takes each ``bstate`` and ``bedge`` token in
-    one step, reading each distinct valuation text once.  Of their errors it
-    catches only those that would overwrite an entry; :class:`SBSystem`
-    rejects the rest.
+    The behaviour block also takes each ``run`` token in one step, reading
+    its statements with one ``findall`` and each distinct valuation text
+    once.  Of their errors it catches only those that would overwrite an
+    entry or put a state after a transition; :class:`SBSystem` rejects the
+    rest.
     """
     head = p.keyword(word)
     p.take("lbrace", f"expected '{{' opening the {word} block")
     table = {}
     init = None
+    transitions = []
     bodies = {} if word == "behaviour" else None  # valuation text -> valuation
-    while True:
-        if bodies is not None and p.peek().kind == "bstate":
-            q, body, marked = _STATE_PARTS(p.take().text).groups()
-            if q in table or marked and init is not None:
+
+    def run(text):
+        nonlocal init
+        for q, body, marked, src, dst in _RUN_PARTS(text):
+            if src:
+                transitions.append((src, dst))
+                continue
+            if transitions or q in table or marked and init is not None:
                 raise ModelFileError(_REREAD)
             if body not in bodies:
                 bodies[body] = _assignments(body)
             table[q] = bodies[body]
             init = q if marked else init
+
+    while True:
+        if bodies is not None and p.peek().kind == "run":
+            run(p.take().text)
             continue
-        if not (p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident"):
+        if transitions or not (p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident"):
             break
         p.take()
         id_tok = p.take("ident")
@@ -327,10 +354,9 @@ def _block(p, observables, word, state_body, edge_middle):
             )
         return tok.text
 
-    transitions = []
-    while (t := p.peek()).kind == "ident" or t.kind == "bedge" and bodies is not None:
-        if t.kind == "bedge":
-            transitions.append(_EDGE_PARTS(p.take().text).groups())
+    while (t := p.peek()).kind == "ident" or t.kind == "run" and bodies is not None:
+        if t.kind == "run":
+            run(p.take().text)
             continue
         src = declared(p.take("ident"))
         middle = edge_middle(p, observables, src)

@@ -9,12 +9,16 @@ An ``SBSystem`` keeps one region table, keyed by structure state and
 transition, never by formula: the behaviour states each constraint admits,
 computed at construction, and those each invariant out of a structure
 state admits, computed on that state's first use (``SBSystem.options``).
+Regions are computed from bitsets over the classes of equal valuation,
+one kept per boolean observable and keyed by its name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 
+from . import _lex
 from . import formula as F
 from .errors import ModelError
 
@@ -109,14 +113,18 @@ class StructureMachine:
 
 @dataclass(frozen=True)
 class ObservationMap:
-    """Total map from behaviour state id to its valuation."""
+    """Total map from behaviour state id to its valuation.
+
+    The map copies each valuation object it is given once, so states given
+    one dict share one copy; callers must not mutate a valuation.
+    """
 
     table: dict  # q -> {observable name -> value}
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "table", {q: dict(v) for q, v in self.table.items()}
-        )
+        copies = {id(v): v for v in self.table.values()}  # each given valuation once
+        copies = {i: dict(v) for i, v in copies.items()}
+        object.__setattr__(self, "table", {q: copies[id(v)] for q, v in self.table.items()})
 
     def valuation(self, q):
         return _lookup(self.table, q, "no observation recorded for behaviour state")
@@ -129,6 +137,11 @@ class SBSystem:
     Constraint and invariant formulas are typechecked against the declared
     observables at construction time; enum literals are resolved in place.
     Instances are immutable and safe to share.
+
+    The behaviour states fall into classes of equal valuation, and a region
+    is a bitset over the classes (bit ``i`` for class ``i``): each boolean
+    observable's bitset is computed once per system, and a comparison is
+    evaluated once per class.
     """
 
     name: str
@@ -138,18 +151,27 @@ class SBSystem:
     observation: ObservationMap
 
     def __post_init__(self):
-        classes = {}  # the behaviour states of each valuation, keyed by its typed items
-        try:
-            for q in self.behaviour.states:
-                v = self.observation.valuation(q)
+        table = self.observation.table
+        numbers = {}  # id of a valuation -> its class number
+        keys = {}  # typed items of a valuation -> its class number
+        classes = []  # (valuation, behaviour states) by class number
+        for q in self.behaviour.states:
+            v = table.get(q) or self.observation.valuation(q)  # raises for q without one
+            i = numbers.get(id(v))
+            if i is None:
                 key = tuple((n, type(x), x) for n, x in v.items())  # 1 == True, yet not in bool
-                classes.setdefault(key, (v, []))[1].append(q)
-        except TypeError:  # an unhashable value, outside every domain
-            F.check_valuation(self.observables, v)
-            raise
-        for v, _ in classes.values():
-            F.check_valuation(self.observables, v)
-        object.__setattr__(self, "_classes", tuple(classes.values()))
+                try:
+                    i = numbers[id(v)] = keys.setdefault(key, len(keys))
+                except TypeError:  # an unhashable value, outside every domain
+                    F.check_valuation(self.observables, v)
+                    raise
+                if i == len(classes):
+                    F.check_valuation(self.observables, v)
+                    classes.append((v, []))
+            classes[i][1].append(q)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_all", (1 << len(classes)) - 1)
+        object.__setattr__(self, "_names", {})  # boolean observable -> bitset
         extra = set(self.observation.table) - set(self.behaviour.states)
         if extra:
             raise ModelError(f"observation recorded for undeclared state {sorted(extra)[0]!r}")
@@ -171,9 +193,51 @@ class SBSystem:
         return self.observation.valuation(q)
 
     def region(self, phi):
-        """All behaviour states satisfying ``phi``, evaluated afresh on each call,
-        once per distinct valuation."""
-        return frozenset(q for v, qs in self._classes if F.evaluate(phi, v) for q in qs)
+        """All behaviour states satisfying ``phi``, a formula typechecked
+        against the observables."""
+        bits = self._bits(phi)
+        members = compress(self._classes, map(int, format(bits, "b")[::-1]))
+        return frozenset(chain.from_iterable(qs for _, qs in members))
+
+    def _bits(self, phi):
+        """The bitset of the classes satisfying ``phi``."""
+        if isinstance(phi, F.Name):
+            if phi.name not in self._names:
+                self._names[phi.name] = self._evaluated(phi)
+            return self._names[phi.name]
+        if isinstance(phi, F.BoolLit):
+            return self._all if phi.value else 0
+        if isinstance(phi, F.Not):
+            run = _lex.not_run(phi)  # a run of "!" costs one frame
+            bits = self._bits(run[-1].arg)
+            return bits ^ self._all if len(run) % 2 else bits
+        if isinstance(phi, F.And):
+            bits = self._all
+            for arg in phi.args:
+                bits &= self._bits(arg)
+                if not bits:
+                    break
+            return bits
+        if isinstance(phi, F.Or):
+            bits = 0
+            for arg in phi.args:
+                bits |= self._bits(arg)
+                if bits == self._all:
+                    break
+            return bits
+        if isinstance(phi, F.Implies):  # a -> b -> c is !a || !b || c
+            bits = self._bits(phi.args[-1])
+            for arg in phi.args[:-1]:
+                if bits == self._all:
+                    break
+                bits |= self._bits(arg) ^ self._all
+            return bits
+        return self._evaluated(phi)
+
+    def _evaluated(self, phi):
+        """The bitset of the classes satisfying ``phi``, evaluated once per class."""
+        bits = ("1" if F.evaluate(phi, v) else "0" for v, _ in reversed(self._classes))
+        return int("".join(bits), 2)
 
     def constraint_region(self, r):
         """Behaviour states satisfying the constraint of structure state ``r``."""

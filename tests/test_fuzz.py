@@ -159,6 +159,39 @@ def _random_model(rng):
     )
 
 
+def _boundary_model(statements, seps=("\n  ", "\r\n", " ", "\r\n\t")):
+    """A model with these behaviour statements, apart by each of ``seps`` in turn."""
+    block = "".join(f"{seps[i % len(seps)]}{st}" for i, st in enumerate(statements))
+    return (
+        'system "f"\n\n'
+        "observables {\n  b: bool;\n  n: int[-3..5];\n  m: enum {red, green, blue};\n}\n\n"
+        f"behaviour {{{block}\n}}\n\n"
+        'structure {\n  state r: "b || m == red" init;\n  r -["n > 0"]-> r;\n}\n'
+    )
+
+
+def _run_boundary_models():
+    """Behaviour blocks longer than one run, and errors on either side of a run's end.
+
+    Returns (text, whether the statement path reads it without falling back).
+    """
+    k = I.RUN
+    states = [
+        f"state q{i} {{b = {str(i % 3 > 0).lower()}, n = {i % 5}, m = red}}{' init' * (i == 0)};"
+        for i in range(k + 6)
+    ]
+    edges = [f"q{i} -> q{i * 7 % len(states)};" for i in range(len(states))]
+    comments = ("\n  ", "\n// note\n  ", "\r\n", "\r\n\t// x\r\n", " ")
+    return [
+        (_boundary_model(states + edges), True),  # three runs: k, k and the rest
+        (_boundary_model(states + edges, comments), True),
+        (_boundary_model(states[:3] + edges[:1] + states[3:6]), False),  # a state after an edge
+        (_boundary_model(states[: k - 1] + edges[:1] + states[k - 1 :]), False),  # ... across runs
+        (_boundary_model(states[:k] + states[1:2] + states[k:] + edges), False),  # duplicate state
+        (_boundary_model(states[:k] + [states[k].replace("};", "} init;")] + edges), False),  # init
+    ]
+
+
 def _read_outcome(read, text):
     """What ``read(text)`` gives: the system with its valuations' item order, or the error."""
     try:
@@ -174,6 +207,15 @@ def test_statement_reader_agrees_with_the_token_grammar():
     sources = _sources()
     texts = [_mutant(rng, rng.choice(sources)) for _ in range(200)]
     texts += [_random_model(rng) for _ in range(800)]
+    for case, (text, read_fast) in enumerate(_run_boundary_models()):
+        want = _read_outcome(lambda t: I._read(I.LEXER.parser(t)), text)
+        assert _read_outcome(I.loads, text) == want, (case, text)
+        try:
+            assert I._read(I.STATEMENTS.parser(text)) == want[0], (case, text)
+        except ModelFileError:
+            assert not read_fast, (case, text)
+        else:
+            assert read_fast, (case, text)
     fast = 0
     for case, text in enumerate(texts):
         want = _read_outcome(lambda t: I._read(I.LEXER.parser(t)), text)

@@ -1,9 +1,9 @@
 """Model file parsing, canonical saving and bundled models."""
 
-import collections
 import dataclasses
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -145,19 +145,45 @@ def test_save_prints_a_long_conjunction_without_recursion():
     assert I.save(I.loads(text)) == text
 
 
-def test_saved_behaviour_statements_are_one_token_each():
+def test_saved_behaviour_blocks_are_read_in_runs():
     artifacts = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
     systems = [gen.random_system(seed) for seed in range(60)]
     systems += [I.bundled_model(w) for w in ("predator_s0", "predator_s1")]
     systems += [I.load(path) for path in sorted(artifacts.glob("*.sbs"))]
-    systems.append(I.loads(DOMAINS))
+    systems += [I.loads(DOMAINS), gen.adaptation_chain(100)]
     for sys in systems:
         text = I.save(sys)
-        kinds = collections.Counter(t.kind for t in I.STATEMENTS.tokenize(text))
-        assert kinds["bstate"] == len(sys.behaviour.states), text
-        assert kinds["bedge"] == len(sys.behaviour.transitions), text
+        runs = [I._RUN_PARTS(t.text) for t in I.STATEMENTS.tokenize(text) if t.kind == "run"]
+        statements = len(sys.behaviour.states) + len(sys.behaviour.transitions)
+        assert [len(run) for run in runs[:-1]] == [I.RUN] * (len(runs) - 1), text
+        assert sum(len(run) for run in runs) == statements, text
+        parts = [part for run in runs for part in run]
+        assert tuple(q for q, *_ in parts if q) == sys.behaviour.states
+        assert {(src, dst) for *_, src, dst in parts if src} == sys.behaviour.transitions
         assert I._read(I.STATEMENTS.parser(text)) == sys  # read without falling back
         assert I.loads(text) == sys
+
+
+def test_equal_valuation_texts_share_one_valuation():
+    sys = I.loads(I.save(gen.adaptation_chain(5)))
+    assert all(sys.observe(f"a{i}") is sys.observe("a0") for i in range(4))
+    assert sys.observe("a4") is not sys.observe("a0")  # y holds at the end of the run
+
+
+def test_tokenizing_a_long_behaviour_block_keeps_memory_bounded():
+    # An unbounded run of statements makes re keep backtracking state for
+    # every statement it has matched: 32 MB here, where runs of RUN
+    # statements hold under 0.1 MB beyond the tokens themselves.
+    states = "".join(f"state q{i} {{b = true}}; " for i in range(25_000))
+    text = f"behaviour {{ {states}{'q0 -> q1; ' * 25_000}}}"
+    tracemalloc.start()
+    try:
+        tokens = I.STATEMENTS.tokenize(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1_000_000
+    assert [t.kind for t in tokens[2:-2]] == ["run"] * (50_000 // I.RUN + 1)
 
 
 def test_a_load_builds_one_structure_machine(monkeypatch):

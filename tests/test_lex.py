@@ -1,7 +1,11 @@
 """Token kinds and line:col positions of the three text languages."""
 
+import re
+import sys
+
 import pytest
 
+import sbcheck._lex as _lex
 import sbcheck.ctl as C
 import sbcheck.formula as F
 import sbcheck.ingest as I
@@ -84,3 +88,42 @@ def test_unexpected_character_position(lang, text, line, col, char):
         LEXERS[lang].tokenize(text)
     assert (e.value.line, e.value.col) == (line, col)
     assert e.value.message == f"unexpected character {char!r}"
+
+
+try:
+    from re import _parser as sre_parse  # Python 3.11 and later
+except ImportError:
+    import sre_parse
+
+NEWER_THAN_3_10 = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}  # *+ ++ ?+ {m,n}+ and (?>...)
+
+
+def _opcodes(node):
+    """The names of the opcodes in a parsed pattern, nested ones included."""
+    if isinstance(node, sre_parse.SubPattern):
+        for op, arg in node:
+            yield str(op)
+            yield from _opcodes(arg)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _opcodes(item)
+
+
+def _patterns(module):
+    for value in vars(module).values():
+        if isinstance(value, _lex.Lexer):
+            yield value._scan.__self__.pattern
+            yield value._lead.__self__.pattern
+        elif isinstance(value, re.Pattern):
+            yield value.pattern
+        elif isinstance(getattr(value, "__self__", None), re.Pattern):
+            yield value.__self__.pattern
+
+
+def test_patterns_use_no_regex_syntax_newer_than_python_3_10():
+    if sys.version_info >= (3, 11):
+        assert NEWER_THAN_3_10 <= set(_opcodes(sre_parse.parse(r"(?:a(?>b|c)*+)")))
+    patterns = [p for m in (I, F, C, _lex) for p in _patterns(m)]
+    assert len(patterns) >= 11  # four lexers, two patterns each, and the loose ones
+    for pattern in patterns:
+        assert not NEWER_THAN_3_10 & set(_opcodes(sre_parse.parse(pattern))), pattern

@@ -1,6 +1,8 @@
 """System assembly, constraint regions and well-formedness checks."""
 
+import collections
 import dataclasses
+import random
 
 import pytest
 
@@ -80,6 +82,14 @@ def test_structure_out_transitions_ordered_by_invariant_text():
     assert st.out_transitions("s") == ()
 
 
+def test_observation_map_copies_each_valuation_once():
+    shared = {"x": True}
+    om = M.ObservationMap({"a": shared, "b": shared, "c": {"x": True}})
+    assert om.table["a"] is om.table["b"]
+    assert om.table["a"] is not shared and om.table["c"] is not om.table["a"]
+    assert om.table == {"a": {"x": True}, "b": {"x": True}, "c": {"x": True}}
+
+
 def test_system_rejects_missing_or_extra_observations():
     obs, beh, st, om = tiny_parts()
     with pytest.raises(ModelError):
@@ -147,8 +157,21 @@ def test_regions_partition_is_not_total():
     assert uncovered == {"q000f", "q001f", "q100f", "q110f"}
 
 
+def _region_formula(rng):
+    """A random typed formula, now and then under a run of ``!`` or ending a ``->`` chain."""
+    phi = gen.random_typed_formula(rng, 3)
+    c = rng.randrange(3)
+    if c == 0:
+        for _ in range(rng.randint(2, 5)):
+            phi = F.Not(phi)
+    elif c == 1:
+        phi = F.Implies(*[gen.random_typed_formula(rng, 1) for _ in range(rng.randint(2, 4))], phi)
+    return phi
+
+
 def test_region_matches_satisfies_pointwise():
     systems = [oracles.predator_system("predator_s1")] + [gen.random_system(s) for s in range(50)]
+    rng = random.Random(5)
     for sys in systems:
         for r in sys.structure.states:
             phi = sys.structure.label(r)
@@ -159,18 +182,53 @@ def test_region_matches_satisfies_pointwise():
             for inv, _, region in options:
                 want = {q for q in sys.behaviour.states if F.evaluate(inv, sys.observe(q))}
                 assert region == want
+        bools = [d.name for d in sys.observables.decls if isinstance(d.domain, F.BoolDomain)]
+        for _ in range(10):
+            phi = gen.random_bool_formula(rng, bools, 3)
+            want = {q for q in sys.behaviour.states if F.evaluate(phi, sys.observe(q))}
+            assert sys.region(phi) == want
+    obs = gen.typed_observables()
+    pool = [gen.random_valuation(rng) for _ in range(8)]
+    table = {f"q{i}": rng.choice(pool) for i in range(40)}  # some states share a dict
+    table.update({f"q{i}": dict(rng.choice(pool)) for i in range(40, 60)})
+    beh = M.BehaviourMachine(tuple(table), "q0", frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.BoolLit(True)}, frozenset())
+    sys = M.SBSystem("typed", obs, beh, st, M.ObservationMap(table))
+    for case in range(300):
+        phi = F.typecheck(_region_formula(rng), obs)
+        assert sys.region(phi) == {q for q, v in table.items() if F.evaluate(phi, v)}, case
 
 
-def test_region_evaluates_once_per_valuation(monkeypatch):
-    obs, _, st, _ = tiny_parts()
+def test_region_evaluates_each_atom_once_per_class(monkeypatch):
+    obs = F.Observables(
+        [
+            F.ObservableDecl("x", F.BoolDomain()),
+            F.ObservableDecl("y", F.BoolDomain()),
+            F.ObservableDecl("n", F.IntRange(0, 3)),
+        ]
+    )
     qs = [f"q{i}" for i in range(100)]
-    beh = M.BehaviourMachine(tuple(qs), "q0", frozenset())
-    sys = M.SBSystem("t", obs, beh, st, M.ObservationMap({q: {"x": q < "q5"} for q in qs}))
-    valuations = []
+    table = {q: {"x": i % 2 == 0, "y": i % 3 == 0, "n": i % 4} for i, q in enumerate(qs)}
+    phi = F.parse_formula("!!!x && !y || n > 1 && (y -> x -> n == 3)", obs)
+    want = {q for q in qs if F.evaluate(phi, table[q])}
     evaluate = F.evaluate
-    monkeypatch.setattr(F, "evaluate", lambda phi, v: valuations.append(v) or evaluate(phi, v))
-    assert sys.region(F.Name("x")) == {q for q in qs if q < "q5"}
-    assert sorted(v["x"] for v in valuations) == [False, True]
+    calls = collections.Counter()
+
+    def counted(phi, v):
+        calls[F.unparse(phi), id(v)] += 1
+        return evaluate(phi, v)
+
+    monkeypatch.setattr(F, "evaluate", counted)
+    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("x || !y", obs)}, frozenset())
+    beh = M.BehaviourMachine(tuple(qs), "q0", frozenset())
+    sys = M.SBSystem("t", obs, beh, st, M.ObservationMap(table))
+    for _ in range(3):
+        assert sys.region(phi) == want
+    assert len({v for _, v in calls}) == 8  # one valuation per class: n fixes x
+    atoms = collections.defaultdict(list)
+    for (text, _), n in calls.items():
+        atoms[text].append(n)
+    assert atoms == {"x": [1] * 8, "y": [1] * 8, "n > 1": [3] * 8, "n == 3": [3] * 8}
 
 
 def test_options_of_an_unknown_structure_state_are_an_error():
