@@ -2,9 +2,12 @@
 
 A language gives its token table to :class:`Lexer` and parses with one
 :class:`Parser` cursor.  The constraint and CTL languages share their
-connectives: the node classes :class:`BoolLit`, :class:`Not`, :class:`And`,
-:class:`Or` and :class:`Implies` live here, :func:`connectives` parses them
-and :func:`join` prints a chain with the fewest parentheses.
+connectives and one parser: the node classes :class:`BoolLit`, :class:`Not`,
+:class:`And`, :class:`Or` and :class:`Implies` live here, :func:`expression`
+parses either language (CTL's ``@(...)`` switches to the constraint one)
+with one explicit stack of open brackets, and :func:`join` prints a chain
+with the fewest parentheses.  A :class:`Language` supplies only an operand
+reader and, for constraint formulas, the operators on terms.
 """
 
 import re
@@ -92,12 +95,10 @@ class Lexer:
 class Parser:
     """Cursor over a token list; errors name the token they stopped at."""
 
-    def __init__(self, tokens, error_cls, i=0):
+    def __init__(self, tokens, error_cls):
         self.tokens = tokens
         self.error_cls = error_cls
-        self.i = i
-        self._closing = {}  # index of a "(" -> index of its ")", or None
-        self.memo = {}  # results a grammar caches for one parse, keyed as it chooses
+        self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -118,29 +119,14 @@ class Parser:
         t = self.tokens[self.i]
         return t.kind == "ident" and t.text == word
 
-    def closing(self, i):
-        """Index of the ``)`` that closes the ``(`` at token ``i``; None if unclosed.
-
-        A scan records every group it passes, so each token is scanned once.
-        """
-        if i not in self._closing:
-            opened = []
-            for j in range(i, len(self.tokens)):
-                kind = self.tokens[j].kind
-                if kind == "lpar":
-                    opened.append(j)
-                elif kind == "rpar":
-                    self._closing[opened.pop()] = j
-                    if not opened:
-                        break
-            for k in opened:
-                self._closing[k] = None
-        return self._closing[i]
-
     def fail(self, msg):
-        t = self.tokens[self.i]
-        found = "end of input" if t.kind == EOF else repr(t.text)
-        return self.error_cls(f"{msg}, found {found}", t.line, t.col)
+        return failure(self.error_cls, self.tokens[self.i], msg)
+
+
+def failure(error_cls, t, msg):
+    """An ``error_cls`` for ``msg`` that names token ``t`` and points at it."""
+    found = "end of input" if t.kind == EOF else repr(t.text)
+    return error_cls(f"{msg}, found {found}", t.line, t.col)
 
 
 def position():
@@ -213,38 +199,146 @@ class Implies(_Chain):
     _side = -1
 
 
-# precedence levels for printing, loosest first
+# precedence levels, loosest first; a language's term operators bind above UNARY
 IMPLIES, OR, AND, UNARY, ATOM = 1, 2, 3, 4, 5
 LEVELS = {Implies: IMPLIES, Or: OR, And: AND, Not: UNARY}
 _SYMBOL = {IMPLIES: "->", OR: "||", AND: "&&"}
-_CONNECTIVE = {"arrow": Implies, "or": Or, "and": And}
+_CONNECTIVE = {"arrow": (IMPLIES, Implies, ()), "or": (OR, Or, ()), "and": (AND, And, ())}
+
+# What a bracket's content must be: a formula; a term; or either, for a "("
+# where a formula may stand, whose term may go on after its ")".
+FORMULA, TERM, EITHER = "formula", "term", "either"
 
 
-def connectives(p, operand):
-    """Parse ``operand`` joined by ``&&``, then ``||``, then ``->``.
+class Language:
+    """What :func:`expression` needs to know of a language besides its connectives.
 
-    One loop keeps the chains still open, loosest first.  An operator
-    closes every open chain that binds tighter, then extends the open chain
-    of its own connective or opens a new one.  So each run of one
-    connective is one node, whatever its length, and ``->`` costs no
-    recursion either.
+    ``operand(p, term)`` reads from ``p`` and returns a prefix operator, an
+    opened :class:`Bracket` or an atom node; ``term`` is true where only a
+    term may stand.  A prefix operator is a tuple ``(UNARY, cls, args, pos)``
+    that builds ``cls(*args, operand, pos=pos)``.  ``binary`` maps the token
+    kinds of term operators to ``(level, cls, args)``, levels above UNARY;
+    they associate left and build ``cls(*args, left, right, pos=pos)``.
+    ``terms`` are the node classes a term operator takes, and of those only
+    the ``bare`` ones may also stand as a formula.
     """
-    chains = []  # (class, operands so far, position of its first operator)
-    x = operand(p)
+
+    def __init__(self, operand, error, binary=(), terms=(), bare=()):
+        self.operand = operand
+        self.error = error
+        self.binary = {**_CONNECTIVE, **dict(binary)}
+        self.terms = frozenset(terms)
+        self._not_formulas = self.terms - frozenset(bare)
+
+    def require_formula(self, node, after):
+        """Raise unless ``node`` may stand as a formula; ``after`` is the token after it."""
+        if type(node) in self._not_formulas:
+            raise failure(
+                self.error, after, "expected a comparison operator after an arithmetic term"
+            )
+
+
+class Bracket:
+    """An open bracket: its content's language and sort, and how it closes.
+
+    It closes at the token spelled ``close`` (the end of the text is
+    spelled ``""``); any other token where its content ends is an error
+    ``what`` of the language it opened in.  ``build`` makes the node from
+    the content, or opens the next bracket of a compound one such as
+    ``A[ ... U ... ]``.  ``ops`` are the operators still waiting for an
+    operand inside it, loosest first.
+    """
+
+    __slots__ = ("language", "close", "what", "build", "sort", "ops")
+
+    def __init__(self, language, close, what, build=None, sort=FORMULA):
+        self.language = language
+        self.close = close
+        self.what = what
+        self.build = build
+        self.sort = sort
+        self.ops = []
+
+
+def _apply(ops, bound, x, language, after):
+    """Apply to ``x`` every waiting operator that binds tighter than ``bound``."""
+    while ops and ops[-1][0] > bound:
+        lvl, cls, args, pos = ops.pop()
+        if lvl <= UNARY:
+            language.require_formula(x, after)
+        x = cls(*args, x, pos=pos)
+    return x
+
+
+def expression(p, language):
+    """Parse the tokens of ``p`` as one expression of ``language``.
+
+    One loop keeps a stack of open brackets; the end of the text is the
+    outermost.  An operator first applies the waiting operators of its
+    bracket that bind tighter, then waits for its right operand; a run of
+    one connective extends one chain.  A closing bracket applies all that
+    wait in it.  So no nesting costs a frame and nothing is read twice.
+
+    Whether a ``(`` where a formula may stand holds a term is settled by
+    node sort when an operator applies: a term that fills its bracket goes
+    on after the ``)`` with a term operator, and a term that must stand as
+    a formula is reported at the token after it.
+    """
+    tokens = p.tokens
+    top = Bracket(language, "", "unexpected trailing input")
+    stack = [top]
     while True:
-        cls = _CONNECTIVE.get(p.peek().kind)
-        lvl = LEVELS[cls] if cls else 0
-        while chains and LEVELS[chains[-1][0]] > lvl:
-            top, args, pos = chains.pop()
-            x = top(*args, x, pos=pos)
-        if cls is None:
-            return x
-        t = p.take()
-        if chains and chains[-1][0] is cls:
-            chains[-1][1].append(x)
-        else:
-            chains.append((cls, [x], (t.line, t.col)))
-        x = operand(p)
+        lang, ops = top.language, top.ops
+        x = lang.operand(p, top.sort is TERM or bool(ops) and ops[-1][0] > UNARY)
+        if type(x) is tuple:
+            ops.append(x)
+            continue
+        if type(x) is Bracket:
+            stack.append(x)
+            top = x
+            continue
+        end = p.i  # the token after x while x is a term
+        while True:  # binary operators and closing brackets, until one wants an operand
+            t = tokens[p.i]
+            op = lang.binary.get(t.kind)  # in a term bracket, only operators that build terms
+            if op is not None and (top.sort is not TERM or op[1] in lang.terms):
+                lvl, cls, args = op
+                if lvl <= AND:
+                    x = _apply(ops, lvl, x, lang, tokens[end])
+                    lang.require_formula(x, tokens[end])
+                    if ops and ops[-1][1] is cls:
+                        ops[-1][2].append(x)
+                    else:
+                        ops.append((lvl, cls, [x], (t.line, t.col)))
+                    p.i += 1
+                    break
+                # a term operator applies its equal too: it associates left
+                x = _apply(ops, lvl - 1, x, lang, tokens[end])
+                if type(x) in lang.terms:
+                    ops.append((lvl, cls, [*args, x], (t.line, t.col)))
+                    p.i += 1
+                    break
+            x = _apply(ops, 0, x, lang, tokens[end])
+            closes = t.text == top.close
+            if top.sort is FORMULA or top.sort is EITHER and not closes:
+                lang.require_formula(x, tokens[end])
+            if not closes:
+                opener = stack[-2] if len(stack) > 1 else top
+                raise failure(opener.language.error, t, top.what)
+            if len(stack) == 1:
+                return x
+            p.i += 1
+            stack.pop()
+            if top.sort is TERM:
+                end = p.i
+            if top.build is not None:
+                x = top.build(x)
+            top = stack[-1]
+            lang, ops = top.language, top.ops
+            if type(x) is Bracket:
+                stack.append(x)
+                top = x
+                break
 
 
 def level(node, levels):

@@ -81,70 +81,47 @@ _MODALS = ("AX", "EX", "AF", "EF", "AG", "EG")
 
 
 def parse_ctl(text):
-    p = LEXER.parser(text)
-    f = _ctl(p)
-    if p.peek().kind != _lex.EOF:
-        raise p.fail("unexpected trailing input")
-    return f
+    try:
+        return _lex.expression(LEXER.parser(text), LANGUAGE)
+    except FormulaError as e:  # raised only inside @(...)
+        raise CtlError(f"in @(...): {e.message}", e.line, e.col) from None
 
 
-def _ctl(p):
-    return _lex.connectives(p, _unary)
-
-
-def _unary(p):
-    ops = []  # a run of '!' and modal operators is read in a loop, so any length parses
-    while p.peek().kind == "not" or p.peek().kind == "ident" and p.peek().text in _MODALS:
-        ops.append(p.take())
-    f = _primary(p)
-    for t in reversed(ops):
-        pos = (t.line, t.col)
-        f = Not(f, pos=pos) if t.kind == "not" else Modal(t.text, f, pos=pos)
-    return f
-
-
-def _primary(p):
-    t = p.peek()
-    if t.kind == "ident":
-        if t.text == "true" or t.text == "false":
-            p.take()
-            return BoolLit(t.text == "true", pos=(t.line, t.col))
-        if t.text in ("adapting", "steady"):
-            p.take()
-            return Atom(t.text, pos=(t.line, t.col))
-        if t.text == "in":
-            p.take()
-            p.take("lpar", "expected '(' after in")
-            name = p.take("ident", "expected a structure state name")
-            p.take("rpar", "expected ')'")
-            return InState(name.text, pos=(t.line, t.col))
-        if t.text in ("A", "E"):
-            p.take()
-            p.take("lbracket", f"expected '[' after {t.text}")
-            left = _ctl(p)
-            u = p.take("ident", "expected 'U'")
-            if u.text != "U":
-                raise CtlError(f"expected 'U', found {u.text!r}", u.line, u.col)
-            right = _ctl(p)
-            p.take("rbracket", "expected ']'")
-            return Until(t.text, left, right, pos=(t.line, t.col))
-        raise p.fail("unknown atom")
-    if t.kind == "at":
-        p.take()
-        p.take("lpar", "expected '(' after @")
-        try:
-            phi, nxt = F.parse_embedded(p.tokens, p.i)
-        except FormulaError as e:
-            raise CtlError(f"in @(...): {e.message}", e.line, e.col) from None
-        p.i = nxt
-        p.take("rpar", "expected ')' closing @(...)")
-        return ObsHolds(phi, pos=(t.line, t.col))
-    if t.kind == "lpar":
-        p.take()
-        f = _ctl(p)
+def _operand(p, term):
+    """A prefix ``!`` or modal operator, an opened bracket or an atom."""
+    t = p.take()
+    word, pos = t.text, (t.line, t.col)
+    if word == "!":
+        return (_lex.UNARY, Not, (), pos)
+    if word in _MODALS:
+        return (_lex.UNARY, Modal, (word,), pos)
+    if word == "true" or word == "false":
+        return BoolLit(word == "true", pos=pos)
+    if word == "adapting" or word == "steady":
+        return Atom(word, pos=pos)
+    if word == "in":
+        p.take("lpar", "expected '(' after in")
+        name = p.take("ident", "expected a structure state name")
         p.take("rpar", "expected ')'")
-        return f
-    raise p.fail("expected a CTL formula")
+        return InState(name.text, pos=pos)
+    if word == "A" or word == "E":
+        p.take("lbracket", f"expected '[' after {word}")
+
+        def right(left):  # "U" closes the left operand and opens the right one
+            until = lambda right: Until(word, left, right, pos=pos)
+            return _lex.Bracket(LANGUAGE, "]", "expected ']'", until)
+
+        return _lex.Bracket(LANGUAGE, "U", "expected 'U'", right)
+    if word == "@":
+        p.take("lpar", "expected '(' after @")
+        holds = lambda phi: ObsHolds(phi, pos=pos)
+        return _lex.Bracket(F.LANGUAGE, ")", "expected ')' closing @(...)", holds)
+    if word == "(":
+        return _lex.Bracket(LANGUAGE, ")", "expected ')'")
+    raise _lex.failure(CtlError, t, "unknown atom" if t.kind == "ident" else "expected a CTL formula")
+
+
+LANGUAGE = _lex.Language(_operand, CtlError)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Atoms are boolean observables or comparisons between integer terms; enum
 values may only be compared with ``==`` / ``!=`` against observables of the
-same enum.  Connective precedence, tightest first::
+same enum.  Precedence, tightest first (so ``!p == 0`` is ``!(p == 0)``)::
 
-    !   >   == != < <= > >=   >   &&   >   ||   >   ->
+    + -   >   == != < <= > >=   >   !   >   &&   >   ||   >   ->
 
 ``->`` associates to the right, ``&&`` / ``||`` / ``+`` / ``-`` to the left.
 Integer arithmetic inside formulas is unbounded; observable domains only
@@ -211,130 +211,47 @@ RULES = [
 LEXER = _lex.Lexer(RULES, FormulaError)
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-_TERM_FOLLOW = {*_CMP, "plus", "minus"}
+# comparisons bind tighter than "!", and "+ -" tighter still
+_BINARY = {kind: (_lex.UNARY + 1, Compare, (op,)) for kind, op in _CMP.items()}
+_BINARY.update(plus=(_lex.UNARY + 2, Arith, ("+",)), minus=(_lex.UNARY + 2, Arith, ("-",)))
+
+
+def _operand(p, term):
+    """A prefix ``!``, an opened ``(`` or an atom; only a term where ``term``."""
+    t = p.take()
+    kind, pos = t.kind, (t.line, t.col)
+    if kind == "ident":
+        if t.text == "true" or t.text == "false":
+            if term:
+                raise _lex.failure(FormulaError, t, f"{t.text!r} is not an arithmetic term")
+            return BoolLit(t.text == "true", pos=pos)
+        return Name(t.text, pos=pos)
+    if kind == "int":
+        return IntLit(int(t.text), pos=pos)
+    if kind == "minus":
+        lit = p.take()
+        if lit.kind != "int":
+            raise _lex.failure(FormulaError, lit, "expected an integer after '-'")
+        return IntLit(-int(lit.text), pos=pos)
+    if kind == "lpar":
+        return _lex.Bracket(LANGUAGE, ")", "expected ')'", sort=_lex.TERM if term else _lex.EITHER)
+    if kind == "not" and not term:
+        return (_lex.UNARY, Not, (), pos)
+    what = "expected an integer, an observable or '('" if term else "expected a formula"
+    raise _lex.failure(FormulaError, t, what)
+
+
+LANGUAGE = _lex.Language(_operand, FormulaError, _BINARY, (Name, IntLit, Arith), (Name,))
 
 
 def parse_raw(text):
     """Parse formula syntax without resolving names (no declarations needed)."""
-    p = LEXER.parser(text)
-    f = _formula(p)
-    if p.peek().kind != _lex.EOF:
-        raise p.fail("unexpected trailing input")
-    return f
-
-
-def parse_embedded(tokens, i):
-    """Parse a formula from a foreign token stream; returns (formula, next index).
-
-    Used by front-ends that embed formula syntax (the token rules must be a
-    superset of :data:`RULES`).  Errors are raised as :class:`FormulaError`.
-    """
-    p = _lex.Parser(tokens, FormulaError, i)
-    f = _formula(p)
-    return f, p.i
+    return _lex.expression(LEXER.parser(text), LANGUAGE)
 
 
 def parse_formula(text, observables):
     """Parse and typecheck a formula against ``observables``."""
     return typecheck(parse_raw(text), observables)
-
-
-def _formula(p):
-    return _lex.connectives(p, _not)
-
-
-def _not(p):
-    bangs = []  # a run of '!' is read as a count, so any length parses
-    while p.peek().kind == "not":
-        bangs.append(p.take())
-    f = _atom(p)
-    for t in reversed(bangs):
-        f = Not(f, pos=(t.line, t.col))
-    return f
-
-
-def _atom(p):
-    t = p.peek()
-    if t.kind == "ident" and t.text in ("true", "false"):
-        p.take()
-        return BoolLit(t.text == "true", pos=(t.line, t.col))
-    if t.kind in ("int", "minus", "ident"):
-        term = _term(p)
-        if p.peek().kind in _CMP:
-            return _finish_compare(p, term)
-        if isinstance(term, Name):
-            return term  # bare boolean atom
-        raise p.fail("expected a comparison operator after an arithmetic term")
-    if t.kind == "lpar":
-        # '(' may open a parenthesised term (followed by a comparison) or a
-        # sub-formula.  The term reading can only reach a comparison when the
-        # group is closed and its ')' is followed by one, '+' or '-'; try it
-        # then and back off on failure.
-        end = p.closing(p.i)
-        if end is not None and p.tokens[end + 1].kind in _TERM_FOLLOW:
-            save = p.i
-            term = None
-            try:
-                term = _term(p)
-            except FormulaError:
-                pass
-            if term is not None and p.peek().kind in _CMP:
-                return _finish_compare(p, term)
-            p.i = save
-        p.take("lpar")
-        f = _formula(p)
-        p.take("rpar", "expected ')'")
-        return f
-    raise p.fail("expected a formula")
-
-
-def _finish_compare(p, left):
-    op = p.take()
-    right = _term(p)
-    return Compare(_CMP[op.kind], left, right, pos=(op.line, op.col))
-
-
-def _term(p):
-    # _atom may try the term reading of nested groups from several levels;
-    # each start index is read once per parse, a failure included.
-    start = p.i
-    hit = p.memo.get(start)
-    if hit is None:
-        try:
-            left = _term_primary(p)
-            while p.peek().kind in ("plus", "minus"):
-                t = p.take()
-                op = "+" if t.kind == "plus" else "-"
-                left = Arith(op, left, _term_primary(p), pos=(t.line, t.col))
-            hit = p.memo[start] = (left, p.i, None)
-        except FormulaError as e:
-            hit = p.memo[start] = (None, start, e)
-    left, p.i, error = hit
-    if error is not None:
-        raise error
-    return left
-
-
-def _term_primary(p):
-    t = p.peek()
-    if t.kind == "int":
-        p.take()
-        return IntLit(int(t.text), pos=(t.line, t.col))
-    if t.kind == "minus":
-        p.take()
-        lit = p.take("int", "expected an integer after '-'")
-        return IntLit(-int(lit.text), pos=(t.line, t.col))
-    if t.kind == "ident":
-        if t.text in ("true", "false"):
-            raise p.fail(f"{t.text!r} is not an arithmetic term")
-        p.take()
-        return Name(t.text, pos=(t.line, t.col))
-    if t.kind == "lpar":
-        p.take()
-        inner = _term(p)
-        p.take("rpar", "expected ')'")
-        return inner
-    raise p.fail("expected an integer, an observable or '('")
 
 
 # ---------------------------------------------------------------------------

@@ -433,25 +433,38 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
 
 
 def test_long_negation_run_gives_a_documented_exit_code(tmp_path):
-    # 3000 "!" before a label and an invariant the initial state adapts through
-    bangs = "!" * 3000
-    text = (
-        f'system "bangs"\n\nobservables {{\n  x: bool;\n}}\n\n'
-        "behaviour {\n  state q0 {x = true} init;\n  state q1 {x = false};\n"
-        "  q0 -> q1;\n  q1 -> q1;\n}\n\n"
-        f'structure {{\n  state r0: "{bangs}x" init;\n  state r1: "!x";\n'
-        f'  r0 -["{bangs}!x"]-> r1;\n}}\n'
-    )
-    model = tmp_path / "bangs.sbs"
-    model.write_text(text, encoding="utf-8")
-    assert run("validate", str(model)).returncode == 0
-    for argv in (["adapt", "--json", "--witness"], ["flatten", "--json"], ["flatten", "--dot"],
-                 ["equiv"], ["simulate"], ["ctl", "--formula", f"EF @({bangs}x)"]):
-        res = run(*argv, str(model))
-        assert res.returncode in (0, 1), (argv, res.stderr)
-    saved = save(load(model))
-    assert f'"{bangs}x"' in saved and f'"{bangs}!x"' in saved
-    assert save(loads(saved)) == saved
+    # 3000 "!" before, or 3000 nested groups around, a label and an invariant
+    # the initial state adapts through, or around the terms they compare
+    n = 3000
+    bangs, opened, closed = "!" * n, "(" * n, ")" * n
+    deep = {  # label equivalent to x, invariant equivalent to !x
+        "bangs": (f"{bangs}x", f"{bangs}!x"),
+        "groups": (f"{opened}x{closed}", f"{opened}!x{closed}"),
+        "terms": (f"{opened}k{closed} == 1", f"k == {opened}0{closed}"),
+    }
+    printed = {"bangs": deep["bangs"], "groups": ("x", "!x"), "terms": ("k == 1", "k == 0")}
+    formulas = [f"EF @({opened}x{closed})", f"{opened}EF steady{closed}",
+                f"A[{opened}steady{closed} U {opened}!@(x){closed}]",
+                "A[" * 300 + "steady" + " U adapting]" * 300]
+    for name, (label, invariant) in deep.items():
+        text = (
+            f'system "{name}"\n\nobservables {{\n  x: bool;\n  k: int[0..1];\n}}\n\n'
+            "behaviour {\n  state q0 {x = true, k = 1} init;\n  state q1 {x = false, k = 0};\n"
+            "  q0 -> q1;\n  q1 -> q1;\n}\n\n"
+            f'structure {{\n  state r0: "{label}" init;\n  state r1: "!x";\n'
+            f'  r0 -["{invariant}"]-> r1;\n}}\n'
+        )
+        model = tmp_path / f"{name}.sbs"
+        model.write_text(text, encoding="utf-8")
+        assert run("validate", str(model)).returncode == 0, name
+        for argv in (["adapt", "--json", "--witness"], ["flatten", "--json"], ["flatten", "--dot"],
+                     ["equiv"], ["simulate"], ["ctl", "--formula", f"EF @({label})"],
+                     *(["ctl", "--formula", f] for f in formulas if name == "groups")):
+            res = run(*argv, str(model))
+            assert res.returncode in (0, 1), (name, argv[:2], res.stderr)
+        saved = save(load(model))
+        assert all(f'"{t}"' in saved for t in printed[name]), name
+        assert save(loads(saved)) == saved
 
 
 @pytest.mark.parametrize("formula, code", [

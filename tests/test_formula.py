@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import gen
+import sbcheck.ctl as C
 import sbcheck.formula as F
 import sbcheck.model as M
-from sbcheck.errors import FormulaError
+from sbcheck import cli
+from sbcheck.errors import FormulaError, SourceError
 
 
 def obs():
@@ -35,6 +37,8 @@ def test_precedence_not_and_or_implies():
     assert isinstance(f.args[0], F.Or)
     assert isinstance(f.args[0].args[0], F.And)
     assert isinstance(f.args[0].args[0].args[0], F.Not)
+    # comparisons bind tighter than "!"
+    assert F.parse_raw("!p == 0") == F.Not(F.parse_raw("p == 0"))
 
 
 def test_comparison_binds_tighter_than_bool_ops():
@@ -75,37 +79,22 @@ def test_parenthesised_formula_and_term():
 
 def test_nested_groups_read_terms_linearly(monkeypatch):
     calls = 0
-    term = F._term
+    operand = F.LANGUAGE.operand
 
-    def counted(p):
+    def counted(p, term):
         nonlocal calls
         calls += 1
-        return term(p)
+        return operand(p, term)
 
-    monkeypatch.setattr(F, "_term", counted)
+    monkeypatch.setattr(F.LANGUAGE, "operand", counted)
     n = 150
-    assert F.parse_raw("(" * n + "x" + ")" * n) == F.Name("x")
-    assert F.parse_raw("(" * n + "x" + ")" * n + " == 1") == F.parse_raw("x == 1")
-    assert calls <= 2 * n + 4
-
-
-def test_malformed_nested_groups_read_terms_linearly(monkeypatch):
-    calls = 0
-    term = F._term
-
-    def counted(p):
-        nonlocal calls
-        calls += 1
-        return term(p)
-
-    monkeypatch.setattr(F, "_term", counted)
-    n = 150
-    for text, col in [("(" * n + "x", n + 2), ("(" * n + "x" + ") + 1" * n, n + 4)]:
+    for text, expected in [
+        ("(" * n + "x" + ")" * n, F.Name("x")),
+        ("(" * n + "x" + ")" * n + " == 1", F.Compare("==", F.Name("x"), F.IntLit(1))),
+    ]:
         calls = 0
-        with pytest.raises(FormulaError) as e:
-            F.parse_raw(text)
-        assert (e.value.line, e.value.col) == (1, col)
-        assert calls <= 2 * n + 4, text[-12:]
+        assert F.parse_raw(text) == expected
+        assert calls <= n + 2, text[-12:]
 
 
 def test_nested_groups_and_negations_parse_to_their_limits():
@@ -114,6 +103,69 @@ def test_nested_groups_and_negations_parse_to_their_limits():
     code = "import sbcheck.formula as F; F.parse_raw('(' * 200 + 'x' + ')' * 200); F.parse_raw('!' * 987 + 'x')"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+# Run in a fresh interpreter whose recursion limit sits 100 frames above the
+# depth it parses at, so a parse that recursed per nesting level would fail.
+_SHALLOW = """
+import sys
+import sbcheck.ctl as C
+import sbcheck.formula as F
+from sbcheck.errors import SourceError
+
+frame, depth = sys._getframe(), 0
+while frame:
+    frame, depth = frame.f_back, depth + 1
+sys.setrecursionlimit(depth + 100)
+n = 10_000
+"""
+
+
+def _shallow(code):
+    res = subprocess.run([sys.executable, "-c", _SHALLOW + code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr[-3000:]
+
+
+def test_nested_groups_parse_without_recursion():
+    _shallow("""
+x = F.Name("x")
+assert F.parse_raw("(" * n + "x" + ")" * n) == x
+assert F.parse_raw("(" * n + "x" + ")" * n + " == 1") == F.parse_raw("x == 1")
+assert F.parse_raw("(" * n + "-1" + ")" * n + " < x") == F.parse_raw("-1 < x")
+assert F.parse_raw("x != " + "(" * n + "1" + ")" * n) == F.parse_raw("x != 1")
+assert F.parse_raw("(" * n + "x" + ")" * n + " + " + "(" * n + "1" + ")" * n + " > 0") == F.parse_raw("x + 1 > 0")
+f = F.parse_raw("!" * n + "x")
+for _ in range(n):
+    f = f.arg
+assert f == x
+assert C.parse_ctl("@(" + "(" * n + "x" + ")" * n + ")") == C.ObsHolds(x)
+assert C.parse_ctl("(" * n + "steady" + ")" * n) == C.Atom("steady")
+f = C.parse_ctl("A[" * n + "steady" + " U adapting]" * n)
+for _ in range(n):
+    assert f.quant == "A" and f.right == C.Atom("adapting")
+    f = f.left
+assert f == C.Atom("steady")
+""")
+
+
+def test_malformed_nested_groups_fail_without_recursion():
+    _shallow("""
+term = "expected a comparison operator after an arithmetic term"
+for parse, text, col, message in [
+    (F.parse_raw, "(" * n + "x", n + 2, "expected ')', found end of input"),
+    (F.parse_raw, "(" * n + "1" + ")" * n, n + 2, term + ", found ')'"),
+    (F.parse_raw, "(" * n + "x" + ") + 1" * n, 6 * n + 2, term + ", found end of input"),
+    (F.parse_raw, "x == " + "(" * n + "x && y" + ")" * n, n + 8, "expected ')', found '&&'"),
+    (C.parse_ctl, "@(" + "(" * n + "1" + ")" * n + ")", n + 4, "in @(...): " + term + ", found ')'"),
+    (C.parse_ctl, "A[" * n + "steady", 2 * n + 7, "expected 'U', found end of input"),
+]:
+    try:
+        parse(text)
+    except SourceError as e:
+        assert (e.line, e.col, e.message) == (1, col, message), (text[:12], e)
+    else:
+        raise AssertionError(text[:12])
+""")
 
 
 def test_comments_and_whitespace():
@@ -160,6 +212,47 @@ def test_error_position_points_at_offender():
     with pytest.raises(FormulaError) as e:
         F.parse_formula("eat &&\n  ??", obs())
     assert e.value.line == 2
+
+
+# A term that leaves its group after ")" with "+", "-" or a comparison
+# operator, and never reaches a comparison, is reported where it ends.
+_MODEL = """system "moved"
+
+observables {
+  p: int[0..1];
+  eat: bool;
+}
+
+behaviour {
+  state q0 {p = 0, eat = true} init;
+}
+
+structure {
+  state r0: "eat && (p + 1) - 2" init;
+}
+"""
+_TERM = "expected a comparison operator after an arithmetic term, found"
+
+
+@pytest.mark.parametrize("language, text, line, col, message", [
+    ("formula", "(p + 1) - 2", 1, 12, f"{_TERM} end of input"),
+    ("formula", "(x) + 1", 1, 8, f"{_TERM} end of input"),
+    ("formula", "((p + (q - 1))) + q && y", 1, 21, f"{_TERM} '&&'"),
+    ("ctl", "@((p + 1) - 2)", 1, 14, f"in @(...): {_TERM} ')'"),
+    ("sbs", _MODEL, 13, 32, f"in constraint of r0: {_TERM} end of input"),
+], ids=["group-minus", "name-plus", "nested", "ctl", "sbs"])
+def test_a_term_leaving_its_group_is_reported_where_it_ends(
+    language, text, line, col, message, tmp_path, capsys
+):
+    if language == "sbs":
+        model = tmp_path / "moved.sbs"
+        model.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: {line}:{col}: {message}\n"
+        return
+    with pytest.raises(SourceError) as e:
+        (F.parse_raw if language == "formula" else C.parse_ctl)(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
 
 
 # ---------------------------------------------------------------------------
