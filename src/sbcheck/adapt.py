@@ -1,37 +1,49 @@
 """Weak and strong adaptability as greatest-fixpoint relations on (q, r) pairs.
 
-Each candidate pair (q, r), with q satisfying the constraint of r, is
-mapped once to the clauses it needs: tuples of candidate pairs of which
-at least one must survive (an empty clause never holds).  Starting from
-all candidates, pairs with an unmet clause are dropped until stable.  The
-clauses cover each move the flat semantics can take from (q, r, no-pending):
+A candidate pair (q, r) has q satisfying the constraint of r.  Starting
+from all candidates, pairs with an unmet requirement are dropped until
+stable.  The requirements cover each move the flat semantics can take
+from (q, r, no-pending):
 
-* every steady successor q2 needs the pair (q2, r);
-* when no steady move exists, adaptation branches ``inv => t`` are walked
-  from each behaviour successor they admit, through ``inv`` states, to
-  the endpoints satisfying the constraint of t.  The weak relation needs,
-  per successor some branch admits, one endpoint pair (x, t) of any such
-  branch.  The strong relation needs every such branch to end on all
-  runs, with every endpoint pair surviving.
+* a steady pair, one with a behaviour successor inside the constraint of
+  r, needs (q2, r) for every such successor q2;
+* an adapting pair, one whose successors all lie outside it, needs
+  clauses: tuples of candidate pairs of which at least one must survive
+  (an empty clause never holds).  Adaptation branches ``inv => t`` are
+  walked from each behaviour successor they admit, through ``inv``
+  states, to the endpoints satisfying the constraint of t.  The weak
+  relation needs, per successor some branch admits, one endpoint pair
+  (x, t) of any such branch.  The strong relation needs every such branch
+  to end on all runs, with every endpoint pair surviving;
+* a behaviour deadlock needs nothing.
 
 Behaviour successors the flat semantics cannot move to (they violate the
 active constraint while a steady move exists, or satisfy no enabled
 invariant) impose no requirement.
 
-Clauses are built on demand from a set of roots, giving a table closed
-under clause members, and solved by a counter worklist (Liu & Smolka,
-ICALP 1998): each clause counts its live members, each pair lists the
-clauses it is a member of, and a dropped pair decrements those counts, so
-a pair drops once, when it has an empty clause or a count reaches 0.  The
-relation roots the table at every candidate pair; a verdict roots it at
-the initial pair alone.  On a closed table D the two agree, because with G
-the global relation and L the one on D, G ∩ D satisfies every clause in D
-(so G ∩ D ⊆ L) and L ∪ G satisfies every clause (so L ⊆ G): L = G ∩ D.
+Only adapting pairs get clauses.  A steady requirement stays an implicit
+edge of a Boolean graph (Andersen, TCS 1994): when (s, r) drops, every
+(q, r) with q -> s and q satisfying the constraint of r drops too, as such
+a q is steady at r.  Behaviour predecessors are tabled once a pair drops.
+The clauses are solved by a counter worklist (Liu & Smolka, ICALP 1998):
+each clause counts its live members, each pair lists the clauses it is a
+member of, and a dropped pair decrements those counts.  So a pair drops
+once, when it has an empty clause, a count reaches 0 or a steady
+successor drops, and every dropped pair is outside the global relation G.
+
+The relation takes the clauses of every candidate; a verdict takes those
+of the closure D of the initial pair under steady successors and clause
+members.  A drop may spread to pairs outside D; each is outside G, and no
+pair of D reads one.  With L the pairs of D left standing, G ∩ D ⊆ L, as
+only pairs outside G drop.  Each requirement of a pair in L has all its
+members in D and keeps one standing, else the pair would have dropped, so
+L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ModelError
 from .model import require_well_formed
@@ -99,81 +111,89 @@ def _branch(sys, start, inv_region, target):
     return endpoints, finite
 
 
-def _clauses(sys, kind, roots):
-    """Map ``roots``, and every pair their clauses reach, to its clauses under ``kind``."""
+def _adapting(sys, kind, root=None):
+    """Map each candidate pair without a steady move to its clauses under
+    ``kind`` (none for a behaviour deadlock): every such candidate, or those
+    in the closure of ``root`` under steady successors and clause members."""
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
-    needs = {}  # (q2, r) -> clauses that adapting from r into q2 adds
 
-    def adapting_into(q2, r):
-        if (q2, r) not in needs:
-            runs = [
-                (t, *_branch(sys, q2, region, t)) for _, t, region in sys.options(r) if q2 in region
-            ]
-            if kind == WEAK:
-                needs[q2, r] = [tuple((x, t) for t, ends, _ in runs for x in ends)] if runs else []
-            elif all(finite for _, _, finite in runs):
-                needs[q2, r] = [((x, t),) for t, ends, _ in runs for x in ends]
-            else:
-                needs[q2, r] = [()]
-        return needs[q2, r]
+    @cache
+    def adapting_into(q2, r):  # the clauses that adapting from r into q2 adds
+        runs = [(t, *_branch(sys, q2, region, t)) for _, t, region in sys.options(r) if q2 in region]
+        if kind == WEAK:
+            return [tuple((x, t) for t, ends, _ in runs for x in ends)] if runs else []
+        if all(finite for _, _, finite in runs):
+            return [((x, t),) for t, ends, _ in runs for x in ends]
+        return [()]
 
-    table = {}
-    todo = list(roots)
+    succ = sys.behaviour.successors
+    todo = [root] if root else [(q, r) for r in sys.structure.states for q in sys.constraint_region(r)]
     seen = set(todo)
-    while todo:
-        q, r = p = todo.pop()
-        succs = sys.behaviour.successors(q)
+    table = {}
+    for q, r in todo:
+        succs = succ(q)
         region = sys.constraint_region(r)
-        # adaptation cannot start while a steady move exists; successors
-        # outside the constraint are never entered from here, and a
-        # behaviour deadlock needs nothing
-        steady = [((q2, r),) for q2 in succs if q2 in region]
-        table[p] = clauses = steady or [c for q2 in succs for c in adapting_into(q2, r)]
-        for c in clauses:
-            for m in c:
-                if m not in seen:
-                    seen.add(m)
-                    todo.append(m)
+        if region.isdisjoint(succs):
+            table[q, r] = cs = [c for q2 in succs for c in adapting_into(q2, r)]
+            reached = [m for c in cs for m in c]
+        elif root:
+            reached = [(q2, r) for q2 in succs if q2 in region]
+        else:
+            continue  # every candidate is in todo already
+        for m in reached:
+            if m not in seen:
+                seen.add(m)
+                todo.append(m)
     return table
 
 
-def _solve(table):
-    """The greatest set of pairs of a closed table whose every clause keeps a member."""
-    dropped = [p for p, clauses in table.items() if () in clauses]
-    if not dropped:
-        return frozenset(table)  # no count can reach 0
-    watch = {p: [] for p in table}  # member -> its dependent pairs or counters
-    count = []  # live members of each clause with more than one
+def _predecessors(beh):
+    """Behaviour state -> the states with a transition into it."""
+    pred = {q: [] for q in beh.states}
+    for q, s in beh.transitions:
+        pred[s].append(q)
+    return pred
+
+
+def _refuted(sys, kind, root=None):
+    """The pairs that the clauses of ``_adapting(sys, kind, root)`` and the
+    steady moves refute.  All lie outside the ``kind`` relation; they are
+    every candidate outside it, or with a ``root``, at least every pair of
+    its closure outside it (see the module docstring)."""
+    require_well_formed(sys)
+    table = _adapting(sys, kind, root)
+    todo = [p for p, clauses in table.items() if () in clauses]
+    if not todo:
+        return set()  # no count can reach 0 and no steady successor drops
+    watch = {}  # member -> the counters of the clauses it is in
+    count = []  # live members of each clause
     owner = []  # the pair each counter belongs to
     for p, clauses in table.items():
         for c in clauses:
-            if len(c) == 1:
-                watch[c[0]].append(p)
-            elif c:
-                members = dict.fromkeys(c)
-                for m in members:
-                    watch[m].append(len(count))
-                count.append(len(members))
-                owner.append(p)
-    live = set(table)
-    while dropped:
-        p = dropped.pop()
-        if p in live:
-            live.remove(p)
-            for w in watch[p]:
-                if w.__class__ is int:
-                    count[w] -= 1
-                    if count[w]:
-                        continue
-                    w = owner[w]
-                dropped.append(w)
-    return frozenset(live)
+            members = set(c)
+            for m in members:
+                watch.setdefault(m, []).append(len(count))
+            count.append(len(members))
+            owner.append(p)
+    pred = _predecessors(sys.behaviour)
+    dropped = set()
+    while todo:
+        s, r = p = todo.pop()
+        if p in dropped:
+            continue
+        dropped.add(p)
+        for w in watch.get(p, ()):
+            count[w] -= 1
+            if not count[w]:
+                todo.append(owner[w])
+        region = sys.constraint_region(r)
+        todo.extend((q, r) for q in pred[s] if q in region)  # steady at r, as s is in region
+    return dropped
 
 
 def _relation(sys, kind):
-    require_well_formed(sys)
-    return AdaptRelation(kind, _solve(_clauses(sys, kind, candidate_pairs(sys))))
+    return AdaptRelation(kind, candidate_pairs(sys) - _refuted(sys, kind))
 
 
 def weak_relation(sys):
@@ -188,9 +208,8 @@ def strong_relation(sys):
 
 def adaptable(sys, kind):
     """Whether the initial pair is in the ``kind`` relation, solving only what it needs."""
-    require_well_formed(sys)
     init = (sys.behaviour.init, sys.structure.init)
-    return init in _solve(_clauses(sys, kind, [init]))
+    return init not in _refuted(sys, kind, init)
 
 
 def is_weak_adaptable(sys):
@@ -207,12 +226,15 @@ def equiv_partition(sys, kind):
     Two states land in one block exactly when they are adaptable to the
     same set of structure states.
     """
-    rel = _relation(sys, kind)
-    row_of = {q: set() for q in sys.behaviour.states}
-    for q, r in rel.pairs:
-        row_of[q].add(r)
+    dropped = {r: set() for r in sys.structure.states}
+    for q, r in _refuted(sys, kind):
+        dropped[r].add(q)
+    row_of = {q: [] for q in sys.behaviour.states}
+    for r, qs in dropped.items():
+        for q in sys.constraint_region(r) - qs:
+            row_of[q].append(r)
     rows = {}
     for q, row in row_of.items():
-        rows.setdefault(frozenset(row), []).append(q)
-    blocks = sorted((frozenset(qs) for qs in rows.values()), key=lambda b: min(b))
-    return EquivPartition(kind, tuple(blocks))
+        rows.setdefault(tuple(row), []).append(q)
+    # states are sorted, so each block lists its least state first
+    return EquivPartition(kind, tuple(map(frozenset, sorted(rows.values()))))

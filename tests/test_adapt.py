@@ -90,19 +90,42 @@ def test_relations_live_inside_candidates():
         assert A.weak_relation(sys).pairs <= cand
 
 
+def steady_successors(sys, q, r):
+    region = sys.constraint_region(r)
+    return [(q2, r) for q2 in sys.behaviour.successors(q) if q2 in region]
+
+
 def test_result_is_a_fixpoint():
     for seed in range(40):
         sys = gen.random_system(seed)
+        cand = A.candidate_pairs(sys)
         for kind in (A.WEAK, A.STRONG):
             pairs = A._relation(sys, kind).pairs
-            table = A._clauses(sys, kind, A.candidate_pairs(sys))
-            for p in pairs:
-                assert all(not pairs.isdisjoint(c) for c in table[p])
+            table = A._adapting(sys, kind)
+            # clauses exist for exactly the pairs without a steady move
+            assert set(table) == {(q, r) for q, r in cand if not steady_successors(sys, q, r)}
+            assert all(not table[q, r] for q, r in table if not sys.behaviour.successors(q))
+            for q, r in pairs:
+                assert all(m in pairs for m in steady_successors(sys, q, r)), (seed, kind)
+                assert all(not pairs.isdisjoint(c) for c in table.get((q, r), ())), (seed, kind)
 
 
 def test_relation_rejects_unknown_kind(s0):
     with pytest.raises(ModelError):
         A._relation(s0, "loose")
+    with pytest.raises(ModelError):
+        A.equiv_partition(s0, "loose")
+
+
+def test_verdict_rejects_unknown_kind_without_an_adapting_pair():
+    # the initial pair only moves steadily, so no adaptation clause is built
+    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
+    beh = M.BehaviourMachine(("a",), "a", frozenset({("a", "a")}))
+    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("x", obs)}, frozenset())
+    sys = M.SBSystem("steady", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
+    assert A.adaptable(sys, A.WEAK) and A.adaptable(sys, A.STRONG)
+    with pytest.raises(ModelError):
+        A.adaptable(sys, "loose")
 
 
 def test_relation_requires_well_formed():
@@ -137,11 +160,13 @@ def drop_cascade(n):
 
 
 def test_drop_cascade_reads_each_clause_member_a_bounded_number_of_times(monkeypatch):
-    # a sweep over the whole table drops one pair per round: quadratic
+    # a sweep over the whole table drops one pair per round: quadratic.
+    # Steady moves are read back through predecessor lists, so those
+    # reads count as well as the members of adaptation clauses.
     visits = 0
 
     class Counted(tuple):
-        """A clause that counts how often its members are read."""
+        """A clause or predecessor list that counts how often its members are read."""
 
         def __iter__(self):
             nonlocal visits
@@ -154,21 +179,39 @@ def test_drop_cascade_reads_each_clause_member_a_bounded_number_of_times(monkeyp
             visits += 1
             return tuple.__getitem__(self, i)
 
-    clauses = A._clauses
+    adapting, predecessors = A._adapting, A._predecessors
 
-    def counted(sys, kind, roots):
-        return {p: [Counted(c) for c in cs] for p, cs in clauses(sys, kind, roots).items()}
+    def counted_clauses(*args):
+        return {p: [Counted(c) for c in cs] for p, cs in adapting(*args).items()}
 
-    monkeypatch.setattr(A, "_clauses", counted)
+    def counted_predecessors(beh):
+        return {s: Counted(qs) for s, qs in predecessors(beh).items()}
+
+    monkeypatch.setattr(A, "_adapting", counted_clauses)
+    monkeypatch.setattr(A, "_predecessors", counted_predecessors)
     for n in (500, 1000, 2000):
         sys = drop_cascade(n)
         for kind in (A.WEAK, A.STRONG):
             visits = 0
             pairs = A._relation(sys, kind).pairs
-            assert visits <= 3 * n, (n, kind)
+            assert 0 < visits <= 3 * n, (n, kind)
             if n == 2000:
                 assert pairs == {(f"q{i}", "r1") for i in range(n)}, kind
                 assert not A.adaptable(sys, kind)
+
+
+def closure(sys, table, root):
+    """The pairs ``root`` reaches through steady successors and the clause
+    members of ``table``, an adapting-pair table of every candidate."""
+    seen = {root}
+    todo = [root]
+    while todo:
+        q, r = todo.pop()
+        for m in steady_successors(sys, q, r) or [m for c in table.get((q, r), ()) for m in c]:
+            if m not in seen:
+                seen.add(m)
+                todo.append(m)
+    return seen
 
 
 def test_local_solve_agrees_with_the_global_relation():
@@ -177,12 +220,13 @@ def test_local_solve_agrees_with_the_global_relation():
         cand = A.candidate_pairs(sys)
         for kind in (A.WEAK, A.STRONG):
             pairs = A._relation(sys, kind).pairs
+            full = A._adapting(sys, kind)
             for p in sorted(cand):
-                table = A._clauses(sys, kind, [p])
-                assert all(m in table for cs in table.values() for c in cs for m in c), (seed, p)
-                assert (p in A._solve(table)) == (p in pairs), (seed, kind, p)
-            table = A._clauses(sys, kind, cand)
-            assert all(m in table for cs in table.values() for c in cs for m in c), seed
+                table = A._adapting(sys, kind, p)
+                # the adapting pairs of p's closure, with the same clauses
+                assert table.keys() == closure(sys, full, p) & full.keys(), (seed, kind, p)
+                assert all(full[a] == cs for a, cs in table.items()), (seed, kind, p)
+                assert (p not in A._refuted(sys, kind, p)) == (p in pairs), (seed, kind, p)
 
 
 def test_initial_pair_verdicts_match_the_oracle():
@@ -191,6 +235,39 @@ def test_initial_pair_verdicts_match_the_oracle():
         init = (sys.behaviour.init, sys.structure.init)
         assert A.is_weak_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=False)), seed
         assert A.is_strong_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=True)), seed
+
+
+def with_copies(sys):
+    """``sys`` plus a copy ``q'`` of every behaviour state q, with q's
+    valuation and successors and no predecessor."""
+    beh = sys.behaviour
+    copy = {q: q + "'" for q in beh.states}
+    table = dict(sys.observation.table)
+    table.update({copy[q]: sys.observe(q) for q in beh.states})
+    moves = beh.transitions | {(copy[q], s) for q, s in beh.transitions}
+    return M.SBSystem(
+        sys.name, sys.observables,
+        M.BehaviourMachine(beh.states + tuple(copy.values()), beh.init, moves),
+        sys.structure, M.ObservationMap(table),
+    ), copy
+
+
+def test_a_copied_state_shares_the_relation_and_the_block_of_its_original():
+    # a copy has its original's clauses and nothing depends on it, so the
+    # relation on the original pairs stays and each copy follows its original
+    systems = [gen.random_system(seed) for seed in range(200)]
+    systems.append(gen.random_system(25, max_q=4000))
+    assert len(systems[-1].behaviour.states) >= 2000
+    for sys in systems:
+        copied, copy = with_copies(sys)
+        for kind in (A.WEAK, A.STRONG):
+            pairs = A._relation(sys, kind).pairs
+            assert A._relation(copied, kind).pairs == pairs | {(copy[q], r) for q, r in pairs}
+            assert A.adaptable(copied, kind) == A.adaptable(sys, kind)
+            blocks = A.equiv_partition(sys, kind).blocks
+            assert set(A.equiv_partition(copied, kind).blocks) == {
+                b | {copy[q] for q in b} for b in blocks
+            }
 
 
 def test_long_adaptation_chain_needs_no_recursion():
