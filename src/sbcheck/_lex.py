@@ -7,12 +7,15 @@ connectives and one parser: the node classes :class:`BoolLit`, :class:`Not`,
 parses either language (CTL's ``@(...)`` switches to the constraint one)
 with one explicit stack of open brackets, and :func:`join` prints a chain
 with the fewest parentheses.  A :class:`Language` supplies only an operand
-reader and, for constraint formulas, the operators on terms.
+reader and, for constraint formulas, the operators on terms.  Every walk
+over a tree of either language is a :func:`fold` over :func:`operands`.
 """
 
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, attrgetter, or_
 from typing import NamedTuple
 
 EOF = "eof"
@@ -150,19 +153,6 @@ class Not:
     pos: tuple | None = position()
 
 
-def not_run(node):
-    """The chain of :class:`Not` nodes that starts at ``node``, outermost first.
-
-    A walk over a formula takes a run of ``!`` in one step, so any length
-    costs one frame.
-    """
-    run = []
-    while isinstance(node, Not):
-        run.append(node)
-        node = node.arg
-    return run
-
-
 @dataclass(frozen=True, init=False)
 class _Chain:
     """A connective over ``args``, a tuple of two or more operands.
@@ -197,6 +187,25 @@ class Or(_Chain):
 
 class Implies(_Chain):
     _side = -1
+
+
+CONNECTIVES = frozenset({BoolLit, Not, And, Or, Implies})
+
+
+def boolean(node, values, top):
+    """The value of a connective ``node`` from its operands' ``values``.
+
+    Values are those of a Boolean algebra with ``^``, ``&`` and ``|`` whose
+    greatest element is ``top``: truth values, bitsets or sets of states.
+    """
+    cls = type(node)
+    if cls is Not:
+        return top ^ values[0]
+    if cls is Implies:  # a -> b -> c is !(a && b) || c
+        return top ^ reduce(and_, values[:-1]) | values[-1]
+    if cls is BoolLit:
+        return top if node.value else top ^ top
+    return reduce(and_ if cls is And else or_, values)
 
 
 # precedence levels, loosest first; a language's term operators bind above UNARY
@@ -341,20 +350,78 @@ def expression(p, language):
                 break
 
 
-def level(node, levels):
-    """Precedence level of ``node``; ``levels`` maps node classes to levels."""
-    return levels.get(type(node), ATOM)
-
-
-def join(node, unparse, levels):
-    """Render a connective chain, parenthesising each operand at or below its level.
+def join(node, texts, levels):
+    """Render a connective chain from its operands' ``texts``, parenthesising
+    each operand at or below its level.
 
     The constructor has spliced away every same-connective operand that
     needs no parentheses, so one rule serves both associativities.
     """
     lvl = levels[type(node)]
     parts = []
-    for arg in node.args:
-        text = unparse(arg)
-        parts.append(f"({text})" if level(arg, levels) <= lvl else text)
+    for arg, text in zip(node.args, texts):
+        parts.append(f"({text})" if levels.get(type(arg), ATOM) <= lvl else text)
     return f" {_SYMBOL[lvl]} ".join(parts)
+
+
+def prefix(symbol, node, text, levels, sep=""):
+    """Render ``node``, a prefix operator ``symbol`` over the operand printed as ``text``."""
+    bare = levels.get(type(node.arg), ATOM) >= UNARY
+    return f"{symbol}{sep}{text}" if bare else f"{symbol}({text})"
+
+
+# ---------------------------------------------------------------------------
+# walking a tree
+
+def operands(node):
+    """The operands of ``node``, a constraint formula or CTL node, in order.
+
+    They are the node's field ``args``, a tuple, or ``arg``, or ``left``
+    and ``right``.  So CTL's ``@(phi)``, whose formula is in ``phi``, is a
+    leaf of the CTL walks, and the formula walks take its formula.
+    """
+    return (_GETTERS.get(type(node)) or _getter(type(node)))(node)
+
+
+_GETTERS = {}  # node class -> function from a node of it to its operands
+_BY_FIELD = {"args": attrgetter("args"), "arg": lambda node: (node.arg,),
+             "left": attrgetter("left", "right")}
+
+
+def _getter(cls):
+    fields = getattr(cls, "__dataclass_fields__", ())
+    get = _GETTERS[cls] = next((g for f, g in _BY_FIELD.items() if f in fields), lambda node: ())
+    return get
+
+
+def fold(root, combine):
+    """Fold the tree at ``root`` bottom-up with one explicit stack.
+
+    Calls ``combine(node, values, parent)`` for every node, left to right
+    and each after all of its operands; ``values`` are the results for the
+    node's :func:`operands` and ``parent`` is the node it is an operand
+    of, None at the root.  Returns the result for ``root``.  No depth
+    costs a frame.
+    """
+    getters = _GETTERS
+    args = (getters.get(type(root)) or _getter(type(root)))(root)
+    if not args:
+        return combine(root, args, None)
+    stack = []  # the open ancestors of ``node``, each with its state
+    node, parent, values, i, n = root, None, [], 0, len(args)
+    while True:
+        if i < n:  # the next operand: a leaf is done at once
+            arg = args[i]
+            i += 1
+            sub = (getters.get(type(arg)) or _getter(type(arg)))(arg)
+            if sub:
+                stack.append((node, parent, args, values, i, n))
+                node, parent, args, values, i, n = arg, node, sub, [], 0, len(sub)
+            else:
+                values.append(combine(arg, sub, node))
+        else:
+            value = combine(node, values, parent)
+            if not stack:
+                return value
+            node, parent, args, values, i, n = stack.pop()
+            values.append(value)

@@ -16,6 +16,7 @@ it; otherwise colour is used only on a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -76,7 +77,9 @@ def _yesno(value, color):
     return _paint("no", _RED, color)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="sbcheck",
         description="Verify adaptability of two-level (behaviour + structure) systems.",

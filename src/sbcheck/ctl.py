@@ -132,29 +132,28 @@ _LEVELS = {**_lex.LEVELS, Modal: _lex.UNARY}
 
 def unparse_ctl(f):
     """Render back to parseable text; parsing gives an equal AST."""
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, InState):
-        return f"in({f.r})"
-    if isinstance(f, ObsHolds):
-        return f"@({F.unparse(f.phi)})"
-    if isinstance(f, Not):
-        run = _lex.not_run(f)
-        arg = run[-1].arg
-        inner = unparse_ctl(arg)
-        return "!" * len(run) + (inner if _lex.level(arg, _LEVELS) >= _lex.UNARY else f"({inner})")
-    if isinstance(f, Modal):
-        inner = unparse_ctl(f.arg)
-        if _lex.level(f.arg, _LEVELS) >= _lex.UNARY:
-            return f"{f.op} {inner}"
-        return f"{f.op}({inner})"
-    if isinstance(f, (And, Or, Implies)):
-        return _lex.join(f, unparse_ctl, _LEVELS)
-    if isinstance(f, Until):
-        return f"{f.quant}[{unparse_ctl(f.left)} U {unparse_ctl(f.right)}]"
-    raise CtlError(f"not a CTL node: {f!r}")
+    return _lex.fold(f, _text)
+
+
+def _text(node, args, parent):
+    cls = type(node)
+    if cls is Atom:
+        return node.name
+    if cls is Modal:
+        return _lex.prefix(node.op, node, args[0], _LEVELS, " ")
+    if cls is Not:
+        return _lex.prefix("!", node, args[0], _LEVELS)
+    if cls is And or cls is Or or cls is Implies:
+        return _lex.join(node, args, _LEVELS)
+    if cls is Until:
+        return f"{node.quant}[{args[0]} U {args[1]}]"
+    if cls is InState:
+        return f"in({node.r})"
+    if cls is ObsHolds:
+        return f"@({F.unparse(node.phi)})"
+    if cls is BoolLit:
+        return "true" if node.value else "false"
+    raise CtlError(f"not a CTL node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,34 +181,6 @@ class _Graph:
         self.full = frozenset(range(self.n))
 
 
-def _atom_set(flat, name):
-    if name == "adapting":
-        return frozenset(i for i in range(len(flat.states)) if flat.classes[i] == ADAPTING)
-    return frozenset(i for i in range(len(flat.states)) if flat.classes[i] == STEADY)
-
-
-def _obs_set(flat, phi):
-    try:
-        checked = F.typecheck(phi, flat.system.observables)
-    except FormulaError as e:
-        raise CtlError(f"in @(...): {e.message}", e.line, e.col) from None
-    region = flat.system.region(checked)
-    return frozenset(i for i, s in enumerate(flat.states) if s.q in region)
-
-
-def _in_set(flat, r, pos):
-    if r not in flat.system.structure.states:
-        raise CtlError(f"unknown structure state {r!r} in in(...)", *(pos or (None, None)))
-    return frozenset(i for i, s in enumerate(flat.states) if s.r == r)
-
-
-def _pre_exists(g, S):
-    out = set()
-    for j in S:
-        out.update(g.pred[j])
-    return frozenset(out)
-
-
 def _until(g, A, B, universal):
     """Least fixpoint of ``Z = B | (A & pre(Z))``: E[A U B], or A[A U B] when ``universal``.
 
@@ -231,51 +202,46 @@ def _until(g, A, B, universal):
     return frozenset(result)
 
 
+_DUALS = {"AX": "EX", "EG": "AF", "AG": "EF"}
+
+
 def _sat(g, f):
-    flat = g.flat
-    if isinstance(f, BoolLit):
-        return g.full if f.value else frozenset()
-    if isinstance(f, Atom):
-        return _atom_set(flat, f.name)
-    if isinstance(f, InState):
-        return _in_set(flat, f.r, f.pos)
-    if isinstance(f, ObsHolds):
-        return _obs_set(flat, f.phi)
-    if isinstance(f, Not):
-        run = _lex.not_run(f)
-        S = _sat(g, run[-1].arg)
-        return g.full - S if len(run) % 2 else S
-    if isinstance(f, And):
-        S = _sat(g, f.args[0])
-        for arg in f.args[1:]:
-            S &= _sat(g, arg)
-        return S
-    if isinstance(f, Or):
-        S = _sat(g, f.args[0])
-        for arg in f.args[1:]:
-            S |= _sat(g, arg)
-        return S
-    if isinstance(f, Implies):  # a -> b -> c is !a || !b || c
-        S = frozenset()
-        for arg in f.args[:-1]:
-            S |= g.full - _sat(g, arg)
-        return S | _sat(g, f.args[-1])
-    if isinstance(f, Modal):
-        S = _sat(g, f.arg)
-        if f.op == "EX":
-            return _pre_exists(g, S)
-        if f.op == "AX":
-            return g.full - _pre_exists(g, g.full - S)
-        if f.op == "EF":
-            return _until(g, g.full, S, False)
-        if f.op == "AF":
-            return _until(g, g.full, S, True)
-        if f.op == "EG":
-            return g.full - _until(g, g.full, g.full - S, True)
-        return g.full - _until(g, g.full, g.full - S, False)  # AG
-    if isinstance(f, Until):
-        return _until(g, _sat(g, f.left), _sat(g, f.right), f.quant == "A")
-    raise CtlError(f"not a CTL node: {f!r}")
+    """The set of states satisfying ``f``, labelled bottom-up."""
+
+    def label(node, args, parent):
+        cls, flat = type(node), g.flat
+        if cls is Atom:
+            tag = ADAPTING if node.name == "adapting" else STEADY
+            return frozenset(i for i, c in enumerate(flat.classes) if c == tag)
+        if cls is InState:
+            if node.r not in flat.system.structure.states:
+                where = node.pos or (None, None)
+                raise CtlError(f"unknown structure state {node.r!r} in in(...)", *where)
+            return frozenset(i for i, s in enumerate(flat.states) if s.r == node.r)
+        if cls is ObsHolds:
+            try:
+                checked = F.typecheck(node.phi, flat.system.observables)
+            except FormulaError as e:
+                raise CtlError(f"in @(...): {e.message}", e.line, e.col) from None
+            region = flat.system.region(checked)
+            return frozenset(i for i, s in enumerate(flat.states) if s.q in region)
+        if cls in _lex.CONNECTIVES:
+            return _lex.boolean(node, args, g.full)
+        if cls is Modal:  # AX S = !EX !S, EG S = !AF !S and AG S = !EF !S
+            op, S = node.op, args[0]
+            dual = _DUALS.get(op)
+            if dual:
+                op, S = dual, g.full - S
+            if op == "EX":
+                S = frozenset(i for j in S for i in g.pred[j])
+            else:
+                S = _until(g, g.full, S, op == "AF")
+            return g.full - S if dual else S
+        if cls is Until:
+            return _until(g, args[0], args[1], node.quant == "A")
+        raise CtlError(f"not a CTL node: {node!r}")
+
+    return _lex.fold(f, label)
 
 
 def _shortest_path(flat, start, targets):

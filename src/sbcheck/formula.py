@@ -13,6 +13,7 @@ restrict the values a state may carry, not the literals a formula may use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from . import _lex
@@ -90,6 +91,7 @@ class Observables:
         self._name_set = frozenset(self._names)
         self._domains = {}
         self._enum_owner = {}
+        self._checked = {}  # id -> a formula typecheck returned for these declarations
         for d in self.decls:
             if d.name in self._domains or d.name in self._enum_owner:
                 raise ModelError(f"duplicate name {d.name!r} in observable declarations")
@@ -258,6 +260,9 @@ def parse_formula(text, observables):
 # type checking
 
 _INT, _BOOL = "int", "bool"
+_SORTS = {IntRange: _INT, BoolDomain: _BOOL}  # an enum term's type names its observable
+_ORDERED = ("<", "<=", ">", ">=")
+TERM_OPERATORS = (Compare, Arith)  # a node is a term exactly when its parent is one of these
 
 
 def typecheck(phi, observables):
@@ -265,173 +270,118 @@ def typecheck(phi, observables):
 
     Returns the formula with undeclared identifiers that name enum values
     rewritten to :class:`EnumLit`; where it rewrites nothing, ``phi`` itself,
-    so an already-checked formula costs no new node.
+    so an already-checked formula costs no new node.  A formula this
+    function returned for ``observables`` before is returned at once.
     Raises :class:`FormulaError` on undeclared names and type mismatches.
     """
-    return _check_formula(phi, observables)
-
-
-def _check_formula(phi, obs):
-    if isinstance(phi, BoolLit):
+    checked = observables._checked
+    if checked.get(id(phi)) is phi:
         return phi
-    if isinstance(phi, Name):
-        dom = obs.domain_or_none(phi.name)
-        if dom is None:
-            if obs.enum_owner(phi.name) is not None:
-                raise FormulaError(
-                    f"enum value {phi.name!r} cannot stand alone as a boolean atom",
-                    *(phi.pos or (None, None)),
-                )
-            raise FormulaError(f"undeclared observable {phi.name!r}", *(phi.pos or (None, None)))
-        if not isinstance(dom, BoolDomain):
-            raise FormulaError(
-                f"observable {phi.name!r} is not boolean", *(phi.pos or (None, None))
-            )
-        return phi
-    if isinstance(phi, Not):
-        run = _lex.not_run(phi)
-        inner = _check_formula(run[-1].arg, obs)
-        if inner is run[-1].arg:
-            return phi
-        for n in reversed(run):
-            inner = replace(n, arg=inner)
-        return inner
-    if isinstance(phi, (And, Or, Implies)):
-        args = [_check_formula(a, obs) for a in phi.args]
-        if all(new is old for new, old in zip(args, phi.args)):
-            return phi
-        return type(phi)(*args, pos=phi.pos)
-    if isinstance(phi, Compare):
-        left, lt = _check_term(phi.left, obs)
-        right, rt = _check_term(phi.right, obs)
-        if phi.op in ("<", "<=", ">", ">="):
-            if lt != _INT or rt != _INT:
-                raise FormulaError(
-                    f"ordered comparison {phi.op!r} needs integer operands",
-                    *(phi.pos or (None, None)),
-                )
-        else:
-            if lt != rt:
-                raise FormulaError(
-                    f"operands of {phi.op!r} have mismatched types", *(phi.pos or (None, None))
-                )
-        if left is phi.left and right is phi.right:
-            return phi
-        return replace(phi, left=left, right=right)
-    raise FormulaError(f"not a formula node: {phi!r}")
+
+    def check(node, args, parent):
+        """The checked node; for a term, ``(node, type)``: 'int', 'bool' or ('enum', name)."""
+        cls = type(node)
+        if type(parent) in TERM_OPERATORS:
+            if cls is Name:
+                dom = observables.domain_or_none(node.name)
+                if dom is None:
+                    owner = observables.enum_owner(node.name)
+                    if owner is None:
+                        raise _fail(f"undeclared observable {node.name!r}", node)
+                    return EnumLit(node.name, pos=node.pos), ("enum", owner)
+                return node, _SORTS.get(type(dom)) or ("enum", node.name)
+            if cls is IntLit:
+                return node, _INT
+            if cls is Arith:
+                (left, lt), (right, rt) = args
+                if lt != _INT or rt != _INT:
+                    raise _fail("arithmetic on a non-integer operand", node)
+                return _with(node, left, right), _INT
+            if cls is EnumLit:
+                owner = observables.enum_owner(node.value)
+                if owner is None:
+                    raise _fail(f"unknown enum value {node.value!r}", node)
+                return node, ("enum", owner)
+            raise FormulaError(f"not a term node: {node!r}")
+        if cls is Name:
+            dom = observables.domain_or_none(node.name)
+            if isinstance(dom, BoolDomain):
+                return node
+            if dom is not None:
+                raise _fail(f"observable {node.name!r} is not boolean", node)
+            if observables.enum_owner(node.name) is None:
+                raise _fail(f"undeclared observable {node.name!r}", node)
+            raise _fail(f"enum value {node.name!r} cannot stand alone as a boolean atom", node)
+        if cls in _lex.CONNECTIVES:  # rebuilt only where an operand was
+            same = all(map(operator.is_, args, _lex.operands(node)))
+            return node if same else cls(*args, pos=node.pos)
+        if cls is Compare:
+            (left, lt), (right, rt) = args
+            if node.op in _ORDERED:
+                if lt != _INT or rt != _INT:
+                    raise _fail(f"ordered comparison {node.op!r} needs integer operands", node)
+            elif lt != rt:
+                raise _fail(f"operands of {node.op!r} have mismatched types", node)
+            return _with(node, left, right)
+        raise FormulaError(f"not a formula node: {node!r}")
+
+    phi = _lex.fold(phi, check)
+    checked[id(phi)] = phi
+    return phi
 
 
-def _check_term(t, obs):
-    """Returns (resolved term, type) with type in 'int', 'bool' or ('enum', name)."""
-    if isinstance(t, IntLit):
-        return t, _INT
-    if isinstance(t, Arith):
-        left, lt = _check_term(t.left, obs)
-        right, rt = _check_term(t.right, obs)
-        if lt != _INT or rt != _INT:
-            raise FormulaError("arithmetic on a non-integer operand", *(t.pos or (None, None)))
-        if left is t.left and right is t.right:
-            return t, _INT
-        return replace(t, left=left, right=right), _INT
-    if isinstance(t, EnumLit):
-        owner = obs.enum_owner(t.value)
-        if owner is None:
-            raise FormulaError(f"unknown enum value {t.value!r}", *(t.pos or (None, None)))
-        return t, ("enum", owner)
-    if isinstance(t, Name):
-        dom = obs.domain_or_none(t.name)
-        if dom is None:
-            owner = obs.enum_owner(t.name)
-            if owner is not None:
-                return EnumLit(t.name, pos=t.pos), ("enum", owner)
-            raise FormulaError(f"undeclared observable {t.name!r}", *(t.pos or (None, None)))
-        if isinstance(dom, IntRange):
-            return t, _INT
-        if isinstance(dom, BoolDomain):
-            return t, _BOOL
-        return t, ("enum", t.name)
-    raise FormulaError(f"not a term node: {t!r}")
+def _fail(message, node):
+    return FormulaError(message, *(node.pos or (None, None)))
+
+
+def _with(node, left, right):
+    """``node`` with operands ``left`` and ``right``; ``node`` itself if they are its own."""
+    if left is node.left and right is node.right:
+        return node
+    return replace(node, left=left, right=right)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
+
 
 def evaluate(phi, valuation):
     """Truth value of ``phi`` under ``valuation`` (a name -> value mapping).
 
     The formula must have been typechecked against the declarations the
     valuation comes from; enum literals then evaluate to themselves.
+    Every operand is evaluated: ``&&``, ``||`` and ``->`` do not stop early.
     """
-    if isinstance(phi, BoolLit):
-        return phi.value
-    if isinstance(phi, Name):
-        v = _lookup(phi, valuation, phi.name)
-        if type(v) is not bool:
-            raise FormulaError(f"observable {phi.name!r} is not boolean here")
-        return v
-    if isinstance(phi, Not):
-        negate = True
-        phi = phi.arg
-        while isinstance(phi, Not):  # a run of "!" costs one frame
-            negate = not negate
-            phi = phi.arg
-        return evaluate(phi, valuation) != negate
-    if isinstance(phi, And):
-        for arg in phi.args:
-            if not evaluate(arg, valuation):
-                return False
-        return True
-    if isinstance(phi, Or):
-        for arg in phi.args:
-            if evaluate(arg, valuation):
-                return True
-        return False
-    if isinstance(phi, Implies):  # a -> b -> c holds when a or b fails, or c holds
-        for arg in phi.args[:-1]:
-            if not evaluate(arg, valuation):
-                return True
-        return evaluate(phi.args[-1], valuation)
-    if isinstance(phi, Compare):
-        lv = _eval_term(phi.left, valuation)
-        rv = _eval_term(phi.right, valuation)
-        op = phi.op
-        if op in ("<", "<=", ">", ">="):
+
+    def value(node, args, parent):
+        cls = type(node)
+        if cls is Name:
+            try:
+                v = valuation[node.name]
+            except KeyError:
+                raise FormulaError(f"observable {node.name!r} is unbound in this valuation") from None
+            if type(v) is not bool and type(parent) not in TERM_OPERATORS:
+                raise FormulaError(f"observable {node.name!r} is not boolean here")
+            return v
+        if cls in _lex.CONNECTIVES:
+            return _lex.boolean(node, args, True)
+        if cls is IntLit or cls is EnumLit:
+            return node.value
+        if cls is Compare:
+            if node.op in _ORDERED and (type(args[0]) is not int or type(args[1]) is not int):
+                raise FormulaError(f"ordered comparison {node.op!r} on non-integer values")
+            return _COMPARE[node.op](*args)
+        if cls is Arith:
+            lv, rv = args
             if type(lv) is not int or type(rv) is not int:
-                raise FormulaError(f"ordered comparison {op!r} on non-integer values")
-            if op == "<":
-                return lv < rv
-            if op == "<=":
-                return lv <= rv
-            if op == ">":
-                return lv > rv
-            return lv >= rv
-        if op == "==":
-            return lv == rv
-        return lv != rv
-    raise FormulaError(f"not a formula node: {phi!r}")
+                raise FormulaError("arithmetic on non-integer values")
+            return lv + rv if node.op == "+" else lv - rv
+        raise FormulaError(f"not a formula node: {node!r}")
 
-
-def _eval_term(t, valuation):
-    if isinstance(t, IntLit):
-        return t.value
-    if isinstance(t, EnumLit):
-        return t.value
-    if isinstance(t, Name):
-        return _lookup(t, valuation, t.name)
-    if isinstance(t, Arith):
-        lv = _eval_term(t.left, valuation)
-        rv = _eval_term(t.right, valuation)
-        if type(lv) is not int or type(rv) is not int:
-            raise FormulaError("arithmetic on non-integer values")
-        return lv + rv if t.op == "+" else lv - rv
-    raise FormulaError(f"not a term node: {t!r}")
-
-
-def _lookup(node, valuation, name):
-    try:
-        return valuation[name]
-    except KeyError:
-        raise FormulaError(f"observable {name!r} is unbound in this valuation") from None
+    return _lex.fold(phi, value)
 
 
 # ---------------------------------------------------------------------------
@@ -439,36 +389,22 @@ def _lookup(node, valuation, name):
 
 def unparse(phi):
     """Render ``phi`` as parseable text; parsing it back gives an equal AST."""
-    if isinstance(phi, BoolLit):
-        return "true" if phi.value else "false"
-    if isinstance(phi, Name):
-        return phi.name
-    if isinstance(phi, Compare):
-        return f"{_unparse_term(phi.left)} {phi.op} {_unparse_term(phi.right)}"
-    if isinstance(phi, Not):
-        run = _lex.not_run(phi)
-        arg = run[-1].arg
-        inner = unparse(arg)
-        if _lex.level(arg, _lex.LEVELS) < _lex.UNARY:
-            inner = f"({inner})"
-        return "!" * len(run) + inner
-    if isinstance(phi, (And, Or, Implies)):
-        return _lex.join(phi, unparse, _lex.LEVELS)
-    raise FormulaError(f"not a formula node: {phi!r}")
+    return _lex.fold(phi, _text)
 
 
-def _unparse_term(t):
-    if isinstance(t, IntLit):
-        return str(t.value)
-    if isinstance(t, Name):
-        return t.name
-    if isinstance(t, EnumLit):
-        return t.value
-    if isinstance(t, Arith):
-        left = _unparse_term(t.left)
-        right = _unparse_term(t.right)
-        if isinstance(t.right, Arith):
-            right = f"({right})"  # keep right-nested arithmetic re-parseable
-        return f"{left} {t.op} {right}"
-    raise FormulaError(f"not a term node: {t!r}")
-
+def _text(node, args, parent):
+    cls = type(node)
+    if cls is Name:
+        return node.name
+    if cls is Not:
+        return _lex.prefix("!", node, args[0], _lex.LEVELS)
+    if cls is And or cls is Or or cls is Implies:
+        return _lex.join(node, args, _lex.LEVELS)
+    if cls is Compare or cls is Arith:
+        nested = cls is Arith and type(node.right) is Arith  # parenthesised to re-parse
+        return f"{args[0]} {node.op} " + (f"({args[1]})" if nested else args[1])
+    if cls is BoolLit:
+        return "true" if node.value else "false"
+    if cls is IntLit or cls is EnumLit:
+        return str(node.value)
+    raise FormulaError(f"not a formula node: {node!r}")

@@ -195,44 +195,22 @@ class SBSystem:
     def region(self, phi):
         """All behaviour states satisfying ``phi``, a formula typechecked
         against the observables."""
-        bits = self._bits(phi)
+        bits = _lex.fold(phi, self._bits)
         members = compress(self._classes, map(int, format(bits, "b")[::-1]))
         return frozenset(chain.from_iterable(qs for _, qs in members))
 
-    def _bits(self, phi):
-        """The bitset of the classes satisfying ``phi``."""
-        if isinstance(phi, F.Name):
-            if phi.name not in self._names:
-                self._names[phi.name] = self._evaluated(phi)
-            return self._names[phi.name]
-        if isinstance(phi, F.BoolLit):
-            return self._all if phi.value else 0
-        if isinstance(phi, F.Not):
-            run = _lex.not_run(phi)  # a run of "!" costs one frame
-            bits = self._bits(run[-1].arg)
-            return bits ^ self._all if len(run) % 2 else bits
-        if isinstance(phi, F.And):
-            bits = self._all
-            for arg in phi.args:
-                bits &= self._bits(arg)
-                if not bits:
-                    break
-            return bits
-        if isinstance(phi, F.Or):
-            bits = 0
-            for arg in phi.args:
-                bits |= self._bits(arg)
-                if bits == self._all:
-                    break
-            return bits
-        if isinstance(phi, F.Implies):  # a -> b -> c is !a || !b || c
-            bits = self._bits(phi.args[-1])
-            for arg in phi.args[:-1]:
-                if bits == self._all:
-                    break
-                bits |= self._bits(arg) ^ self._all
-            return bits
-        return self._evaluated(phi)
+    def _bits(self, node, args, parent):
+        """The bitset of the classes satisfying ``node``, from those of its operands."""
+        if type(parent) in F.TERM_OPERATORS:
+            return None  # a term: the comparison above it evaluates it
+        cls = type(node)
+        if cls is F.Name:
+            if node.name not in self._names:
+                self._names[node.name] = self._evaluated(node)
+            return self._names[node.name]
+        if cls in _lex.CONNECTIVES:
+            return _lex.boolean(node, args, self._all)
+        return self._evaluated(node)  # a comparison
 
     def _evaluated(self, phi):
         """The bitset of the classes satisfying ``phi``, evaluated once per class."""

@@ -9,6 +9,7 @@ the prose rules of the case study.  Tests compare these
 against the package and freeze the agreed numbers.
 """
 
+import operator
 import re
 from collections import deque
 
@@ -108,8 +109,46 @@ def predator_system(which):
 # ---------------------------------------------------------------------------
 # flat semantics by global enumeration
 
+def evaluate(phi, valuation):
+    """Truth value of a typechecked formula under ``valuation``, by plain recursion.
+
+    Shares no code with :mod:`sbcheck`: the region differentials compare
+    it with ``SBSystem.region``, whose walk :func:`sbcheck.formula.evaluate`
+    shares.
+    """
+    if isinstance(phi, F.BoolLit):
+        return phi.value
+    if isinstance(phi, F.Name):
+        return valuation[phi.name]
+    if isinstance(phi, F.Not):
+        return not evaluate(phi.arg, valuation)
+    if isinstance(phi, F.And):
+        return all(evaluate(a, valuation) for a in phi.args)
+    if isinstance(phi, F.Or):
+        return any(evaluate(a, valuation) for a in phi.args)
+    if isinstance(phi, F.Implies):
+        *front, last = phi.args
+        return not all(evaluate(a, valuation) for a in front) or evaluate(last, valuation)
+    return _COMPARE[phi.op](_term(phi.left, valuation), _term(phi.right, valuation))
+
+
+_COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _term(t, valuation):
+    if isinstance(t, (F.IntLit, F.EnumLit)):
+        return t.value
+    if isinstance(t, F.Name):
+        return valuation[t.name]
+    left, right = _term(t.left, valuation), _term(t.right, valuation)
+    return left + right if t.op == "+" else left - right
+
+
 def _holds(system, q, phi):
-    return F.evaluate(phi, system.observation.table[q])
+    return evaluate(phi, system.observation.table[q])
 
 
 def flat_oracle(system):

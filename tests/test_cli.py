@@ -429,7 +429,9 @@ def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
                          ["flatten", "--dot"], ["equiv"], ["simulate"],
                          ["ctl", "--formula", "EF in(r1)"]):
                 res = run(*argv, str(model))
-                assert res.returncode in (0, 1, 2, 3, 4), (name, n, argv, res.stderr)
+                # a verdict: the two methods disagree on the label model
+                want = (4,) if (name, argv[0]) == ("label", "adapt") else (0, 1)
+                assert res.returncode in want, (name, n, argv, res.stderr)
 
 
 def test_long_negation_run_gives_a_documented_exit_code(tmp_path):
@@ -496,6 +498,21 @@ def test_internal_error_exits_5(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):
+    monkeypatch.setenv("SBCHECK_COLOR", "0")
+    want = run("adapt", "--json", S0)
+    for _ in range(2):
+        assert cli.main(["adapt", "--json", S0]) == want.returncode == 1
+        assert capsys.readouterr().out == want.stdout
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as e:
+        cli.main(["adapt", "--weak", "--strong", S0])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert cli.main(["validate", S0]) == 0
+    assert capsys.readouterr().out.startswith("ok: predator_s0 is well formed")
 
 
 def test_relational_adapt_does_not_flatten(monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Constraint formula parsing, typing, evaluation and printing."""
 
+import ast
+import inspect
+import json
 import random
 import subprocess
 import sys
@@ -10,8 +13,9 @@ import gen
 import sbcheck.ctl as C
 import sbcheck.formula as F
 import sbcheck.model as M
-from sbcheck import cli
+from sbcheck import _lex, cli
 from sbcheck.errors import FormulaError, SourceError
+from sbcheck.ingest import bundled_model_path
 
 
 def obs():
@@ -166,6 +170,87 @@ for parse, text, col, message in [
     else:
         raise AssertionError(text[:12])
 """)
+
+
+def _alternating(atom, n, ops=("||", "&&")):
+    """``atom || (atom && (atom || (...)))``, ``n`` groups deep."""
+    return "".join(f"{atom} {ops[i % 2]} (" for i in range(n)) + atom + ")" * n
+
+
+_DEEP_MODEL = """system "deep"
+
+observables {
+  x: bool;
+  k: int[0..1];
+}
+
+behaviour {
+  state q0 {x = true, k = 1} init;
+  state q1 {x = false, k = 0};
+  q0 -> q1;
+  q1 -> q1;
+}
+
+structure {
+  state r0: "LABEL" init;
+  state r1: "!x";
+  r0 -["INVARIANT"]-> r1;
+}
+"""
+
+
+def test_deep_formulas_check_without_recursion(tmp_path):
+    # Walks over these labels, invariants and CTL formulas took a frame per
+    # level and overflowed at a few hundred: every command gives a verdict,
+    # and save round-trips.  Each label is equivalent to x, and each
+    # invariant, which the initial state adapts through, to !x.
+    terms = " + ".join(["k"] + ["0"] * 2999)
+    models = {
+        "groups": (_alternating("x", 1500), _alternating("!x", 1500, ("&&", "||"))),
+        "terms": (f"{terms} == 1", f"{terms} == 0"),
+    }
+    modal = ["EF " * 3000 + "steady", "A[" * 3000 + "steady" + " U adapting]" * 3000]
+    s0 = str(bundled_model_path("predator_s0"))
+    runs = [["ctl", "--formula", f, s0] for f in [*modal, f"@({_alternating('eat', 1500)})"]]
+    paths = []
+    for name, (label, invariant) in models.items():
+        path = tmp_path / f"{name}.sbs"
+        path.write_text(_DEEP_MODEL.replace("LABEL", label).replace("INVARIANT", invariant))
+        paths.append(str(path))
+        runs += [[*argv, str(path)] for argv in (
+            ["validate"], ["adapt", "--json", "--witness"], ["flatten", "--json"],
+            ["flatten", "--dot"], ["equiv"], ["simulate"],
+            *(["ctl", "--formula", f] for f in [*modal, f"@({label})"]),
+        )]
+    (tmp_path / "runs.json").write_text(json.dumps({"runs": runs, "paths": paths}))
+    _shallow(f"""
+import json
+from sbcheck import cli, ingest
+with open({str(tmp_path / "runs.json")!r}) as f:
+    todo = json.load(f)
+for argv in todo["runs"]:
+    assert cli.main(argv) in (0, 1), (argv[0], argv[-1])
+for path in todo["paths"]:
+    saved = ingest.save(ingest.load(path))
+    assert ingest.save(ingest.loads(saved)) == saved, path
+""")
+
+
+def test_no_formula_or_ctl_walk_calls_itself():
+    # every walk over a formula or CTL tree is a _lex.fold; ctl_oracle keeps
+    # its recursion as the reference the fold is checked against
+    for module in (_lex, F, M, C):
+        tree = ast.parse(inspect.getsource(module))
+        oracle = {id(n) for f in tree.body if getattr(f, "name", "") == "ctl_oracle" for n in ast.walk(f)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or id(fn) in oracle:
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    f = call.func
+                    method = isinstance(f, ast.Attribute) and getattr(f.value, "id", "") == "self"
+                    callee = f.attr if method else getattr(f, "id", None)
+                    assert callee != fn.name, f"{module.__name__}.{fn.name} calls itself"
 
 
 def test_comments_and_whitespace():

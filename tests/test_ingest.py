@@ -201,6 +201,24 @@ def test_a_load_builds_one_structure_machine(monkeypatch):
     assert len(sys.structure.transitions) == 1
 
 
+def test_a_load_typechecks_each_formula_once(monkeypatch):
+    walks = []
+    fold = F._lex.fold
+
+    def counted(root, combine):
+        if combine.__qualname__.startswith("typecheck."):
+            walks.append(F.unparse(root))
+        return fold(root, combine)
+
+    monkeypatch.setattr(F._lex, "fold", counted)
+    text = DOMAINS.replace('init;\n}\n', 'init;\n  r -["m != blue && n + 1 > 0"]-> r;\n}\n')
+    sys = I.loads(text)
+    formulas = [sys.structure.label(r) for r in sys.structure.states]
+    formulas += [inv for _, inv, _ in sys.structure.transitions]
+    assert sorted(walks) == sorted(F.unparse(phi) for phi in formulas)
+    assert len(walks) == 2
+
+
 # ---------------------------------------------------------------------------
 # files
 

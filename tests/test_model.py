@@ -176,16 +176,16 @@ def test_region_matches_satisfies_pointwise():
         for r in sys.structure.states:
             phi = sys.structure.label(r)
             for q in sys.behaviour.states:
-                assert (q in sys.constraint_region(r)) == F.evaluate(phi, sys.observe(q))
+                assert (q in sys.constraint_region(r)) == oracles.evaluate(phi, sys.observe(q))
             options = sys.options(r)
             assert [(inv, t) for inv, t, _ in options] == list(sys.structure.out_transitions(r))
             for inv, _, region in options:
-                want = {q for q in sys.behaviour.states if F.evaluate(inv, sys.observe(q))}
+                want = {q for q in sys.behaviour.states if oracles.evaluate(inv, sys.observe(q))}
                 assert region == want
         bools = [d.name for d in sys.observables.decls if isinstance(d.domain, F.BoolDomain)]
         for _ in range(10):
             phi = gen.random_bool_formula(rng, bools, 3)
-            want = {q for q in sys.behaviour.states if F.evaluate(phi, sys.observe(q))}
+            want = {q for q in sys.behaviour.states if oracles.evaluate(phi, sys.observe(q))}
             assert sys.region(phi) == want
     obs = gen.typed_observables()
     pool = [gen.random_valuation(rng) for _ in range(8)]
@@ -196,7 +196,7 @@ def test_region_matches_satisfies_pointwise():
     sys = M.SBSystem("typed", obs, beh, st, M.ObservationMap(table))
     for case in range(300):
         phi = F.typecheck(_region_formula(rng), obs)
-        assert sys.region(phi) == {q for q, v in table.items() if F.evaluate(phi, v)}, case
+        assert sys.region(phi) == {q for q, v in table.items() if oracles.evaluate(phi, v)}, case
 
 
 def test_region_evaluates_each_atom_once_per_class(monkeypatch):
