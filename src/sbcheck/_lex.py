@@ -13,10 +13,11 @@ over a tree of either language is a :func:`fold` over :func:`operands`.
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, attrgetter, or_
 from typing import NamedTuple
+
+from ._record import Record, set_field
 
 EOF = "eof"
 
@@ -50,7 +51,7 @@ class Token(NamedTuple):
 
 
 class Lexer:
-    """A token table compiled into one master regex.
+    """A token table compiled into one master regex on the first :meth:`tokenize`.
 
     ``rules`` is an ordered list of ``(kind, pattern)`` strings, patterns
     without capturing groups; at each position the first pattern that
@@ -61,7 +62,10 @@ class Lexer:
     def __init__(self, rules, error_cls):
         self.rules = rules
         self.error_cls = error_cls
-        alternatives = "".join(f"(?P<{k}>{p})|" for k, p in rules)
+        self._scan = self._lead = None
+
+    def _compile(self):
+        alternatives = "".join(f"(?P<{k}>{p})|" for k, p in self.rules)
         # One match per token, with the skip after it; where no rule
         # matches, "_bad" takes the rest of the text.
         self._scan = re.compile(f"(?:{alternatives}(?P<_bad>[\\s\\S]+)){_SKIP}").finditer
@@ -69,6 +73,8 @@ class Lexer:
 
     def tokenize(self, text):
         """Split ``text`` into tokens, always ending with an EOF token."""
+        if self._scan is None:
+            self._compile()
         lines = [m.start() for m in _NEWLINE.finditer(text)]
         new = tuple.__new__
         out = [
@@ -132,29 +138,30 @@ def failure(error_cls, t, msg):
     return error_cls(f"{msg}, found {found}", t.line, t.col)
 
 
-def position():
-    """The ``pos`` field of an AST node: ``(line, col)`` or None, ignored by ``==``."""
-    return field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------------------
 # connective nodes, shared by constraint formulas and CTL
+#
+# Every AST node of both languages is a :class:`Record` whose last slot
+# ``pos`` is its ``(line, col)`` or None, which ``==`` ignores.
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-    pos: tuple | None = position()
+class BoolLit(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value, pos=None):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: object
-    pos: tuple | None = position()
+class Not(Record):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg, pos=None):
+        set_field(self, "arg", arg)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True, init=False)
-class _Chain:
+class _Chain(Record):
     """A connective over ``args``, a tuple of two or more operands.
 
     An operand of the same connective on the chain's associative side (the
@@ -163,8 +170,7 @@ class _Chain:
     as ``a && b && c``, while ``a && (b && c)`` keeps its inner node.
     """
 
-    args: tuple
-    pos: tuple | None = position()
+    __slots__ = ("args", "pos")
     _side = 0  # index of the associative operand
 
     def __init__(self, *args, pos=None):
@@ -173,19 +179,20 @@ class _Chain:
         edge = args[self._side]
         if type(edge) is type(self):
             args = edge.args + args[1:] if self._side == 0 else args[:-1] + edge.args
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "pos", pos)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
 class And(_Chain):
-    pass
+    __slots__ = ()
 
 
 class Or(_Chain):
-    pass
+    __slots__ = ()
 
 
 class Implies(_Chain):
+    __slots__ = ()
     _side = -1
 
 
@@ -389,7 +396,7 @@ _BY_FIELD = {"args": attrgetter("args"), "arg": lambda node: (node.arg,),
 
 
 def _getter(cls):
-    fields = getattr(cls, "__dataclass_fields__", ())
+    fields = cls._fields if issubclass(cls, Record) else ()
     get = _GETTERS[cls] = next((g for f, g in _BY_FIELD.items() if f in fields), lambda node: ())
     return get
 

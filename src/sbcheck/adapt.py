@@ -42,9 +42,9 @@ L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record
 from .errors import ModelError
 from .model import require_well_formed
 
@@ -52,19 +52,25 @@ WEAK = "weak"
 STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class AdaptRelation:
-    kind: str  # 'weak' or 'strong'
-    pairs: frozenset  # of (q, r)
+class AdaptRelation(Record):
+    """The ``kind`` relation, 'weak' or 'strong': a frozenset of (q, r) ``pairs``."""
+
+    __slots__ = ("kind", "pairs")
+
+    def __init__(self, kind, pairs):
+        super().__init__(kind, pairs)
 
     def holds_for(self, q, r):
         return (q, r) in self.pairs
 
 
-@dataclass(frozen=True)
-class EquivPartition:
-    kind: str
-    blocks: tuple  # of frozensets of behaviour states
+class EquivPartition(Record):
+    """The ``kind`` partition: a tuple of ``blocks``, frozensets of behaviour states."""
+
+    __slots__ = ("kind", "blocks")
+
+    def __init__(self, kind, blocks):
+        super().__init__(kind, blocks)
 
 
 def candidate_pairs(sys):
@@ -85,7 +91,7 @@ def _branch(sys, start, inv_region, target):
     (stuck) or a cycle of non-goal states.
     """
     goal = sys.constraint_region(target)
-    succ = sys.behaviour.successors
+    succ = sys.behaviour._succ  # the table behind successors(), read without its check
     endpoints = set()
     finite = True
     seen = set()
@@ -101,7 +107,7 @@ def _branch(sys, start, inv_region, target):
             elif y not in seen:
                 seen.add(y)
                 on_path.add(y)
-                ys = [z for z in succ(y) if z in inv_region]
+                ys = [z for z in succ[y] if z in inv_region]
                 finite = finite and bool(ys)  # no move left: stuck
                 stack.append((y, iter(ys)))
                 break
@@ -127,12 +133,12 @@ def _adapting(sys, kind, root=None):
             return [((x, t),) for t, ends, _ in runs for x in ends]
         return [()]
 
-    succ = sys.behaviour.successors
+    succ = sys.behaviour._succ
     todo = [root] if root else [(q, r) for r in sys.structure.states for q in sys.constraint_region(r)]
     seen = set(todo)
     table = {}
     for q, r in todo:
-        succs = succ(q)
+        succs = succ[q]
         region = sys.constraint_region(r)
         if region.isdisjoint(succs):
             table[q, r] = cs = [c for q2 in succs for c in adapting_into(q2, r)]

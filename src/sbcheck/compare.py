@@ -10,21 +10,20 @@ worth surfacing rather than hiding; see ``pair_disagreements``.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
+from ._record import Record
 from .adapt import WEAK, adaptable, candidate_pairs, strong_relation, weak_relation
 from .ctl import check_ctl, strong_formula, weak_formula
 from .flat import flatten
+from .model import BehaviourMachine, SBSystem, StructureMachine
 
 
-@dataclass(frozen=True)
-class MethodVerdicts:
+class MethodVerdicts(Record):
     """Top-level adaptability verdicts for one property by both methods."""
 
-    kind: str  # 'weak' or 'strong'
-    relational: bool
-    ctl: bool
+    __slots__ = ("kind", "relational", "ctl")  # kind: 'weak' or 'strong'
+
+    def __init__(self, kind, relational, ctl):
+        super().__init__(kind, relational, ctl)
 
     @property
     def agree(self):
@@ -35,10 +34,13 @@ def rerooted(sys, q, r):
     """The same system re-anchored to start at behaviour state ``q`` and
     structure state ``r``.  The pair must satisfy q ⊨ L(r), otherwise the
     result fails well-formedness."""
-    return dataclasses.replace(
-        sys,
-        behaviour=dataclasses.replace(sys.behaviour, init=q),
-        structure=dataclasses.replace(sys.structure, init=r),
+    b, m = sys.behaviour, sys.structure
+    return SBSystem(
+        sys.name,
+        sys.observables,
+        BehaviourMachine(b.states, q, b.transitions),
+        StructureMachine(m.states, r, m.labels, m.transitions),
+        sys.observation,
     )
 
 

@@ -26,48 +26,58 @@ Adaptability characterisations checked at the initial state:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import _lex
 from . import formula as F
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with formulas
+from ._record import Record, set_field
 from .errors import CtlError, FormulaError
 from .flat import ADAPTING, STEADY
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str  # 'adapting' or 'steady'
-    pos: tuple | None = _lex.position()
+class Atom(Record):
+    __slots__ = ("name", "pos")  # name: 'adapting' or 'steady'
+
+    def __init__(self, name, pos=None):
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class InState:
-    r: str
-    pos: tuple | None = _lex.position()
+class InState(Record):
+    __slots__ = ("r", "pos")
+
+    def __init__(self, r, pos=None):
+        set_field(self, "r", r)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ObsHolds:
+class ObsHolds(Record):
     """@(phi): the observation of the current behaviour state satisfies phi."""
 
-    phi: object
-    pos: tuple | None = _lex.position()
+    __slots__ = ("phi", "pos")
+
+    def __init__(self, phi, pos=None):
+        set_field(self, "phi", phi)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Modal:
-    op: str  # AX EX AF EF AG EG
-    arg: object
-    pos: tuple | None = _lex.position()
+class Modal(Record):
+    __slots__ = ("op", "arg", "pos")  # op: AX EX AF EF AG EG
+
+    def __init__(self, op, arg, pos=None):
+        set_field(self, "op", op)
+        set_field(self, "arg", arg)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Until:
-    quant: str  # 'A' or 'E'
-    left: object
-    right: object
-    pos: tuple | None = _lex.position()
+class Until(Record):
+    __slots__ = ("quant", "left", "right", "pos")  # quant: 'A' or 'E'
+
+    def __init__(self, quant, left, right, pos=None):
+        set_field(self, "quant", quant)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +169,14 @@ def _text(node, args, parent):
 # ---------------------------------------------------------------------------
 # checking
 
-@dataclass(frozen=True)
-class CheckResult:
-    satisfying: frozenset  # state ids
-    holds_at_init: bool
-    witness: tuple | None  # a finite state-id path when one is informative
+class CheckResult(Record):
+    """The ``satisfying`` state ids, whether the initial state is one, and a
+    ``witness`` state-id path when one is informative, else None."""
+
+    __slots__ = ("satisfying", "holds_at_init", "witness")
+
+    def __init__(self, satisfying, holds_at_init, witness):
+        super().__init__(satisfying, holds_at_init, witness)
 
 
 class _Graph:

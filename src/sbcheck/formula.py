@@ -14,44 +14,44 @@ restrict the values a state may carry, not the literals a formula may use.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 
 from . import _lex
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with CTL
+from ._record import Record, set_field
 from .errors import FormulaError, ModelError
 
 # ---------------------------------------------------------------------------
 # observable declarations
 
 
-@dataclass(frozen=True)
-class BoolDomain:
+class BoolDomain(Record):
     """Two-valued domain {false, true}."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class IntRange:
+
+class IntRange(Record):
     """Bounded integer interval [lo..hi]."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ModelError(f"empty integer range [{self.lo}..{self.hi}]")
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ModelError(f"empty integer range [{lo}..{hi}]")
+        super().__init__(lo, hi)
 
 
-@dataclass(frozen=True)
-class EnumDomain:
-    """Finite set of named values."""
+class EnumDomain(Record):
+    """Finite set of named values, a tuple of str."""
 
-    values: tuple[str, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values):
+        if not values:
             raise ModelError("enum domain with no values")
-        if len(set(self.values)) != len(self.values):
+        if len(set(values)) != len(values):
             raise ModelError("duplicate enum value")
+        super().__init__(values)
 
 
 def domain_contains(domain, value):
@@ -71,10 +71,13 @@ def domain_text(domain):
     return "enum {" + ", ".join(domain.values) + "}"
 
 
-@dataclass(frozen=True)
-class ObservableDecl:
-    name: str
-    domain: BoolDomain | IntRange | EnumDomain
+class ObservableDecl(Record):
+    """Observable ``name`` with a BoolDomain, IntRange or EnumDomain ``domain``."""
+
+    __slots__ = ("name", "domain")
+
+    def __init__(self, name, domain):
+        super().__init__(name, domain)
 
 
 class Observables:
@@ -150,42 +153,52 @@ def check_valuation(observables, valuation):
 # abstract syntax
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: tuple | None = _lex.position()
+class IntLit(Record):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value, pos=None):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     """Observable reference; a bare boolean atom or an integer/enum term."""
 
-    name: str
-    pos: tuple | None = _lex.position()
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name, pos=None):
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class EnumLit:
+class EnumLit(Record):
     """Enum value literal, produced by :func:`typecheck` for undeclared identifiers."""
 
-    value: str
-    pos: tuple | None = _lex.position()
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value, pos=None):
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # '+' or '-'
-    left: object
-    right: object
-    pos: tuple | None = _lex.position()
+class _Binary(Record):
+    """``left op right``, an operator on terms."""
+
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op, left, right, pos=None):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Compare:
-    op: str  # '==' '!=' '<' '<=' '>' '>='
-    left: object
-    right: object
-    pos: tuple | None = _lex.position()
+class Arith(_Binary):
+    __slots__ = ()  # op: '+' or '-'
+
+
+class Compare(_Binary):
+    __slots__ = ()  # op: '==' '!=' '<' '<=' '>' '>='
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +351,7 @@ def _with(node, left, right):
     """``node`` with operands ``left`` and ``right``; ``node`` itself if they are its own."""
     if left is node.left and right is node.right:
         return node
-    return replace(node, left=left, right=right)
+    return type(node)(node.op, left, right, node.pos)
 
 
 # ---------------------------------------------------------------------------

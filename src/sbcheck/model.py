@@ -15,11 +15,11 @@ one kept per boolean observable and keyed by its name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 
 from . import _lex
 from . import formula as F
+from ._record import Record, set_field
 from .errors import ModelError
 
 
@@ -30,74 +30,71 @@ def _lookup(table, key, missing):
         raise ModelError(f"{missing} {key!r}") from None
 
 
-@dataclass(frozen=True)
-class BehaviourMachine:
-    """Finite transition system over opaque state ids (no labels on edges)."""
+class BehaviourMachine(Record):
+    """Finite transition system over opaque state ids (no labels on edges).
 
-    states: tuple[str, ...]
-    init: str
-    transitions: frozenset[tuple[str, str]]
+    ``states`` is kept sorted and ``transitions`` as a frozenset of
+    ``(src, dst)``; ``_succ`` maps each state to its sorted successors.
+    """
 
-    def __post_init__(self):
-        states = tuple(sorted(self.states))
+    __slots__ = ("states", "init", "transitions", "_succ")
+
+    def __init__(self, states, init, transitions):
+        states = tuple(sorted(states))
         if len(set(states)) != len(states):
             raise ModelError("duplicate behaviour state id")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
+        transitions = frozenset(transitions)
         succ = {q: [] for q in states}
-        if self.init not in succ:
-            raise ModelError(f"initial behaviour state {self.init!r} is not declared")
-        for src, dst in self.transitions:
+        if init not in succ:
+            raise ModelError(f"initial behaviour state {init!r} is not declared")
+        for src, dst in transitions:
             if src not in succ or dst not in succ:
                 # name the first such transition in sorted order
-                src, dst = min(t for t in self.transitions if t[0] not in succ or t[1] not in succ)
+                src, dst = min(t for t in transitions if t[0] not in succ or t[1] not in succ)
                 raise ModelError(f"behaviour transition {src!r} -> {dst!r} uses an undeclared state")
             succ[src].append(dst)
-        object.__setattr__(self, "_succ", {q: tuple(sorted(v)) for q, v in succ.items()})
+        super().__init__(states, init, transitions)
+        set_field(self, "_succ", {q: tuple(sorted(v)) for q, v in succ.items()})
 
     def successors(self, q):
         return _lookup(self._succ, q, "unknown behaviour state")
 
 
-@dataclass(frozen=True)
-class StructureMachine:
+class StructureMachine(Record):
     """Constraint automaton: states carry formulas, edges carry invariants.
 
-    ``transitions`` is a tuple in canonical ``(src, unparse(inv), dst)``
-    order, with one transition per key; the canonical invariant texts are
-    kept for the exports.
+    ``labels`` maps each state id to its formula, and ``transitions`` are
+    ``(src, invariant formula, dst)``.  ``transitions`` is kept as a tuple
+    in canonical ``(src, unparse(inv), dst)`` order, with one transition
+    per key; the canonical invariant texts are kept for the exports.
     """
 
-    states: tuple[str, ...]
-    init: str
-    labels: dict  # state id -> Formula
-    transitions: tuple[tuple[str, object, str], ...]  # (src, invariant Formula, dst)
+    __slots__ = ("states", "init", "labels", "transitions", "_out", "_out_texts")
 
-    def __post_init__(self):
-        states = tuple(sorted(self.states))
+    def __init__(self, states, init, labels, transitions):
+        states = tuple(sorted(states))
         if len(set(states)) != len(states):
             raise ModelError("duplicate structure state id")
-        object.__setattr__(self, "states", states)
         known = set(states)
-        if self.init not in known:
-            raise ModelError(f"initial structure state {self.init!r} is not declared")
-        if set(self.labels) != known:
+        if init not in known:
+            raise ModelError(f"initial structure state {init!r} is not declared")
+        if set(labels) != known:
             raise ModelError("every structure state needs exactly one constraint label")
         keyed = {}
-        for src, inv, dst in self.transitions:
+        for src, inv, dst in transitions:
             if src not in known or dst not in known:
                 raise ModelError(f"structure transition {src!r} -> {dst!r} uses an undeclared state")
             keyed.setdefault((src, F.unparse(inv), dst), (src, inv, dst))
         keys = sorted(keyed)
-        object.__setattr__(self, "transitions", tuple(keyed[k] for k in keys))
+        super().__init__(states, init, labels, tuple(keyed[k] for k in keys))
         out = {r: [] for r in states}
         texts = {r: [] for r in states}
         for key in keys:
             src, text, dst = key
             out[src].append((keyed[key][1], dst))
             texts[src].append((text, dst))
-        object.__setattr__(self, "_out", {r: tuple(v) for r, v in out.items()})
-        object.__setattr__(self, "_out_texts", {r: tuple(v) for r, v in texts.items()})
+        set_field(self, "_out", {r: tuple(v) for r, v in out.items()})
+        set_field(self, "_out_texts", {r: tuple(v) for r, v in texts.items()})
 
     def label(self, r):
         return _lookup(self.labels, r, "unknown structure state")
@@ -111,27 +108,26 @@ class StructureMachine:
         return _lookup(self._out_texts, r, "unknown structure state")
 
 
-@dataclass(frozen=True)
-class ObservationMap:
+class ObservationMap(Record):
     """Total map from behaviour state id to its valuation.
 
-    The map copies each valuation object it is given once, so states given
-    one dict share one copy; callers must not mutate a valuation.
+    ``table`` maps q to {observable name -> value}.  The map copies each
+    valuation object it is given once, so states given one dict share one
+    copy; callers must not mutate a valuation.
     """
 
-    table: dict  # q -> {observable name -> value}
+    __slots__ = ("table",)
 
-    def __post_init__(self):
-        copies = {id(v): v for v in self.table.values()}  # each given valuation once
+    def __init__(self, table):
+        copies = {id(v): v for v in table.values()}  # each given valuation once
         copies = {i: dict(v) for i, v in copies.items()}
-        object.__setattr__(self, "table", {q: copies[id(v)] for q, v in self.table.items()})
+        super().__init__({q: copies[id(v)] for q, v in table.items()})
 
     def valuation(self, q):
         return _lookup(self.table, q, "no observation recorded for behaviour state")
 
 
-@dataclass(frozen=True)
-class SBSystem:
+class SBSystem(Record):
     """Behaviour machine + structure machine + observation map.
 
     Constraint and invariant formulas are typechecked against the declared
@@ -144,14 +140,12 @@ class SBSystem:
     evaluated once per class.
     """
 
-    name: str
-    observables: F.Observables
-    behaviour: BehaviourMachine
-    structure: StructureMachine
-    observation: ObservationMap
+    __slots__ = ("name", "observables", "behaviour", "structure", "observation",
+                 "_classes", "_all", "_names", "_admits", "_options")
 
-    def __post_init__(self):
-        table = self.observation.table
+    def __init__(self, name, observables, behaviour, structure, observation):
+        super().__init__(name, observables, behaviour, structure, observation)
+        table = observation.table
         numbers = {}  # id of a valuation -> its class number
         keys = {}  # typed items of a valuation -> its class number
         classes = []  # (valuation, behaviour states) by class number
@@ -169,9 +163,9 @@ class SBSystem:
                     F.check_valuation(self.observables, v)
                     classes.append((v, []))
             classes[i][1].append(q)
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_all", (1 << len(classes)) - 1)
-        object.__setattr__(self, "_names", {})  # boolean observable -> bitset
+        set_field(self, "_classes", classes)
+        set_field(self, "_all", (1 << len(classes)) - 1)
+        set_field(self, "_names", {})  # boolean observable -> bitset
         extra = set(self.observation.table) - set(self.behaviour.states)
         if extra:
             raise ModelError(f"observation recorded for undeclared state {sorted(extra)[0]!r}")
@@ -184,9 +178,9 @@ class SBSystem:
             new[1] is not old[1] for new, old in zip(transitions, m.transitions)
         ):
             m = StructureMachine(m.states, m.init, labels, transitions)
-            object.__setattr__(self, "structure", m)
-        object.__setattr__(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
-        object.__setattr__(self, "_options", {})
+            set_field(self, "structure", m)
+        set_field(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
+        set_field(self, "_options", {})
 
     def observe(self, q):
         """Valuation of behaviour state ``q``."""
@@ -204,18 +198,14 @@ class SBSystem:
         if type(parent) in F.TERM_OPERATORS:
             return None  # a term: the comparison above it evaluates it
         cls = type(node)
-        if cls is F.Name:
-            if node.name not in self._names:
-                self._names[node.name] = self._evaluated(node)
-            return self._names[node.name]
+        if cls is F.Name:  # a boolean observable: its bitset is read off the valuations
+            name = node.name
+            if name not in self._names:
+                self._names[name] = _bitset(v[name] for v, _ in self._classes)
+            return self._names[name]
         if cls in _lex.CONNECTIVES:
             return _lex.boolean(node, args, self._all)
-        return self._evaluated(node)  # a comparison
-
-    def _evaluated(self, phi):
-        """The bitset of the classes satisfying ``phi``, evaluated once per class."""
-        bits = ("1" if F.evaluate(phi, v) else "0" for v, _ in reversed(self._classes))
-        return int("".join(bits), 2)
+        return _bitset(F.evaluate(node, v) for v, _ in self._classes)  # a comparison
 
     def constraint_region(self, r):
         """Behaviour states satisfying the constraint of structure state ``r``."""
@@ -231,17 +221,23 @@ class SBSystem:
         return self._options[r]
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # 'unsatisfiable-label' or 'initial-violation'
-    subject: str
-    message: str
+def _bitset(truths):
+    """The int whose bit ``i`` is set where the ``i``-th of ``truths`` is true."""
+    return int("".join(["1" if t else "0" for t in truths])[::-1], 2)
 
 
-@dataclass(frozen=True)
-class WellFormedness:
-    ok: bool
-    violations: tuple
+class Violation(Record):
+    __slots__ = ("kind", "subject", "message")  # kind: 'unsatisfiable-label' or 'initial-violation'
+
+    def __init__(self, kind, subject, message):
+        super().__init__(kind, subject, message)
+
+
+class WellFormedness(Record):
+    __slots__ = ("ok", "violations")  # violations: a tuple of Violation
+
+    def __init__(self, ok, violations):
+        super().__init__(ok, violations)
 
 
 def check_well_formed(sys):

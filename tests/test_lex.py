@@ -112,6 +112,7 @@ def _opcodes(node):
 def _patterns(module):
     for value in vars(module).values():
         if isinstance(value, _lex.Lexer):
+            value.tokenize("")  # a lexer compiles its patterns on first use
             yield value._scan.__self__.pattern
             yield value._lead.__self__.pattern
         elif isinstance(value, re.Pattern):

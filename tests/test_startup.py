@@ -1,0 +1,191 @@
+"""What a command line call pays before its command runs, and the records
+that keep it small: slotted immutable classes, compared by value."""
+
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import sbcheck._lex as L
+import sbcheck.adapt as A
+import sbcheck.compare as K
+import sbcheck.ctl as C
+import sbcheck.formula as F
+import sbcheck.model as M
+from sbcheck._record import Record
+from sbcheck.errors import ModelError
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis`` and writes code
+    for each class at import; the package imports neither of the first two."""
+    code = "import sys, sbcheck.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+x, y, one = F.Name("x"), F.Name("y"), F.IntLit(1)
+AT = (1, 2)  # a source position, which == ignores
+
+
+def _system(name="t", init="a"):
+    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
+    beh = M.BehaviourMachine(("a", "b"), init, {("a", "b")})
+    st = M.StructureMachine(("r",), "r", {"r": x}, ())
+    return M.SBSystem(name, obs, beh, st, M.ObservationMap({"a": {"x": True}, "b": {"x": True}}))
+
+
+# (a record, one equal to it built apart, one that differs in a field)
+RECORDS = [
+    (L.BoolLit(True, AT), L.BoolLit(True), L.BoolLit(False)),
+    (L.Not(x, AT), L.Not(F.Name("x")), L.Not(y)),
+    (L.And(x, y, pos=AT), L.And(x, y), L.And(y, x)),
+    (L.Or(x, y, pos=AT), L.Or(x, y), L.Or(x, y, x)),
+    (L.Implies(x, y, pos=AT), L.Implies(x, y), L.Implies(y, x)),
+    (F.IntLit(1, AT), F.IntLit(1), F.IntLit(2)),
+    (F.Name("x", AT), F.Name(name="x"), y),
+    (F.EnumLit("red", AT), F.EnumLit("red"), F.EnumLit("blue")),
+    (F.Arith("+", one, x, AT), F.Arith("+", one, x), F.Arith("-", one, x)),
+    (F.Compare("==", x, y, AT), F.Compare("==", x, y), F.Compare("!=", x, y)),
+    (F.BoolDomain(), F.BoolDomain(), F.IntRange(0, 1)),
+    (F.IntRange(0, 3), F.IntRange(lo=0, hi=3), F.IntRange(0, 4)),
+    (F.EnumDomain(("a", "b")), F.EnumDomain(("a", "b")), F.EnumDomain(("b", "a"))),
+    (F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("x", F.BoolDomain()),
+     F.ObservableDecl("x", F.IntRange(0, 1))),
+    (C.Atom("adapting", AT), C.Atom("adapting"), C.Atom("steady")),
+    (C.InState("r0", AT), C.InState("r0"), C.InState("r1")),
+    (C.ObsHolds(x, AT), C.ObsHolds(F.Name("x")), C.ObsHolds(y)),
+    (C.Modal("EF", C.Atom("steady"), AT), C.Modal("EF", C.Atom("steady")),
+     C.Modal("AF", C.Atom("steady"))),
+    (C.Until("A", x, y, AT), C.Until("A", x, y), C.Until("E", x, y)),
+    (C.CheckResult(frozenset({0}), True, None),
+     C.CheckResult(satisfying=frozenset({0}), holds_at_init=True, witness=None),
+     C.CheckResult(frozenset({0}), False, None)),
+    (M.BehaviourMachine(("a", "b"), "a", {("a", "b")}),
+     M.BehaviourMachine(("b", "a"), "a", [("a", "b")]),
+     M.BehaviourMachine(("a", "b"), "b", {("a", "b")})),
+    (M.StructureMachine(("r",), "r", {"r": x}, ()), M.StructureMachine(["r"], "r", {"r": x}, []),
+     M.StructureMachine(("r",), "r", {"r": y}, ())),
+    (M.ObservationMap({"a": {"x": True}}), M.ObservationMap({"a": {"x": True}}),
+     M.ObservationMap({"a": {"x": False}})),
+    (_system(), _system(), _system(init="b")),
+    (M.Violation("unsatisfiable-label", "r", "m"), M.Violation("unsatisfiable-label", "r", "m"),
+     M.Violation("initial-violation", "r", "m")),
+    (M.WellFormedness(True, ()), M.WellFormedness(ok=True, violations=()),
+     M.WellFormedness(False, ())),
+    (A.AdaptRelation("weak", frozenset({("a", "r")})),
+     A.AdaptRelation("weak", frozenset([("a", "r")])),
+     A.AdaptRelation("strong", frozenset({("a", "r")}))),
+    (A.EquivPartition("weak", ()), A.EquivPartition("weak", ()), A.EquivPartition("strong", ())),
+    (K.MethodVerdicts("weak", True, True), K.MethodVerdicts(kind="weak", relational=True, ctl=True),
+     K.MethodVerdicts("weak", True, False)),
+]
+UNHASHABLE = (M.StructureMachine, M.ObservationMap, M.SBSystem)  # fields hold dicts
+IDS = [type(a).__name__ for a, _, _ in RECORDS]
+
+
+def test_the_table_covers_every_record_class():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    public = {c for c in subclasses(Record) if c.__module__.startswith("sbcheck.")
+              and not c.__name__.startswith("_")}
+    assert public == {type(a) for a, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("a, same, other", RECORDS, ids=IDS)
+def test_records_compare_by_class_and_fields(a, same, other):
+    assert a == same and not a != same
+    assert a != other and not a == other
+    assert a != object() and a != tuple(getattr(a, f) for f in a._fields)
+
+
+def test_equal_fields_of_another_class_are_unequal():
+    assert L.And(x, y) != L.Or(x, y)
+    assert F.Arith("+", one, one) != F.Compare("+", one, one)
+    assert F.IntLit(1) != F.EnumLit(1)
+
+
+@pytest.mark.parametrize("a, same, other", RECORDS, ids=IDS)
+def test_hash_agrees_with_equality(a, same, other):
+    if isinstance(a, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    assert hash(a) == hash(same)
+    assert len({a, same, other}) == 2
+
+
+@pytest.mark.parametrize("a, same, other", RECORDS, ids=IDS)
+def test_records_are_immutable(a, same, other):
+    for name in (*a._fields, *(("pos",) if hasattr(a, "pos") else ()), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == same
+
+
+@pytest.mark.parametrize("a, same, other", RECORDS, ids=IDS)
+def test_records_copy_and_pickle_with_their_position(a, same, other):
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a
+        assert getattr(twin, "pos", None) == getattr(a, "pos", None)
+
+
+@pytest.mark.parametrize("a, same, other", RECORDS, ids=IDS)
+def test_constructors_take_the_fields_by_position_and_by_keyword(a, same, other):
+    if isinstance(a, L.And | L.Or | L.Implies):
+        assert type(a)(*a.args) == a  # a chain takes its operands
+        return
+    values = [getattr(a, f) for f in a._fields]
+    assert type(a)(*values) == a
+    assert type(a)(**dict(zip(a._fields, values))) == a
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (F.Name("x", AT), "Name(name='x')"),
+        (L.And(x, L.Not(y), pos=AT), "And(args=(Name(name='x'), Not(arg=Name(name='y'))))"),
+        (F.IntRange(0, 3), "IntRange(lo=0, hi=3)"),
+        (F.Observables([F.ObservableDecl("x", F.BoolDomain()),
+                        F.ObservableDecl("m", F.EnumDomain(("red", "blue")))]),
+         "Observables([ObservableDecl(name='x', domain=BoolDomain()), "
+         "ObservableDecl(name='m', domain=EnumDomain(values=('red', 'blue')))])"),
+        (F.Compare(">", F.Arith("-", x, one), F.IntLit(-2)),
+         "Compare(op='>', left=Arith(op='-', left=Name(name='x'), right=IntLit(value=1)), "
+         "right=IntLit(value=-2))"),
+        (C.Until("E", C.InState("r"), C.ObsHolds(x)),
+         "Until(quant='E', left=InState(r='r'), right=ObsHolds(phi=Name(name='x')))"),
+        (M.Violation("initial-violation", "r0", "m"),
+         "Violation(kind='initial-violation', subject='r0', message='m')"),
+        (M.BehaviourMachine(("b", "a"), "a", [("a", "b")]),
+         "BehaviourMachine(states=('a', 'b'), init='a', transitions=frozenset({('a', 'b')}))"),
+    ],
+)
+def test_repr_prints_the_class_and_its_fields(record, text):
+    assert repr(record) == text
+
+
+def test_constructors_validate_their_fields():
+    with pytest.raises(ModelError, match=r"empty integer range \[3\.\.1\]"):
+        F.IntRange(3, 1)
+    with pytest.raises(ModelError, match="duplicate behaviour state id"):
+        M.BehaviourMachine(("a", "a"), "a", ())
+    s = _system()
+    table = {"a": {"x": True}, "b": {"x": True}, "z": {"x": True}}
+    with pytest.raises(ModelError, match="observation recorded for undeclared state 'z'"):
+        M.SBSystem("t", s.observables, s.behaviour, s.structure, M.ObservationMap(table))
