@@ -4,8 +4,10 @@ A :class:`Record` subclass lists its slots in ``__slots__``, its fields
 first and in the order its constructor takes them, and sets them in its
 ``__init__``.  A slot named ``pos`` (a source position) or starting with
 ``_`` (a table derived from the fields) is no field: ``==``, ``hash`` and
-``repr`` read the fields alone.  Assignment raises :class:`AttributeError`,
-so a changed value is built with the constructor.
+``repr`` read the fields alone, and ``==`` and ``hash`` walk nested
+records and tuples without recursion, so formulas of any depth compare.
+Assignment raises :class:`AttributeError`, so a changed value is built
+with the constructor.
 """
 
 
@@ -29,12 +31,46 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
+        """Same class and equal fields.  The values are compared from an
+        explicit stack that descends into records of one class and tuples
+        of one length, so no depth of nesting costs a frame."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        todo = [(self._values(), other._values())]  # value tuples of one length
+        while todo:
+            xs, ys = todo.pop()
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if x.__class__ is y.__class__ and isinstance(x, Record):
+                    todo.append((x._values(), y._values()))
+                elif x.__class__ is y.__class__ is tuple and len(x) == len(y):
+                    todo.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        """The hash of the tuple of the fields' hashes, where a record or a
+        tuple among the values hashes the same way over its own values;
+        computed bottom-up from an explicit stack."""
+        stack = [(self._values(), [])]  # open values, each with its done hashes
+        while True:
+            values, hashes = stack[-1]
+            if len(hashes) < len(values):
+                v = values[len(hashes)]
+                if isinstance(v, tuple):
+                    stack.append((v, []))
+                elif isinstance(v, Record):
+                    stack.append((v._values(), []))
+                else:
+                    hashes.append(hash(v))
+                continue
+            stack.pop()
+            h = hash(tuple(hashes))
+            if not stack:
+                return h
+            stack[-1][1].append(h)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

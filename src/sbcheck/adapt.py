@@ -14,7 +14,9 @@ from (q, r, no-pending):
   states, to the endpoints satisfying the constraint of t.  The weak
   relation needs, per successor some branch admits, one endpoint pair
   (x, t) of any such branch.  The strong relation needs every such branch
-  to end on all runs, with every endpoint pair surviving;
+  to end on all runs, with every endpoint pair surviving.  A walk does
+  not depend on the kind, so each is done once per system and read by
+  both (see :func:`_runs`);
 * a behaviour deadlock needs nothing.
 
 Behaviour successors the flat semantics cannot move to (they violate the
@@ -41,8 +43,6 @@ L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from ._record import Record
 from .errors import ModelError
@@ -80,16 +80,18 @@ def candidate_pairs(sys):
     )
 
 
-def _branch(sys, start, inv_region, target):
-    """Where an adaptation branch into ``target`` entered at ``start`` can end.
+def _branch(sys, start, r, k):
+    """Where the adaptation branch along option ``k`` of ``r``, entered at
+    ``start``, can end.
 
-    Walks from ``start`` through ``inv_region``, the states satisfying the
-    branch's invariant, and stops at states satisfying the target
-    constraint.  Returns ``(endpoints, finite)``: the goal states reached,
-    and whether every run reaches one.
+    Walks from ``start`` through the states satisfying the option's
+    invariant, and stops at states satisfying the constraint of its target
+    t.  Returns ``(ends, finite)``: the pairs (x, t) of the goal states x
+    reached, and whether every run reaches one.
     A run does not when it meets a non-goal state with no move left
     (stuck) or a cycle of non-goal states.
     """
+    _, target, inv_region = sys.options(r)[k]
     goal = sys.constraint_region(target)
     succ = sys.behaviour._succ  # the table behind successors(), read without its check
     endpoints = set()
@@ -114,7 +116,22 @@ def _branch(sys, start, inv_region, target):
         else:
             stack.pop()
             on_path.discard(x)
-    return endpoints, finite
+    return tuple([(x, target) for x in endpoints]), finite
+
+
+def _runs(sys, q2, r):
+    """The :func:`_branch` result of each option of ``r`` that admits entry
+    state ``q2``.  Neither depends on the kind, so each branch is walked
+    once per system, kept in ``sys._walks``."""
+    walks = sys._walks
+    runs = []
+    for k, (_, _, region) in enumerate(sys.options(r)):
+        if q2 in region:
+            run = walks.get((q2, r, k))
+            if run is None:
+                run = walks[q2, r, k] = _branch(sys, q2, r, k)
+            runs.append(run)
+    return runs
 
 
 def _adapting(sys, kind, root=None):
@@ -124,13 +141,14 @@ def _adapting(sys, kind, root=None):
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
 
-    @cache
     def adapting_into(q2, r):  # the clauses that adapting from r into q2 adds
-        runs = [(t, *_branch(sys, q2, region, t)) for _, t, region in sys.options(r) if q2 in region]
+        runs = _runs(sys, q2, r)
         if kind == WEAK:
-            return [tuple((x, t) for t, ends, _ in runs for x in ends)] if runs else []
-        if all(finite for _, _, finite in runs):
-            return [((x, t),) for t, ends, _ in runs for x in ends]
+            if len(runs) == 1:
+                return [runs[0][0]]  # the walk's own tuple, shared by every pair
+            return [tuple([m for ends, _ in runs for m in ends])] if runs else []
+        if all(finite for _, finite in runs):
+            return [(m,) for ends, _ in runs for m in ends]
         return [()]
 
     succ = sys.behaviour._succ

@@ -26,6 +26,7 @@ Adaptability characterisations checked at the initial state:
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
 from . import _lex
 from . import formula as F
@@ -180,10 +181,15 @@ class CheckResult(Record):
 
 
 class _Graph:
-    """Totalized successor/predecessor view of a FlatLTS."""
+    """Totalized successor/predecessor view of a FlatLTS.
+
+    It holds no reference to the flat system, which keeps it (see
+    :func:`_graph`), so the two are freed by reference counting alone.
+    """
+
+    __slots__ = ("n", "succ", "pred", "full")
 
     def __init__(self, flat):
-        self.flat = flat
         self.n = len(flat.states)
         self.succ = [js or (i,) for i, js in enumerate(flat.succ)]
         pred = [[] for _ in range(self.n)]
@@ -194,6 +200,15 @@ class _Graph:
         self.full = frozenset(range(self.n))
 
 
+def _graph(flat):
+    """The :class:`_Graph` of ``flat``, built on its first check and kept
+    with it for the next (weak, strong, witness)."""
+    g = flat._graph
+    if g is None:
+        g = flat._graph = _Graph(flat)
+    return g
+
+
 def _until(g, A, B, universal):
     """Least fixpoint of ``Z = B | (A & pre(Z))``: E[A U B], or A[A U B] when ``universal``.
 
@@ -201,7 +216,7 @@ def _until(g, A, B, universal):
     the successors it still needs: one, or all of them (duplicate edges
     included) when ``universal``; it joins when its count reaches zero.
     """
-    need = [len(s) for s in g.succ] if universal else [1] * g.n
+    need = list(map(len, g.succ)) if universal else [1] * g.n
     result = set(B)
     work = list(B)
     while work:
@@ -218,14 +233,15 @@ def _until(g, A, B, universal):
 _DUALS = {"AX": "EX", "EG": "AF", "AG": "EF"}
 
 
-def _sat(g, f):
-    """The set of states satisfying ``f``, labelled bottom-up."""
+def _sat(flat, g, f):
+    """The set of states of ``flat`` (with graph ``g``) satisfying ``f``,
+    labelled bottom-up."""
 
     def label(node, args, parent):
-        cls, flat = type(node), g.flat
+        cls = type(node)
         if cls is Atom:
             tag = ADAPTING if node.name == "adapting" else STEADY
-            return frozenset(i for i, c in enumerate(flat.classes) if c == tag)
+            return frozenset(compress(range(g.n), map(tag.__eq__, flat.classes)))
         if cls is InState:
             if node.r not in flat.system.structure.states:
                 where = node.pos or (None, None)
@@ -287,15 +303,15 @@ def check_ctl(flat, f):
     a phi-state) and a counterexample path for a failed ``AG phi``
     (shortest run to a violating state).
     """
-    g = _Graph(flat)
-    sat = _sat(g, f)
+    g = _graph(flat)
+    sat = _sat(flat, g, f)
     holds = flat.init_index in sat
     witness = None
     if isinstance(f, Modal) and f.op == "AG" and not holds:
-        bad = g.full - _sat(g, f.arg)
+        bad = g.full - _sat(flat, g, f.arg)
         witness = _shortest_path(flat, flat.init_index, bad)
     elif isinstance(f, Modal) and f.op == "EF" and holds:
-        witness = _shortest_path(flat, flat.init_index, _sat(g, f.arg))
+        witness = _shortest_path(flat, flat.init_index, _sat(flat, g, f.arg))
     return CheckResult(satisfying=sat, holds_at_init=holds, witness=witness)
 
 
@@ -324,9 +340,9 @@ def strong_counterexample(flat):
     Returns a state-id path whose last entry repeats an earlier one, or
     None when the strong property holds.
     """
-    g = _Graph(flat)
-    never_steady = g.full - _until(g, g.full, _sat(g, Atom("steady")), True)
-    bad = _sat(g, Atom("adapting")) & never_steady
+    g = _graph(flat)
+    never_steady = g.full - _until(g, g.full, _sat(flat, g, Atom("steady")), True)
+    bad = _sat(flat, g, Atom("adapting")) & never_steady
     reachable_bad = _shortest_path(flat, flat.init_index, bad)
     if reachable_bad is None:
         return None

@@ -22,6 +22,11 @@ stores its transitions as pairs of state ids and always has its model;
 the pending invariant and target are looked up through the model only at
 the edges (text, JSON, DOT, labels).  In the JSON form each transition
 row must equal the row :func:`export_json` writes for its endpoints.
+
+The rules read one move-table entry per mode ``(r, pending)`` met
+(:func:`_mode`), and one function applies them (:func:`_step`):
+:func:`flatten` computes each entry once, and :func:`successors`, which
+``simulate`` walks, reads the same entry.
 """
 
 from __future__ import annotations
@@ -82,29 +87,51 @@ def state_text(sys, state):
     return f"({state.q},{state.r}{tail})"
 
 
+_new = tuple.__new__  # builds a FlatState without NamedTuple's Python-level __new__
+
+
+def _mode(sys, r, pending):
+    """The moves of the flat states ``(q, r, pending)``, whatever q is.
+
+    Steady mode (no pending): the constraint region of r.  The options of
+    r are read from ``sys.options(r)`` only when an adaptation starts, so
+    a model that never adapts computes no invariant region.  Pending mode:
+    the goal region of the option's target, the target, and the invariant
+    region.
+    """
+    if pending is None:
+        return sys.constraint_region(r)
+    _, target, inv_region = sys.options(r)[pending]
+    return sys.constraint_region(target), target, inv_region
+
+
+def _step(sys, mode, succs, q, r, pending):
+    """The successors of flat state ``(q, r, pending)``, with ``mode`` its
+    :func:`_mode` and ``succs`` the behaviour successors of q."""
+    if pending is None:
+        steady = [_new(FlatState, (q2, r, None)) for q2 in succs if q2 in mode]
+        # no steady move possible: adaptation may start
+        return steady or [
+            _new(FlatState, (q2, r, k))
+            for q2 in succs
+            for k, (_, _, inv_region) in enumerate(sys.options(r))
+            if q2 in inv_region
+        ]
+    goal, target, inv_region = mode
+    if q in goal:
+        # adaptation ends here; the behaviour does not move
+        return [_new(FlatState, (q, target, None))]
+    return [_new(FlatState, (q2, r, pending)) for q2 in succs if q2 in inv_region]
+
+
 def successors(sys, state):
     """Successor flat states of ``state``, in a fixed deterministic order.
 
     The order is by target behaviour state, then by the structure
     machine's order of (invariant, target) options.
     """
-    q, r, pending = state.q, state.r, state.pending
-    succs = sys.behaviour.successors(q)
-    if pending is None:
-        region = sys.constraint_region(r)
-        steady = [FlatState(q2, r, None) for q2 in succs if q2 in region]
-        # no steady move possible: adaptation may start
-        return steady or [
-            FlatState(q2, r, k)
-            for q2 in succs
-            for k, (_, _, inv_region) in enumerate(sys.options(r))
-            if q2 in inv_region
-        ]
-    _, target, inv_region = sys.options(r)[pending]
-    if q in sys.constraint_region(target):
-        # adaptation ends here; the behaviour does not move
-        return [FlatState(q, target, None)]
-    return [FlatState(q2, r, pending) for q2 in succs if q2 in inv_region]
+    q, r, pending = state
+    return _step(sys, _mode(sys, r, pending), sys.behaviour.successors(q), q, r, pending)
 
 
 class FlatLTS:
@@ -126,6 +153,7 @@ class FlatLTS:
         self.init_index = init_index
         self.edges = tuple(edges)
         self.system = system
+        self._graph = None  # the CTL view (``ctl._Graph``), built on the first check
         succ = [[] for _ in self.states]
         for i, j in self.edges:
             succ[i].append(j)
@@ -174,8 +202,13 @@ def flatten(sys, roots=None):
     ):
         raise ModelError("flatten needs distinct roots (q, r) with q satisfying the constraint of r")
     edges = []
-    for i, s in enumerate(states):  # breadth first: states grows as they are found
-        for t in successors(sys, s):
+    modes = {}  # (r, pending) -> its _mode, computed once
+    succ = sys.behaviour._succ  # the table behind successors(), read without its check
+    for i, (q, r, pending) in enumerate(states):  # breadth first: states grows as they are found
+        mode = modes.get((r, pending))
+        if mode is None:
+            mode = modes[r, pending] = _mode(sys, r, pending)
+        for t in _step(sys, mode, succ[q], q, r, pending):
             j = number.setdefault(t, len(states))
             if j == len(states):
                 states.append(t)

@@ -9,6 +9,8 @@ An ``SBSystem`` keeps one region table, keyed by structure state and
 transition, never by formula: the behaviour states each constraint admits,
 computed at construction, and those each invariant out of a structure
 state admits, computed on that state's first use (``SBSystem.options``).
+Next to it sits the walk of each adaptation branch, filled by ``adapt``
+once per entry state, structure state and option (``SBSystem._walks``).
 Regions are computed from bitsets over the classes of equal valuation,
 one kept per boolean observable and keyed by its name.
 """
@@ -141,7 +143,7 @@ class SBSystem(Record):
     """
 
     __slots__ = ("name", "observables", "behaviour", "structure", "observation",
-                 "_classes", "_all", "_names", "_admits", "_options")
+                 "_classes", "_all", "_names", "_admits", "_options", "_walks")
 
     def __init__(self, name, observables, behaviour, structure, observation):
         super().__init__(name, observables, behaviour, structure, observation)
@@ -181,6 +183,7 @@ class SBSystem(Record):
             set_field(self, "structure", m)
         set_field(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
         set_field(self, "_options", {})
+        set_field(self, "_walks", {})  # (entry, r, option index) -> adapt._branch's result
 
     def observe(self, q):
         """Valuation of behaviour state ``q``."""

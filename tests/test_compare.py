@@ -1,5 +1,6 @@
 """Cross-checking the relational and the CTL methods, pair by pair."""
 
+import gc
 import pathlib
 import sys
 
@@ -9,7 +10,7 @@ import sbcheck.compare as C
 import sbcheck.ctl as CTL
 from sbcheck import cli
 from sbcheck.flat import flatten
-from sbcheck.ingest import loads
+from sbcheck.ingest import bundled_model_path, loads, save
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -63,3 +64,66 @@ def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch,
     assert walks == 0
     A.weak_relation(system)
     assert walks > 0
+
+
+def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monkeypatch, tmp_path):
+    # the walks do not depend on the kind, nor the CTL graph on the formula:
+    # weak, strong, the discrepancy search's relation and --witness share them
+    walks, graphs = [], []
+    branch, graph = A._branch, CTL._Graph
+
+    def counted_branch(sys, start, r, k):
+        walks.append((start, r, k))
+        return branch(sys, start, r, k)
+
+    def counted_graph(flat):
+        graphs.append(flat)
+        return graph(flat)
+
+    monkeypatch.setattr(A, "_branch", counted_branch)
+    monkeypatch.setattr(CTL, "_Graph", counted_graph)
+    chain = tmp_path / "chain.sbs"
+    chain.write_text(save(gen.adaptation_chain(50)))
+    gadget = tmp_path / "discrepancy.sbs"
+    gadget.write_text(workloads.model_text("discrepancy", 1, "smoke"))
+    for path, code, flats in ((chain, cli.EXIT_OK, 1), (gadget, cli.EXIT_DISCREPANCY, 2)):
+        walks.clear()
+        graphs.clear()
+        assert cli.main(["adapt", "--json", "--witness", str(path)]) == code
+        assert walks and len(walks) == len(set(walks)), path.name
+        # one graph per flat system: the verdict's, and the search's multi-root one
+        assert len(graphs) == len({id(f) for f in graphs}) == flats, path.name
+        graphs.clear()
+        assert cli.main(["flatten", "--json", str(path)]) == cli.EXIT_OK
+        assert not graphs  # built on the first check, not by flatten
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    # a system and its walk table, a flat system and its CTL graph, are
+    # freed by reference counting alone, so a command leaves no work for
+    # the cyclic collector
+    texts = [workloads.model_text(w, seed, "smoke") for w, seeds in workloads.POOL.items()
+             for seed in seeds]
+    texts += [bundled_model_path(name).read_text() for name in ("predator_s0", "predator_s1")]
+
+    def run(text):
+        sys = loads(text)
+        flat = flatten(sys)
+        results = [flat]
+        for kind in (A.WEAK, A.STRONG):
+            results += [C.compare_methods(sys, kind, flat), C.find_discrepancy(sys, kind),
+                        A.equiv_partition(sys, kind)]
+        results.append(CTL.strong_counterexample(flat))
+        return results
+
+    for text in texts:  # once first, so that one-time caches are filled
+        run(text)
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            results = run(text)
+            del results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

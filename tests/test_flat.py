@@ -116,6 +116,16 @@ def test_steady_and_adapt_moves_never_mix():
             assert len(steady) <= 1
 
 
+def test_flatten_steps_by_the_successor_rule():
+    # flatten and successors() (which simulate walks) share one step rule:
+    # the edges out of every state, multi-root, are its successors in order
+    for seed in range(200):
+        sys = gen.random_system(seed)
+        flat = FL.flatten(sys, sorted(A.candidate_pairs(sys)))
+        for i, state in enumerate(flat.states):
+            assert [flat.states[j] for j in flat.succ[i]] == FL.successors(sys, state), (seed, state)
+
+
 def test_steady_rule_soundness():
     for sys in systems_under_test():
         flat = FL.flatten(sys)

@@ -236,6 +236,26 @@ for path in todo["paths"]:
 """)
 
 
+def test_deep_records_compare_and_hash_without_recursion(tmp_path):
+    # == and hash took a frame per formula level: comparing a save round
+    # trip overflowed at a few hundred nested groups
+    label = _alternating("x", 3000)
+    head, _, tail = label.rpartition("x")  # the innermost atom
+    for name, innermost in (("deep", "x"), ("other", "!x")):
+        text = _DEEP_MODEL.replace("LABEL", head + innermost + tail)
+        (tmp_path / f"{name}.sbs").write_text(text.replace("INVARIANT", "!x"))
+    _shallow(f"""
+from sbcheck import ingest
+deep, other = (ingest.load({str(tmp_path)!r} + f"/{{name}}.sbs") for name in ("deep", "other"))
+again = ingest.loads(ingest.save(deep))
+assert again == deep and not again != deep
+assert again != other and not again == other
+label = again.structure.label("r0")
+assert hash(label) == hash(deep.structure.label("r0"))
+assert len({{label, deep.structure.label("r0"), other.structure.label("r0")}}) == 2
+""")
+
+
 def test_no_formula_or_ctl_walk_calls_itself():
     # every walk over a formula or CTL tree is a _lex.fold; ctl_oracle keeps
     # its recursion as the reference the fold is checked against
