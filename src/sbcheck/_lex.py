@@ -13,11 +13,11 @@ over a tree of either language is a :func:`fold` over :func:`operands`.
 
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from functools import reduce
 from operator import and_, attrgetter, or_
-from typing import NamedTuple
 
-from ._record import Record, set_field
+from ._record import Record
 
 EOF = "eof"
 
@@ -27,7 +27,7 @@ _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 _NEWLINE = re.compile(r"\n")
 
 
-class Token(NamedTuple):
+class Token(namedtuple("Token", "kind text offset lines")):
     """A token of kind ``kind`` spelled ``text`` at ``offset`` in its source.
 
     ``lines`` holds the offsets of the source's newlines, one list shared
@@ -35,10 +35,7 @@ class Token(NamedTuple):
     when read: by an error or an AST ``pos``.
     """
 
-    kind: str
-    text: str
-    offset: int
-    lines: list
+    __slots__ = ()
 
     @property
     def line(self):
@@ -148,17 +145,9 @@ def failure(error_cls, t, msg):
 class BoolLit(Record):
     __slots__ = ("value", "pos")
 
-    def __init__(self, value, pos=None):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
-
 
 class Not(Record):
     __slots__ = ("arg", "pos")
-
-    def __init__(self, arg, pos=None):
-        set_field(self, "arg", arg)
-        set_field(self, "pos", pos)
 
 
 class _Chain(Record):
@@ -179,8 +168,7 @@ class _Chain(Record):
         edge = args[self._side]
         if type(edge) is type(self):
             args = edge.args + args[1:] if self._side == 0 else args[:-1] + edge.args
-        set_field(self, "args", args)
-        set_field(self, "pos", pos)
+        super().__init__(args, pos)
 
 
 class And(_Chain):

@@ -1,13 +1,17 @@
 """Immutable value records, the base of every node, model and result class.
 
 A :class:`Record` subclass lists its slots in ``__slots__``, its fields
-first and in the order its constructor takes them, and sets them in its
-``__init__``.  A slot named ``pos`` (a source position) or starting with
-``_`` (a table derived from the fields) is no field: ``==``, ``hash`` and
-``repr`` read the fields alone, and ``==`` and ``hash`` walk nested
-records and tuples without recursion, so formulas of any depth compare.
-Assignment raises :class:`AttributeError`, so a changed value is built
-with the constructor.
+first and in constructor order.  :class:`Record`'s own constructor takes
+the fields by position, in that order, or by name; a slot named ``pos``
+(a source position) comes after them and defaults to None.  A class
+defines its own ``__init__`` only to check its fields or to fill a slot
+starting with ``_`` (a table derived from the fields).  Neither ``pos``
+nor a ``_`` slot is a field: ``==``, ``hash`` and ``repr`` read the
+fields alone, and walk nested records and tuples without recursion, so
+formulas of any depth compare and print.  Assignment raises
+:class:`AttributeError`, so a changed value is built with the
+constructor, and a copy, shallow or deep, is the record itself.
+:mod:`pickle` still recurses once per level of nesting.
 """
 
 
@@ -17,15 +21,32 @@ set_field = object.__setattr__  # sets a slot in ``__init__``, past the refusing
 class Record:
     __slots__ = ()
     _fields = ()  # the field names, in constructor order
+    _params = ()  # the constructor's parameters: the fields, then ``pos`` if there is one
 
     def __init_subclass__(cls):
         slots = [s for c in reversed(cls.__mro__) for s in vars(c).get("__slots__", ())]
         cls._fields = tuple(s for s in slots if s != "pos" and not s.startswith("_"))
+        cls._params = cls._fields + (("pos",) if "pos" in slots else ())
 
-    def __init__(self, *values):
-        """Set the fields, in order, to ``values``."""
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *args, **kwargs):
+        """Set the parameters from ``args``, in order, and the rest from
+        ``kwargs``; ``pos`` defaults to None.  A missing, unknown, surplus
+        or twice-given argument raises :class:`TypeError`."""
+        names = self._params
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() got too many arguments")
+        for name, value in zip(names, args):
             set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                set_field(self, name, kwargs.pop(name))
+            elif name == "pos":
+                set_field(self, name, None)
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
 
     def _values(self):
         return tuple([getattr(self, name) for name in self._fields])
@@ -50,31 +71,38 @@ class Record:
                     return False
         return True
 
-    def __hash__(self):
-        """The hash of the tuple of the fields' hashes, where a record or a
-        tuple among the values hashes the same way over its own values;
-        computed bottom-up from an explicit stack."""
-        stack = [(self._values(), [])]  # open values, each with its done hashes
+    def _fold(self, leaf, combine):
+        """Fold the values under this record bottom-up from one explicit stack.
+
+        A record or plain tuple among them gives ``combine(value, results)``
+        over the results for its own values (a record's are its fields),
+        and any other value gives ``leaf(value)``.
+        """
+        stack = [(self, self._values(), [])]  # open values, each with its items and done results
         while True:
-            values, hashes = stack[-1]
-            if len(hashes) < len(values):
-                v = values[len(hashes)]
-                if isinstance(v, tuple):
-                    stack.append((v, []))
-                elif isinstance(v, Record):
-                    stack.append((v._values(), []))
+            value, items, done = stack[-1]
+            if len(done) < len(items):
+                v = items[len(done)]
+                if isinstance(v, Record):
+                    stack.append((v, v._values(), []))
+                elif v.__class__ is tuple:
+                    stack.append((v, v, []))
                 else:
-                    hashes.append(hash(v))
+                    done.append(leaf(v))
                 continue
             stack.pop()
-            h = hash(tuple(hashes))
+            result = combine(value, done)
             if not stack:
-                return h
-            stack[-1][1].append(h)
+                return result
+            stack[-1][2].append(result)
+
+    def __hash__(self):
+        """The hash of the tuple of the fields' hashes, where a record or a
+        tuple among the values hashes the same way over its own values."""
+        return self._fold(hash, lambda value, hashes: hash(tuple(hashes)))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        return self._fold(repr, _text)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,7 +110,21 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __setstate__(self, state):
-        """Restore the slots for :mod:`copy` and :mod:`pickle`, from ``(None, slots)``."""
+        """Restore the slots for :mod:`pickle`, from ``(None, slots)``."""
         for name, value in state[1].items():
             set_field(self, name, value)
+
+
+def _text(value, texts):
+    """The repr of a record or tuple ``value`` from the reprs of its values."""
+    if isinstance(value, Record):
+        fields = ", ".join([f"{name}={text}" for name, text in zip(value._fields, texts)])
+        return f"{type(value).__qualname__}({fields})"
+    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"

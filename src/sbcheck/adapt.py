@@ -57,9 +57,6 @@ class AdaptRelation(Record):
 
     __slots__ = ("kind", "pairs")
 
-    def __init__(self, kind, pairs):
-        super().__init__(kind, pairs)
-
     def holds_for(self, q, r):
         return (q, r) in self.pairs
 
@@ -68,9 +65,6 @@ class EquivPartition(Record):
     """The ``kind`` partition: a tuple of ``blocks``, frozensets of behaviour states."""
 
     __slots__ = ("kind", "blocks")
-
-    def __init__(self, kind, blocks):
-        super().__init__(kind, blocks)
 
 
 def candidate_pairs(sys):

@@ -25,14 +25,7 @@ import sys
 from . import ingest
 from .adapt import STRONG, WEAK, adaptable, equiv_partition
 from .compare import compare_methods, find_discrepancy
-from .ctl import (
-    check_ctl,
-    parse_ctl,
-    strong_counterexample,
-    strong_formula,
-    unparse_ctl,
-    weak_formula,
-)
+from .ctl import adaptability_formula, check_ctl, parse_ctl, strong_counterexample, unparse_ctl
 from .errors import CtlError, ModelError, SourceError
 from .flat import (
     ADAPTING,
@@ -208,8 +201,7 @@ def cmd_adapt(args, color):
             holds = adaptable(system, kind)
             verdicts = {"relational": holds}
         elif args.method == "ctl":
-            phi = weak_formula() if kind == WEAK else strong_formula()
-            verdicts = {"ctl": check_ctl(flat, phi).holds_at_init}
+            verdicts = {"ctl": check_ctl(flat, adaptability_formula(kind)).holds_at_init}
             holds = verdicts["ctl"]
         else:
             mv = compare_methods(system, kind, flat=flat)

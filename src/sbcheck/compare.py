@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .adapt import WEAK, adaptable, candidate_pairs, strong_relation, weak_relation
-from .ctl import check_ctl, strong_formula, weak_formula
+from .ctl import adaptability_formula, check_ctl
 from .flat import flatten
 from .model import BehaviourMachine, SBSystem, StructureMachine
 
@@ -21,9 +21,6 @@ class MethodVerdicts(Record):
     """Top-level adaptability verdicts for one property by both methods."""
 
     __slots__ = ("kind", "relational", "ctl")  # kind: 'weak' or 'strong'
-
-    def __init__(self, kind, relational, ctl):
-        super().__init__(kind, relational, ctl)
 
     @property
     def agree(self):
@@ -44,18 +41,12 @@ def rerooted(sys, q, r):
     )
 
 
-def _relation_and_formula(sys, kind):
-    if kind == WEAK:
-        return weak_relation(sys), weak_formula()
-    return strong_relation(sys), strong_formula()
-
-
 def compare_methods(sys, kind, flat=None):
     """Verdicts of both methods on the system's initial pair."""
     relational = adaptable(sys, kind)
     if flat is None:
         flat = flatten(sys)
-    phi = weak_formula() if kind == WEAK else strong_formula()
+    phi = adaptability_formula(kind)
     return MethodVerdicts(kind=kind, relational=relational, ctl=check_ctl(flat, phi).holds_at_init)
 
 
@@ -69,7 +60,8 @@ def pair_disagreements(sys, kind):
     it can reach.  Returns a sorted tuple of ((q, r), relational, ctl)
     entries; empty when the methods agree on every candidate.
     """
-    rel, phi = _relation_and_formula(sys, kind)
+    rel = (weak_relation if kind == WEAK else strong_relation)(sys)
+    phi = adaptability_formula(kind)
     roots = sorted(candidate_pairs(sys))
     sat = check_ctl(flatten(sys, roots), phi).satisfying
     out = []

@@ -31,7 +31,8 @@ from itertools import compress
 from . import _lex
 from . import formula as F
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with formulas
-from ._record import Record, set_field
+from ._record import Record
+from .adapt import WEAK
 from .errors import CtlError, FormulaError
 from .flat import ADAPTING, STEADY
 
@@ -39,17 +40,9 @@ from .flat import ADAPTING, STEADY
 class Atom(Record):
     __slots__ = ("name", "pos")  # name: 'adapting' or 'steady'
 
-    def __init__(self, name, pos=None):
-        set_field(self, "name", name)
-        set_field(self, "pos", pos)
-
 
 class InState(Record):
     __slots__ = ("r", "pos")
-
-    def __init__(self, r, pos=None):
-        set_field(self, "r", r)
-        set_field(self, "pos", pos)
 
 
 class ObsHolds(Record):
@@ -57,28 +50,13 @@ class ObsHolds(Record):
 
     __slots__ = ("phi", "pos")
 
-    def __init__(self, phi, pos=None):
-        set_field(self, "phi", phi)
-        set_field(self, "pos", pos)
-
 
 class Modal(Record):
     __slots__ = ("op", "arg", "pos")  # op: AX EX AF EF AG EG
 
-    def __init__(self, op, arg, pos=None):
-        set_field(self, "op", op)
-        set_field(self, "arg", arg)
-        set_field(self, "pos", pos)
-
 
 class Until(Record):
     __slots__ = ("quant", "left", "right", "pos")  # quant: 'A' or 'E'
-
-    def __init__(self, quant, left, right, pos=None):
-        set_field(self, "quant", quant)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +153,6 @@ class CheckResult(Record):
     ``witness`` state-id path when one is informative, else None."""
 
     __slots__ = ("satisfying", "holds_at_init", "witness")
-
-    def __init__(self, satisfying, holds_at_init, witness):
-        super().__init__(satisfying, holds_at_init, witness)
 
 
 class _Graph:
@@ -323,6 +298,11 @@ def weak_formula():
 def strong_formula():
     """AG (adapting -> AF steady)"""
     return Modal("AG", Implies(Atom("adapting"), Modal("AF", Atom("steady"))))
+
+
+def adaptability_formula(kind):
+    """The CTL formula of ``kind`` adaptability, 'weak' or 'strong'."""
+    return weak_formula() if kind == WEAK else strong_formula()
 
 
 def weak_adaptable_ctl(flat):

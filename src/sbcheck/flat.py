@@ -29,11 +29,9 @@ The rules read one move-table entry per mode ``(r, pending)`` met
 ``simulate`` walks, reads the same entry.
 """
 
-from __future__ import annotations
-
 import json
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .errors import ModelError
 from .model import require_well_formed
@@ -43,26 +41,16 @@ ADAPTING = "adapting"
 STUCK = "stuck"
 
 
-class FlatState(NamedTuple):
-    """Behaviour state q, structure state r and, while an adaptation is under
-    way, the index in ``sys.options(r)`` of its structure transition.
+FlatState = namedtuple("FlatState", "q r pending")
+FlatState.__doc__ = """Behaviour state q, structure state r and, while an adaptation is
+under way, the index in ``sys.options(r)`` of its structure transition, else None.
 
-    A flat state is a tuple: it equals, and hashes as, the plain tuple
-    ``(q, r, pending)``.
-    """
+A flat state is a tuple: it equals, and hashes as, the plain tuple
+``(q, r, pending)``."""
 
-    q: str
-    r: str
-    pending: int | None
-
-
-class FlatTransition(NamedTuple):
-    """A move between two flat states: ``label`` is ``("steady", r)``, or
-    ``("adapt", r, invariant, target)`` from the pending endpoint."""
-
-    source: FlatState
-    target: FlatState
-    label: tuple
+FlatTransition = namedtuple("FlatTransition", "source target label")
+FlatTransition.__doc__ = """A move between two flat states: ``label`` is ``("steady", r)``, or
+``("adapt", r, invariant, target)`` from the pending endpoint."""
 
 
 def adaptation(sys, state):
@@ -87,7 +75,7 @@ def state_text(sys, state):
     return f"({state.q},{state.r}{tail})"
 
 
-_new = tuple.__new__  # builds a FlatState without NamedTuple's Python-level __new__
+_new = tuple.__new__  # builds a FlatState without namedtuple's Python-level __new__
 
 
 def _mode(sys, r, pending):

@@ -17,7 +17,7 @@ import operator
 
 from . import _lex
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with CTL
-from ._record import Record, set_field
+from ._record import Record
 from .errors import FormulaError, ModelError
 
 # ---------------------------------------------------------------------------
@@ -75,9 +75,6 @@ class ObservableDecl(Record):
     """Observable ``name`` with a BoolDomain, IntRange or EnumDomain ``domain``."""
 
     __slots__ = ("name", "domain")
-
-    def __init__(self, name, domain):
-        super().__init__(name, domain)
 
 
 class Observables:
@@ -156,19 +153,11 @@ def check_valuation(observables, valuation):
 class IntLit(Record):
     __slots__ = ("value", "pos")
 
-    def __init__(self, value, pos=None):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
-
 
 class Name(Record):
     """Observable reference; a bare boolean atom or an integer/enum term."""
 
     __slots__ = ("name", "pos")
-
-    def __init__(self, name, pos=None):
-        set_field(self, "name", name)
-        set_field(self, "pos", pos)
 
 
 class EnumLit(Record):
@@ -176,21 +165,11 @@ class EnumLit(Record):
 
     __slots__ = ("value", "pos")
 
-    def __init__(self, value, pos=None):
-        set_field(self, "value", value)
-        set_field(self, "pos", pos)
-
 
 class _Binary(Record):
     """``left op right``, an operator on terms."""
 
     __slots__ = ("op", "left", "right", "pos")
-
-    def __init__(self, op, left, right, pos=None):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "pos", pos)
 
 
 class Arith(_Binary):

@@ -232,15 +232,9 @@ def _bitset(truths):
 class Violation(Record):
     __slots__ = ("kind", "subject", "message")  # kind: 'unsatisfiable-label' or 'initial-violation'
 
-    def __init__(self, kind, subject, message):
-        super().__init__(kind, subject, message)
-
 
 class WellFormedness(Record):
     __slots__ = ("ok", "violations")  # violations: a tuple of Violation
-
-    def __init__(self, ok, violations):
-        super().__init__(ok, violations)
 
 
 def check_well_formed(sys):

@@ -13,7 +13,7 @@ import gen
 import sbcheck.ctl as C
 import sbcheck.formula as F
 import sbcheck.model as M
-from sbcheck import _lex, cli
+from sbcheck import _lex, _record, cli
 from sbcheck.errors import FormulaError, SourceError
 from sbcheck.ingest import bundled_model_path
 
@@ -256,10 +256,40 @@ assert len({{label, deep.structure.label("r0"), other.structure.label("r0")}}) =
 """)
 
 
+def test_deep_records_print_and_copy_without_recursion():
+    # repr, copy.copy and copy.deepcopy took a frame per level and overflowed
+    # on a chain of 2000 negations; so did the error naming a node that is
+    # no CTL node
+    s0 = str(bundled_model_path("predator_s0"))
+    _shallow(f"""
+import copy
+from sbcheck import ingest
+from sbcheck._lex import Not
+from sbcheck.flat import flatten
+f = C.Atom("steady")
+for _ in range(3000):
+    f = Not(f)
+text = repr(f)
+assert text == "Not(arg=" * 3000 + "Atom(name='steady')" + ")" * 3000
+assert copy.copy(f) is f and copy.deepcopy(f) is f
+assert repr(copy.deepcopy((f, [f]))) == f"({{text}}, [{{text}}])"
+bad = F.Compare("==", f, f)
+flat = flatten(ingest.load({s0!r}))
+for walk in (C.unparse_ctl, lambda g: C.check_ctl(flat, g)):
+    try:
+        walk(bad)
+    except SourceError as e:
+        assert e.message == f"not a CTL node: Compare(op='==', left={{text}}, right={{text}})"
+    else:
+        raise AssertionError("no error")
+""")
+
+
 def test_no_formula_or_ctl_walk_calls_itself():
-    # every walk over a formula or CTL tree is a _lex.fold; ctl_oracle keeps
-    # its recursion as the reference the fold is checked against
-    for module in (_lex, F, M, C):
+    # every walk over a formula or CTL tree is a _lex.fold, and the record
+    # methods walk from stacks of their own; ctl_oracle keeps its recursion
+    # as the reference the fold is checked against
+    for module in (_record, _lex, F, M, C):
         tree = ast.parse(inspect.getsource(module))
         oracle = {id(n) for f in tree.body if getattr(f, "name", "") == "ctl_oracle" for n in ast.walk(f)}
         for fn in ast.walk(tree):

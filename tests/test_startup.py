@@ -22,10 +22,12 @@ from sbcheck.errors import ModelError
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_imports_none_of_dataclasses_inspect_or_typing():
     """``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis`` and writes code
-    for each class at import; the package imports neither of the first two."""
-    code = "import sys, sbcheck.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    for each class at import, and ``typing`` is large; the package imports
+    none of the first two or the last."""
+    modules = "{'dataclasses', 'inspect', 'typing'}"
+    code = f"import sys, sbcheck.cli; print(*sorted({modules} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -92,6 +94,12 @@ RECORDS = [
 ]
 UNHASHABLE = (M.StructureMachine, M.ObservationMap, M.SBSystem)  # fields hold dicts
 IDS = [type(a).__name__ for a, _, _ in RECORDS]
+# the records whose constructor does more than set the fields: splice
+# operands, check the fields or derive tables from them
+CONSTRUCTORS = {L._Chain, F.IntRange, F.EnumDomain,
+                M.BehaviourMachine, M.StructureMachine, M.ObservationMap, M.SBSystem}
+PLAIN = [a for a, _, _ in RECORDS if not isinstance(a, tuple(CONSTRUCTORS))]
+NODES = [a for a in PLAIN if hasattr(a, "pos")]  # AST nodes, which take a position
 
 
 def test_the_table_covers_every_record_class():
@@ -153,6 +161,32 @@ def test_constructors_take_the_fields_by_position_and_by_keyword(a, same, other)
     values = [getattr(a, f) for f in a._fields]
     assert type(a)(*values) == a
     assert type(a)(**dict(zip(a._fields, values))) == a
+
+
+def test_only_records_that_do_more_than_set_fields_define_a_constructor():
+    defining = {c for a, _, _ in RECORDS for c in type(a).__mro__ if "__init__" in vars(c)}
+    assert defining == CONSTRUCTORS | {Record, object}
+
+
+@pytest.mark.parametrize("a", PLAIN, ids=[type(a).__name__ for a in PLAIN])
+def test_plain_constructors_refuse_bad_arguments(a):
+    cls, values = type(a), [getattr(a, f) for f in a._fields]
+    params = values + [AT] if hasattr(a, "pos") else values
+    bad = [((*params, None), {}), (values, {"extra": None})]  # one too many; unknown
+    if values:  # one field missing; the first given by position and by name
+        bad += [(values[:-1], {}), (values, {a._fields[0]: values[0]})]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("a", NODES, ids=[type(a).__name__ for a in NODES])
+def test_a_node_takes_its_position_by_position_and_by_keyword(a):
+    values = [getattr(a, f) for f in a._fields]
+    by_position, by_keyword = type(a)(*values, AT), type(a)(*values, pos=AT)
+    assert by_position == by_keyword == a
+    assert by_position.pos == by_keyword.pos == AT
+    assert type(a)(*values).pos is None
 
 
 @pytest.mark.parametrize(
