@@ -15,6 +15,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import reduce
+from itertools import accumulate
 from operator import and_, attrgetter, or_
 
 from ._record import Record
@@ -24,27 +25,58 @@ EOF = "eof"
 # Taken up after every token and before the first: whitespace, newlines
 # and "//" comments, which run to the end of the line.
 _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-_NEWLINE = re.compile(r"\n")
 
 
-class Token(namedtuple("Token", "kind text offset lines")):
-    """A token of kind ``kind`` spelled ``text`` at ``offset`` in its source.
+class Source:
+    """A text to tokenize, and the offsets where its lines start.
 
-    ``lines`` holds the offsets of the source's newlines, one list shared
-    by all its tokens, so ``line`` and ``col`` cost a bisection and only
-    when read: by an error or an AST ``pos``.
+    The line starts are found on the first :meth:`position` asked of the
+    text, for an error or a formula node, and kept for the rest.  So a
+    model file read without error never has them found, and a position
+    costs one bisection even on a long line.
+    """
+
+    __slots__ = ("text", "_starts")
+
+    def __init__(self, text):
+        self.text = text
+        self._starts = None
+
+    def position(self, offset):
+        """The ``(line, col)`` of ``offset``, each counted from 1: one bisection."""
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = self.line_starts()
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    def line_starts(self):
+        """0 and the offset after each newline of the text, then ``len(text) + 1``."""
+        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
+
+
+class Token(namedtuple("Token", "kind text offset source")):
+    """A token of kind ``kind`` spelled ``text`` at ``offset`` in ``source``.
+
+    ``source`` is the :class:`Source` shared by all tokens of one text.
+    ``line`` and ``col`` (``pos`` for both) are computed from it only when
+    read: by an error, or for an AST node's ``pos``.
     """
 
     __slots__ = ()
 
     @property
+    def pos(self):
+        """``(line, col)``."""
+        return self.source.position(self.offset)
+
+    @property
     def line(self):
-        return bisect_right(self.lines, self.offset) + 1
+        return self.pos[0]
 
     @property
     def col(self):
-        i = bisect_right(self.lines, self.offset)
-        return self.offset - (self.lines[i - 1] if i else -1)
+        return self.pos[1]
 
 
 class Lexer:
@@ -69,32 +101,33 @@ class Lexer:
         self._lead = re.compile(_SKIP).match
 
     def tokenize(self, text):
-        """Split ``text`` into tokens, always ending with an EOF token."""
+        """Split ``text``, a string or a :class:`Source`, into tokens, always
+        ending with an EOF token.  Tokens of one :class:`Source` share its
+        line starts."""
         if self._scan is None:
             self._compile()
-        lines = [m.start() for m in _NEWLINE.finditer(text)]
+        source = text if type(text) is Source else Source(text)
+        text = source.text
         new = tuple.__new__
         out = [
-            new(Token, (m.lastgroup, m[m.lastindex], m.start(), lines))
+            new(Token, (m.lastgroup, m[m.lastindex], m.start(), source))
             for m in self._scan(text, self._lead(text).end())
         ]
         end = 0
         if out:
             last = out[-1]
             if last.kind == "_bad":
-                raise self.error_cls(
-                    f"unexpected character {last.text[0]!r}", last.line, last.col
-                )
+                raise self.error_cls(f"unexpected character {last.text[0]!r}", *last.pos)
             end = last.offset + len(last.text)
         # After a comment that ends the text, EOF sits where it starts.  On
         # the last line of the skip after the last token, only blanks can
         # come before that comment.
         comment = text.find("//", max(end, text.rfind("\n", end) + 1))
-        out.append(new(Token, (EOF, "", len(text) if comment < 0 else comment, lines)))
+        out.append(new(Token, (EOF, "", len(text) if comment < 0 else comment, source)))
         return out
 
     def parser(self, text):
-        """A :class:`Parser` over the tokens of ``text``."""
+        """A :class:`Parser` over the tokens of ``text``, a string or a :class:`Source`."""
         return Parser(self.tokenize(text), self.error_cls)
 
 
@@ -132,7 +165,7 @@ class Parser:
 def failure(error_cls, t, msg):
     """An ``error_cls`` for ``msg`` that names token ``t`` and points at it."""
     found = "end of input" if t.kind == EOF else repr(t.text)
-    return error_cls(f"{msg}, found {found}", t.line, t.col)
+    return error_cls(f"{msg}, found {found}", *t.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +346,13 @@ def expression(p, language):
                     if ops and ops[-1][1] is cls:
                         ops[-1][2].append(x)
                     else:
-                        ops.append((lvl, cls, [x], (t.line, t.col)))
+                        ops.append((lvl, cls, [x], t.pos))
                     p.i += 1
                     break
                 # a term operator applies its equal too: it associates left
                 x = _apply(ops, lvl - 1, x, lang, tokens[end])
                 if type(x) in lang.terms:
-                    ops.append((lvl, cls, [*args, x], (t.line, t.col)))
+                    ops.append((lvl, cls, [*args, x], t.pos))
                     p.i += 1
                     break
             x = _apply(ops, 0, x, lang, tokens[end])

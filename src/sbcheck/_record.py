@@ -10,21 +10,25 @@ nor a ``_`` slot is a field: ``==``, ``hash`` and ``repr`` read the
 fields alone, and walk nested records and tuples without recursion, so
 formulas of any depth compare and print.  Assignment raises
 :class:`AttributeError`, so a changed value is built with the
-constructor, and a copy, shallow or deep, is the record itself.
-:mod:`pickle` still recurses once per level of nesting.
+constructor, and a copy, shallow or deep, is the record itself.  A record
+pickles with all its slots as a flat list of the records and tuples
+under it, so :mod:`pickle` too takes no frame per level of nesting.
 """
 
+from itertools import compress
 
 set_field = object.__setattr__  # sets a slot in ``__init__``, past the refusing ``__setattr__``
 
 
 class Record:
     __slots__ = ()
+    _slots = ()  # every slot, the class's own last
     _fields = ()  # the field names, in constructor order
     _params = ()  # the constructor's parameters: the fields, then ``pos`` if there is one
 
     def __init_subclass__(cls):
         slots = [s for c in reversed(cls.__mro__) for s in vars(c).get("__slots__", ())]
+        cls._slots = tuple(slots)
         cls._fields = tuple(s for s in slots if s != "pos" and not s.startswith("_"))
         cls._params = cls._fields + (("pos",) if "pos" in slots else ())
 
@@ -116,10 +120,42 @@ class Record:
     def __deepcopy__(self, memo):
         return self
 
-    def __setstate__(self, state):
-        """Restore the slots for :mod:`pickle`, from ``(None, slots)``."""
-        for name, value in state[1].items():
-            set_field(self, name, value)
+    def __reduce__(self):
+        """Pickle as :func:`_rebuild` of the records and plain tuples under
+        this one, found from one explicit stack and listed children first.
+        Each is ``(class, slot values)``, with :class:`_Below` standing for
+        each value that is one of them; a record keeps every slot."""
+        todo, entries = [self], []
+        while todo:  # each value after those below it, read backwards
+            value = todo.pop()
+            cls = value.__class__
+            values = value if cls is tuple else [getattr(value, s) for s in cls._slots]
+            below = [v.__class__ is tuple or isinstance(v, Record) for v in values]
+            todo += compress(values, below)
+            entries.append((cls, tuple([_Below if b else v for v, b in zip(values, below)])))
+        return _rebuild, (entries[::-1],)
+
+
+class _Below:
+    """In a pickled record, a value that is a record or tuple listed before it."""
+
+
+def _rebuild(entries):
+    """The record that :meth:`Record.__reduce__` listed as ``entries``."""
+    built = []
+    for cls, values in entries:
+        n = sum(v is _Below for v in values)
+        below = iter(built[len(built) - n :])
+        del built[len(built) - n :]
+        values = [next(below) if v is _Below else v for v in values]
+        if cls is tuple:
+            built.append(tuple(values))
+            continue
+        record = cls.__new__(cls)
+        for name, value in zip(cls._slots, values):
+            set_field(record, name, value)
+        built.append(record)
+    return built[0]
 
 
 def _text(value, texts):

@@ -79,7 +79,7 @@ def parse_ctl(text):
 def _operand(p, term):
     """A prefix ``!`` or modal operator, an opened bracket or an atom."""
     t = p.take()
-    word, pos = t.text, (t.line, t.col)
+    word, pos = t.text, t.pos
     if word == "!":
         return (_lex.UNARY, Not, (), pos)
     if word in _MODALS:

@@ -213,7 +213,7 @@ _BINARY.update(plus=(_lex.UNARY + 2, Arith, ("+",)), minus=(_lex.UNARY + 2, Arit
 def _operand(p, term):
     """A prefix ``!``, an opened ``(`` or an atom; only a term where ``term``."""
     t = p.take()
-    kind, pos = t.kind, (t.line, t.col)
+    kind, pos = t.kind, t.pos
     if kind == "ident":
         if t.text == "true" or t.text == "false":
             if term:

@@ -23,10 +23,12 @@ Layout (``//`` comments and whitespace are free-form)::
     }
 
 State declarations come before transitions inside each block.  Quoted
-strings hold constraint formula syntax.  A run of at most :data:`RUN`
-behaviour statements, ``state q {...} init;`` or ``a -> b;``, with only
-blanks inside and between them is one token of :data:`STATEMENTS`, whose
-statements one ``findall`` splits into parts; text that reader rejects is
+strings hold constraint formula syntax.  Behaviour statements,
+``state q {...} init;`` or ``a -> b;``, are read in runs: a stretch of at
+most :data:`RUN_LENGTH` characters that a statement can hold, from a
+statement head to a ``;``, is one token of :data:`STATEMENTS`, and one
+``findall`` splits it into its statements' parts.  A run that holds
+anything but statements and blanks, and any text that reader rejects, is
 read again token by token (:data:`LEXER`), which reports every error.
 ``save`` emits a canonical form: observables in declaration order, states
 sorted by id, transitions sorted, formulas reprinted with canonical spacing;
@@ -72,30 +74,29 @@ _BLANKS = r"[ \t\r\n]*"
 _ASSIGN = rf"{_ID}{_BLANKS}={_BLANKS}(?:-{_BLANKS}[0-9]+|[0-9]+|{_ID}){_BLANKS}"
 _VALUATION = re.compile(rf"{_BLANKS}(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?").fullmatch
 
-_STATEMENT = (
-    rf"state[ \t\r\n]+{_ID}{_BLANKS}\{{[A-Za-z0-9_ \t\r\n=,-]*\}}{_BLANKS}(?:init{_BLANKS})?;"
-    rf"|{_ID}{_BLANKS}->{_BLANKS}{_ID}{_BLANKS};"
-)
-RUN = 64  # behaviour statements in one ``run`` token at most
+RUN_LENGTH = 8192  # characters in one ``run`` token at most
 
 # The token grammar's rules behind one that takes a run of behaviour
-# statements, ``state q {...} init;`` or ``a -> b;``, with only blanks inside
-# and between them.  Every word in a statement is followed by a blank or by
-# punctuation, so each ends where the token grammar would end it; and every
-# run of blanks is followed by a required character, so a failed match
-# backtracks in linear time.  A valuation is matched here only by its
-# characters; ``_block`` checks it against the token grammar (``_VALUATION``)
-# once per distinct text.  A run is bounded because ``re`` keeps backtracking
-# state for each repetition it has matched: unbounded, that grows with the
-# block, and the possessive ``*+`` that would drop it needs Python 3.11.
-STATEMENTS = _lex.Lexer(
-    [("run", rf"(?:{_STATEMENT})(?:{_BLANKS}(?:{_STATEMENT})){{0,{RUN - 1}}}"), *LEXER.rules],
-    ModelFileError,
+# statements: from a statement head, ``state q {`` or ``a ->``, the longest
+# stretch of characters a statement can hold that ends with ``;`` and is
+# at most RUN_LENGTH long.  It starts and ends where the token grammar
+# would, and a comment or any other character ends it; ``_PARTS`` checks
+# what lies inside.  A one-character repeat keeps no backtracking state per
+# character, even on Python 3.10, and the bound keeps both the run and the
+# step back to its last ``;`` short.
+_RUN = (
+    rf"(?=state[ \t\r\n]+{_ID}{_BLANKS}\{{|{_ID}{_BLANKS}->)"
+    rf"[A-Za-z0-9_ \t\r\n{{}}=,;>-]{{0,{RUN_LENGTH - 1}}};"
 )
-# (state id, valuation text, "init" or "", source, target) of each statement in a run
-_RUN_PARTS = re.compile(
-    rf"state[ \t\r\n]+({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?{_BLANKS};"
-    rf"|({_ID}){_BLANKS}->{_BLANKS}({_ID})"
+STATEMENTS = _lex.Lexer([("run", _RUN), *LEXER.rules], ModelFileError)
+# (state id, valuation text, "init" or "", source, target) of each statement
+# in a run.  Each statement ends with the blanks after it, so the next
+# starts where the token grammar would start it; anything else in the run
+# matches the last alternative, which captures nothing.
+_PARTS = re.compile(
+    rf"state[ \t\r\n]+({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?{_BLANKS};{_BLANKS}"
+    rf"|({_ID}){_BLANKS}->{_BLANKS}({_ID}){_BLANKS};{_BLANKS}"
+    r"|[\s\S]"
 ).findall
 _REREAD = "a behaviour statement the token grammar must read"
 _ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
@@ -300,9 +301,10 @@ def _block(p, observables, word, state_body, edge_middle):
 
     The behaviour block also takes each ``run`` token in one step, reading
     its statements with one ``findall`` and each distinct valuation text
-    once.  Of their errors it catches only those that would overwrite an
-    entry or put a state after a transition; :class:`SBSystem` rejects the
-    rest.
+    once.  Text in a run that is no statement, and the errors that would
+    overwrite an entry or put a state after a transition, raise
+    :class:`ModelFileError` for the token grammar to report;
+    :class:`SBSystem` rejects the rest.
     """
     head = p.keyword(word)
     p.take("lbrace", f"expected '{{' opening the {word} block")
@@ -313,11 +315,11 @@ def _block(p, observables, word, state_body, edge_middle):
 
     def run(text):
         nonlocal init
-        for q, body, marked, src, dst in _RUN_PARTS(text):
+        for q, body, marked, src, dst in _PARTS(text):
             if src:
                 transitions.append((src, dst))
                 continue
-            if transitions or q in table or marked and init is not None:
+            if not q or transitions or q in table or marked and init is not None:
                 raise ModelFileError(_REREAD)
             if body not in bodies:
                 bodies[body] = _assignments(body)
@@ -377,10 +379,11 @@ def loads(text):
     Raises :class:`ModelFileError` with a line:col position on any syntax
     or semantic problem in the text.
     """
+    source = _lex.Source(text)  # both readings share its line starts
     try:
-        return _read(STATEMENTS.parser(text))
+        return _read(STATEMENTS.parser(source))
     except ModelFileError:
-        return _read(LEXER.parser(text))
+        return _read(LEXER.parser(source))
 
 
 def _read(p):
@@ -405,12 +408,26 @@ def _read(p):
 
 
 def load(path):
-    """Read and parse a model file."""
+    """Read and parse a model file in UTF-8.
+
+    Newlines are read as in text mode: ``\\r\\n`` and ``\\r`` each end a
+    line.  A byte that is no UTF-8 is reported at its ``line:col``.
+    """
     try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
+        data = pathlib.Path(path).read_bytes()
     except OSError as e:
         raise ModelFileError(f"cannot read {path}: {e.strerror or e}") from None
-    return loads(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = _newlines(data[: e.start].decode("utf-8"))
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise ModelFileError(f"byte 0x{data[e.start]:02x} is not UTF-8", line, col) from None
+    return loads(_newlines(text))
+
+
+def _newlines(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _quote(text):

@@ -43,10 +43,10 @@ class BehaviourMachine(Record):
 
     def __init__(self, states, init, transitions):
         states = tuple(sorted(states))
-        if len(set(states)) != len(states):
+        succ = {q: [] for q in states}
+        if len(succ) != len(states):
             raise ModelError("duplicate behaviour state id")
         transitions = frozenset(transitions)
-        succ = {q: [] for q in states}
         if init not in succ:
             raise ModelError(f"initial behaviour state {init!r} is not declared")
         for src, dst in transitions:
@@ -55,8 +55,11 @@ class BehaviourMachine(Record):
                 src, dst = min(t for t in transitions if t[0] not in succ or t[1] not in succ)
                 raise ModelError(f"behaviour transition {src!r} -> {dst!r} uses an undeclared state")
             succ[src].append(dst)
+        for v in succ.values():
+            if len(v) > 1:  # most states of a long chain have one successor
+                v.sort()
         super().__init__(states, init, transitions)
-        set_field(self, "_succ", {q: tuple(sorted(v)) for q, v in succ.items()})
+        set_field(self, "_succ", {q: tuple(v) for q, v in succ.items()})
 
     def successors(self, q):
         return _lookup(self._succ, q, "unknown behaviour state")

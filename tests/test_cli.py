@@ -71,7 +71,7 @@ def test_validate_json_ok():
 
 def test_validate_ill_formed(tmp_path):
     bad = tmp_path / "bad.sbs"
-    text = open(S0, encoding="utf-8").read()
+    text = save(load(S0))
     bad.write_text(text.replace('state r2: "moved"', 'state r2: "moved && !moved"'))
     res = run("validate", str(bad))
     assert res.returncode == 3
@@ -82,7 +82,7 @@ def test_validate_ill_formed(tmp_path):
 
 def test_validate_reports_initial_violation(tmp_path):
     bad = tmp_path / "bad.sbs"
-    text = open(S0, encoding="utf-8").read()
+    text = save(load(S0))
     q111f = "state q111f {p = 1, a0 = 1, a1 = 1, eat = false, moved = false}"
     bad.write_text(
         text.replace(" init;", ";", 1).replace(q111f + ";", q111f + " init;")
@@ -111,6 +111,21 @@ def test_missing_file_exit_code(tmp_path):
     assert res.returncode == 2
     assert "cannot read" in res.stderr
     assert res.stderr.count(target) == 1  # the path is named exactly once
+
+
+def test_undecodable_file_exit_code(tmp_path):
+    # the first byte that is no UTF-8 is named at its line and column, in
+    # characters, with lines ended as a text-mode read ends them
+    text = save(load(S0))
+    bad = tmp_path / "latin1.sbs"
+    bad.write_bytes(b"// caf\xc3\xa9\r\r\n// d\xc3\xa9j\xc3\xa0 \xe9t\xe9\n" + text.encode())
+    res = run("validate", str(bad))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {bad}: 3:9: byte 0xe9 is not UTF-8\n"
+    ok = tmp_path / "utf8.sbs"
+    ok.write_bytes(b"// caf\xc3\xa9\r" + text.replace("\n", "\r\n").encode())  # "\r" ends the comment
+    assert load(str(ok)) == load(S0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,7 @@ def test_flatten_output_is_byte_stable():
 
 def test_flatten_rejects_ill_formed(tmp_path):
     bad = tmp_path / "bad.sbs"
-    text = open(S0, encoding="utf-8").read()
+    text = save(load(S0))
     bad.write_text(text.replace('state r2: "moved"', 'state r2: "moved && !moved"'))
     res = run("flatten", str(bad))
     assert res.returncode == 3

@@ -285,6 +285,31 @@ for walk in (C.unparse_ctl, lambda g: C.check_ctl(flat, g)):
 """)
 
 
+def test_deep_records_pickle_without_recursion():
+    # pickle took a frame per level and overflowed on a chain of 2000
+    # negations; the positions and the derived tables come back too
+    s0 = str(bundled_model_path("predator_s0"))
+    _shallow(f"""
+import pickle
+from sbcheck import ingest
+from sbcheck._lex import And, Not
+f = C.Atom("steady", pos=(1, 1))
+for i in range(3000):
+    f = Not(f, pos=(1, i + 2))
+for value in (f, And(f, Not(f)), [f, (f, ())]):
+    assert pickle.loads(pickle.dumps(value)) == value
+twin = pickle.loads(pickle.dumps(f))
+for i in range(3001, 0, -1):
+    assert type(twin) is type(f) and twin.pos == (1, i)
+    twin, f = getattr(twin, "arg", None), getattr(f, "arg", None)
+assert twin is None and f is None
+model = ingest.load({s0!r})
+again = pickle.loads(pickle.dumps(model))
+assert again == model and ingest.save(again) == ingest.save(model)
+assert again.behaviour.successors("q011t") == model.behaviour.successors("q011t")
+""")
+
+
 def test_no_formula_or_ctl_walk_calls_itself():
     # every walk over a formula or CTL tree is a _lex.fold, and the record
     # methods walk from stacks of their own; ctl_oracle keeps its recursion

@@ -6,6 +6,7 @@ documented exit code or error class, never an internal failure, and a
 valid formula must print back to the tree it parses to.
 """
 
+import collections
 import json
 import pathlib
 import random
@@ -18,7 +19,7 @@ import sbcheck.ctl as C
 import sbcheck.flat as FL
 import sbcheck.formula as F
 import sbcheck.ingest as I
-from sbcheck import cli
+from sbcheck import _lex, cli
 from sbcheck.errors import ModelError, ModelFileError
 from sbcheck.ingest import bundled_model, bundled_model_path
 
@@ -170,26 +171,88 @@ def _boundary_model(statements, seps=("\n  ", "\r\n", " ", "\r\n\t")):
     )
 
 
+def _padded_to(statements, end, statement):
+    """``statements`` and then ``statement`` with blanks before its ``;``, so
+    that, apart by single spaces, it ends ``end`` characters after the start
+    of the first."""
+    used = len(" ".join(statements)) + 1 + len(statement)
+    return statements + [statement[:-1] + " " * (end - used) + ";"]
+
+
+BOUNDARY_STATES = [
+    f"state q{i} {{b = {str(i % 3 > 0).lower()}, n = {i % 5}, m = red}}{' init' * (i == 0)};"
+    for i in range(I.RUN_LENGTH // 20)
+]
+BOUNDARY_EDGES = [f"q{i} -> q{i * 7 % len(BOUNDARY_STATES)};" for i in range(len(BOUNDARY_STATES))]
+
+
 def _run_boundary_models():
-    """Behaviour blocks longer than one run, and errors on either side of a run's end.
+    """Behaviour blocks longer than one run, runs cut by the length bound,
+    and errors inside a run and on either side of a run's end.
 
     Returns (text, whether the statement path reads it without falling back).
     """
-    k = I.RUN
-    states = [
-        f"state q{i} {{b = {str(i % 3 > 0).lower()}, n = {i % 5}, m = red}}{' init' * (i == 0)};"
-        for i in range(k + 6)
-    ]
-    edges = [f"q{i} -> q{i * 7 % len(states)};" for i in range(len(states))]
+    states, edges, k, n = BOUNDARY_STATES, BOUNDARY_EDGES, 150, I.RUN_LENGTH
     comments = ("\n  ", "\n// note\n  ", "\r\n", "\r\n\t// x\r\n", " ")
+
+    def spaced(statements):
+        return _boundary_model(statements, (" ",))
+
+    def changed(old, new, i=5):  # every statement, with state ``i`` changed
+        return _boundary_model(states[:i] + [states[i].replace(old, new)] + states[i + 1 :] + edges)
+
+    def padded(end, statement=states[k], rest=states[k + 1 :] + edges):
+        return spaced(_padded_to(states[:k], end, statement) + rest)
+
+    structure = "\n}\n\nstructure {\n "
     return [
-        (_boundary_model(states + edges), True),  # three runs: k, k and the rest
+        (_boundary_model(states + edges), True),  # three runs
         (_boundary_model(states + edges, comments), True),
+        (padded(n), True),  # a state that ends at the bound
+        (padded(n + 1), True),  # ... and one the bound cuts
+        (padded(2 * n), True),  # ... and one longer than a run
         (_boundary_model(states[:3] + edges[:1] + states[3:6]), False),  # a state after an edge
-        (_boundary_model(states[: k - 1] + edges[:1] + states[k - 1 :]), False),  # ... across runs
+        (padded(n, edges[0], states[k:]), False),  # ... that opens the next run
         (_boundary_model(states[:k] + states[1:2] + states[k:] + edges), False),  # duplicate state
-        (_boundary_model(states[:k] + [states[k].replace("};", "} init;")] + edges), False),  # init
+        (changed("};", "} init;", k), False),  # a second init
+        (changed(", n", "; n"), False),  # ';' inside braces
+        (changed("};", "} initx;"), False),
+        (changed("};", "} init init;"), False),
+        (_boundary_model(states + edges[:3] + ["q0 -> ;"] + edges[3:]), False),
+        (_boundary_model(states + edges).replace(structure, "}structure{ "), True),
+        (_boundary_model(states + edges).replace(structure, "}structure{q0 -> q1;"), False),
+        (STRAY, False),
     ]
+
+
+# One stray character between two statements, in a model whose empty
+# valuation assigns every observable.
+STRAY = (
+    'system "f"\nobservables {}\nbehaviour {\n  state a {} init; =a -> a;\n}\n'
+    'structure {\n  state r: "true" init;\n}\n'
+)
+
+
+def test_runs_end_at_the_last_statement_within_the_length_bound():
+    states, edges, k, n = BOUNDARY_STATES, BOUNDARY_EDGES, 150, I.RUN_LENGTH
+
+    def runs(statements):
+        tokens = I.STATEMENTS.tokenize(_boundary_model(statements, (" ",)))
+        return [t.text for t in tokens if t.kind == "run"]
+
+    for end, first in ((n, k + 1), (n + 1, k), (2 * n, k)):
+        statements = _padded_to(states[:k], end, states[k]) + states[k + 1 :] + edges
+        got = runs(statements)
+        assert all(len(run) <= n for run in got)
+        assert got[0] == " ".join(statements[:first]), end
+        if end == 2 * n:  # a statement longer than a run is read token by token
+            assert got[1].startswith(statements[k + 1]), end
+        else:
+            assert got[1].startswith(statements[first]), end
+    statements = _padded_to(states[:k], n, edges[0]) + states[k:]
+    got = runs(statements)
+    assert got[0].endswith(statements[k]) and len(got[0]) == n
+    assert got[1].startswith(states[k])  # the state after the edge opens the next run
 
 
 def _read_outcome(read, text):
@@ -226,6 +289,47 @@ def test_statement_reader_agrees_with_the_token_grammar():
             continue
         fast += 1
     assert fast >= len(texts) // 2  # most texts take the statement path
+
+
+def test_line_starts_are_found_only_for_a_position_and_once_per_text(monkeypatch):
+    built = collections.Counter()  # Source -> times its line starts were found
+    line_starts = _lex.Source.line_starts
+
+    def counted(source):
+        built[source] += 1
+        return line_starts(source)
+
+    monkeypatch.setattr(_lex.Source, "line_starts", counted)
+
+    def finds(text):  # times the line starts of ``text`` itself were found
+        return sum(n for source, n in built.items() if source.text is text)
+
+    for workload, seeds in workloads.POOL.items():
+        for seed in seeds:
+            text = workloads.model_text(workload, seed)
+            built.clear()
+            I.loads(text)
+            assert finds(text) == 0, (workload, seed)  # a clean load asks no position in the file
+            assert set(built.values()) <= {1}  # each formula's text once
+    rng = random.Random(5)
+    sources = _sources()
+    found = 0
+    for case in range(200):
+        text = _mutant(rng, rng.choice(sources))
+        built.clear()
+        try:
+            I.loads(text)
+        except ModelFileError:
+            pass
+        assert finds(text) <= 1, (case, text)  # the two readings share them
+        assert set(built.values()) <= {1}, (case, text)
+        found += finds(text)
+    assert found > 50
+    # a lookup is a bisection: no scan of a long line for each node
+    formula = " && ".join(["x"] * 30_000)
+    built.clear()
+    assert len(F.parse_raw(formula).args) == 30_000
+    assert [(source.text, n) for source, n in built.items()] == [(formula, 1)]
 
 
 def _exit_code(argv, capsys):

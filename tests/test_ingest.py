@@ -149,23 +149,38 @@ def test_save_prints_a_long_conjunction_without_recursion():
     assert I.save(I.loads(text)) == text
 
 
+def _behaviour_runs(tokens):
+    """The tokens between ``behaviour {`` and its ``}``."""
+    start = next(i for i, t in enumerate(tokens) if t.text == "behaviour") + 2
+    end = next(i for i in range(start, len(tokens)) if tokens[i].kind == "rbrace")
+    return tokens[start:end]
+
+
 def test_saved_behaviour_blocks_are_read_in_runs():
     artifacts = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
     systems = [gen.random_system(seed) for seed in range(60)]
     systems += [I.bundled_model(w) for w in ("predator_s0", "predator_s1")]
     systems += [I.load(path) for path in sorted(artifacts.glob("*.sbs"))]
-    systems += [I.loads(DOMAINS), gen.adaptation_chain(100)]
+    systems += [I.loads(DOMAINS), gen.adaptation_chain(1000)]
+    long_blocks = 0
     for sys in systems:
         text = I.save(sys)
-        runs = [I._RUN_PARTS(t.text) for t in I.STATEMENTS.tokenize(text) if t.kind == "run"]
-        statements = len(sys.behaviour.states) + len(sys.behaviour.transitions)
-        assert [len(run) for run in runs[:-1]] == [I.RUN] * (len(runs) - 1), text
-        assert sum(len(run) for run in runs) == statements, text
+        block = _behaviour_runs(I.STATEMENTS.tokenize(text))
+        assert {t.kind for t in block} == {"run"}, text
+        assert all(len(t.text) <= I.RUN_LENGTH for t in block), text
+        for run, after in zip(block, block[1:]):  # each run but the last is as long as it can be
+            first = after.text[: after.text.index(";") + 1]
+            assert after.offset + len(first) - run.offset > I.RUN_LENGTH, text
+        long_blocks += len(block) > 2
+        runs = [I._PARTS(t.text) for t in block]
         parts = [part for run in runs for part in run]
+        statements = len(sys.behaviour.states) + len(sys.behaviour.transitions)
+        assert len(parts) == statements, text
         assert tuple(q for q, *_ in parts if q) == sys.behaviour.states
         assert {(src, dst) for *_, src, dst in parts if src} == sys.behaviour.transitions
         assert I._read(I.STATEMENTS.parser(text)) == sys  # read without falling back
         assert I.loads(text) == sys
+    assert long_blocks
 
 
 def test_equal_valuation_texts_share_one_valuation():
@@ -175,19 +190,23 @@ def test_equal_valuation_texts_share_one_valuation():
 
 
 def test_tokenizing_a_long_behaviour_block_keeps_memory_bounded():
-    # An unbounded run of statements makes re keep backtracking state for
-    # every statement it has matched: 32 MB here, where runs of RUN
-    # statements hold under 0.1 MB beyond the tokens themselves.
+    # A run is one repeat of single characters, which keeps no backtracking
+    # state per character, and its length is bounded, so splitting one run
+    # holds the parts of a few hundred statements, not of the whole block
+    # (about 10 MB here).
     states = "".join(f"state q{i} {{b = true}}; " for i in range(25_000))
     text = f"behaviour {{ {states}{'q0 -> q1; ' * 25_000}}}"
     tracemalloc.start()
     try:
         tokens = I.STATEMENTS.tokenize(text)
+        counts = [sum(1 for q, _, _, src, _ in I._PARTS(t.text) if q or src)
+                  for t in tokens if t.kind == "run"]
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - kept < 1_000_000
-    assert [t.kind for t in tokens[2:-2]] == ["run"] * (50_000 // I.RUN + 1)
+    assert [t.kind for t in tokens[2:-2]] == ["run"] * len(counts)
+    assert sum(counts) == 50_000  # every statement, and nothing else, in a run
 
 
 def test_a_load_builds_one_structure_machine(monkeypatch):
