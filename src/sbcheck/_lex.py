@@ -398,6 +398,17 @@ def prefix(symbol, node, text, levels, sep=""):
     return f"{symbol}{sep}{text}" if bare else f"{symbol}({text})"
 
 
+def text(node, texts, levels):
+    """The text of a connective ``node`` from its operands' ``texts``: the
+    printing twin of :func:`boolean`."""
+    cls = type(node)
+    if cls is Not:
+        return prefix("!", node, texts[0], levels)
+    if cls is BoolLit:
+        return "true" if node.value else "false"
+    return join(node, texts, levels)
+
+
 # ---------------------------------------------------------------------------
 # walking a tree
 

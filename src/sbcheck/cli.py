@@ -31,7 +31,6 @@ from .flat import (
     ADAPTING,
     STEADY,
     STUCK,
-    FlatState,
     export_dot,
     export_json,
     flatten,
@@ -326,9 +325,9 @@ def cmd_ctl(args, color):
 
 
 def _rule_name(source, target):
-    if source.pending is None:
-        return "Steady" if target.pending is None else "AdaptStart"
-    return "Adapt" if target.pending is not None else "AdaptEnd"
+    if source[2] is None:
+        return "Steady" if target[2] is None else "AdaptStart"
+    return "Adapt" if target[2] is not None else "AdaptEnd"
 
 
 def cmd_simulate(args, color):
@@ -338,7 +337,7 @@ def cmd_simulate(args, color):
     system = ingest.load(args.file)
     require_well_formed(system)
     rng = random.Random(args.seed)
-    first = state = FlatState(system.behaviour.init, system.structure.init, None)
+    first = state = (system.behaviour.init, system.structure.init, None)
     steps = []
     stopped = "steps"
     for _ in range(args.steps):

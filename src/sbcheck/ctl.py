@@ -9,13 +9,17 @@ Stuck states satisfy neither ``adapting`` nor ``steady``.
 Operators: ``! && || ->``, ``AX EX AF EF AG EG``, ``A[f U g]``, ``E[f U g]``.
 Unary operators bind like ``!``; ``->`` is right associative and weakest.
 
-Path quantification is over the totalized graph: states without successors
-get a self-loop for evaluation only.
+Path quantification reads a state without successors as one that loops
+on itself forever, so ``EX S`` and ``AX S`` hold at it exactly when S
+does.
 
-Labelling is bottom-up over the formula.  EX and AX take one predecessor
-step.  Every F, G and U operator is one backward counter pass, linear in
-the flat system: EF and AF are until with ``true`` on the left, and
-``EG S = !AF !S``, ``AG S = !EF !S``.
+Labelling is bottom-up over the formula, on the flat system's own
+``succ`` and ``pred`` tables.  EX and AX take one predecessor step.
+Every F, G and U operator is one backward counter pass, linear in the
+flat system: EF and AF are until with ``true`` on the left, and
+``EG S = !AF !S``, ``AG S = !EF !S``.  A state without successors never
+counts down, so it satisfies an until only where its right side holds,
+as its self-loop would have it.
 
 Adaptability characterisations checked at the initial state:
 
@@ -130,18 +134,14 @@ def _text(node, args, parent):
         return node.name
     if cls is Modal:
         return _lex.prefix(node.op, node, args[0], _LEVELS, " ")
-    if cls is Not:
-        return _lex.prefix("!", node, args[0], _LEVELS)
-    if cls is And or cls is Or or cls is Implies:
-        return _lex.join(node, args, _LEVELS)
+    if cls in _lex.CONNECTIVES:
+        return _lex.text(node, args, _LEVELS)
     if cls is Until:
         return f"{node.quant}[{args[0]} U {args[1]}]"
     if cls is InState:
         return f"in({node.r})"
     if cls is ObsHolds:
         return f"@({F.unparse(node.phi)})"
-    if cls is BoolLit:
-        return "true" if node.value else "false"
     raise CtlError(f"not a CTL node: {node!r}")
 
 
@@ -155,48 +155,21 @@ class CheckResult(Record):
     __slots__ = ("satisfying", "holds_at_init", "witness")
 
 
-class _Graph:
-    """Totalized successor/predecessor view of a FlatLTS.
-
-    It holds no reference to the flat system, which keeps it (see
-    :func:`_graph`), so the two are freed by reference counting alone.
-    """
-
-    __slots__ = ("n", "succ", "pred", "full")
-
-    def __init__(self, flat):
-        self.n = len(flat.states)
-        self.succ = [js or (i,) for i, js in enumerate(flat.succ)]
-        pred = [[] for _ in range(self.n)]
-        for i, targets in enumerate(self.succ):
-            for j in targets:
-                pred[j].append(i)
-        self.pred = [tuple(v) for v in pred]
-        self.full = frozenset(range(self.n))
-
-
-def _graph(flat):
-    """The :class:`_Graph` of ``flat``, built on its first check and kept
-    with it for the next (weak, strong, witness)."""
-    g = flat._graph
-    if g is None:
-        g = flat._graph = _Graph(flat)
-    return g
-
-
-def _until(g, A, B, universal):
+def _until(flat, A, B, universal):
     """Least fixpoint of ``Z = B | (A & pre(Z))``: E[A U B], or A[A U B] when ``universal``.
 
-    One backward pass from B over ``g.pred``.  Each state of A counts down
-    the successors it still needs: one, or all of them (duplicate edges
-    included) when ``universal``; it joins when its count reaches zero.
+    One backward pass from B over ``flat.pred``.  Each state of A counts
+    down the successors it still needs: one, or all of them (duplicate
+    edges included) when ``universal``; it joins when its count reaches
+    zero, which a state without successors never does.
     """
-    need = list(map(len, g.succ)) if universal else [1] * g.n
+    pred = flat.pred
+    need = list(map(len, flat.succ)) if universal else [1] * len(pred)
     result = set(B)
     work = list(B)
     while work:
         j = work.pop()
-        for i in g.pred[j]:
+        for i in pred[j]:
             if i not in result and i in A:
                 need[i] -= 1
                 if not need[i]:
@@ -208,41 +181,42 @@ def _until(g, A, B, universal):
 _DUALS = {"AX": "EX", "EG": "AF", "AG": "EF"}
 
 
-def _sat(flat, g, f):
-    """The set of states of ``flat`` (with graph ``g``) satisfying ``f``,
-    labelled bottom-up."""
+def _sat(flat, f):
+    """The set of states of ``flat`` satisfying ``f``, labelled bottom-up."""
+    full = frozenset(range(len(flat.states)))
 
     def label(node, args, parent):
         cls = type(node)
         if cls is Atom:
             tag = ADAPTING if node.name == "adapting" else STEADY
-            return frozenset(compress(range(g.n), map(tag.__eq__, flat.classes)))
+            return frozenset(compress(range(len(flat.classes)), map(tag.__eq__, flat.classes)))
         if cls is InState:
             if node.r not in flat.system.structure.states:
                 where = node.pos or (None, None)
                 raise CtlError(f"unknown structure state {node.r!r} in in(...)", *where)
-            return frozenset(i for i, s in enumerate(flat.states) if s.r == node.r)
+            return frozenset(i for i, (_, r, _) in enumerate(flat.states) if r == node.r)
         if cls is ObsHolds:
             try:
                 checked = F.typecheck(node.phi, flat.system.observables)
             except FormulaError as e:
                 raise CtlError(f"in @(...): {e.message}", e.line, e.col) from None
             region = flat.system.region(checked)
-            return frozenset(i for i, s in enumerate(flat.states) if s.q in region)
+            return frozenset(i for i, (q, _, _) in enumerate(flat.states) if q in region)
         if cls in _lex.CONNECTIVES:
-            return _lex.boolean(node, args, g.full)
+            return _lex.boolean(node, args, full)
         if cls is Modal:  # AX S = !EX !S, EG S = !AF !S and AG S = !EF !S
             op, S = node.op, args[0]
             dual = _DUALS.get(op)
             if dual:
-                op, S = dual, g.full - S
-            if op == "EX":
-                S = frozenset(i for j in S for i in g.pred[j])
+                op, S = dual, full - S
+            if op == "EX":  # a state without successors is its own successor
+                pred, succ = flat.pred, flat.succ
+                S = frozenset([i for j in S for i in pred[j]] + [j for j in S if not succ[j]])
             else:
-                S = _until(g, g.full, S, op == "AF")
-            return g.full - S if dual else S
+                S = _until(flat, full, S, op == "AF")
+            return full - S if dual else S
         if cls is Until:
-            return _until(g, args[0], args[1], node.quant == "A")
+            return _until(flat, args[0], args[1], node.quant == "A")
         raise CtlError(f"not a CTL node: {node!r}")
 
     return _lex.fold(f, label)
@@ -272,21 +246,20 @@ def _shortest_path(flat, start, targets):
 
 
 def check_ctl(flat, f):
-    """Label the totalized flat system bottom-up and report the result.
+    """Label the flat system bottom-up and report the result.
 
     A witness path is attached for a satisfied ``EF phi`` (shortest run to
     a phi-state) and a counterexample path for a failed ``AG phi``
     (shortest run to a violating state).
     """
-    g = _graph(flat)
-    sat = _sat(flat, g, f)
+    sat = _sat(flat, f)
     holds = flat.init_index in sat
     witness = None
     if isinstance(f, Modal) and f.op == "AG" and not holds:
-        bad = g.full - _sat(flat, g, f.arg)
+        bad = _sat(flat, Not(f.arg))
         witness = _shortest_path(flat, flat.init_index, bad)
     elif isinstance(f, Modal) and f.op == "EF" and holds:
-        witness = _shortest_path(flat, flat.init_index, _sat(flat, g, f.arg))
+        witness = _shortest_path(flat, flat.init_index, _sat(flat, f.arg))
     return CheckResult(satisfying=sat, holds_at_init=holds, witness=witness)
 
 
@@ -320,9 +293,8 @@ def strong_counterexample(flat):
     Returns a state-id path whose last entry repeats an earlier one, or
     None when the strong property holds.
     """
-    g = _graph(flat)
-    never_steady = g.full - _until(g, g.full, _sat(flat, g, Atom("steady")), True)
-    bad = _sat(flat, g, Atom("adapting")) & never_steady
+    never_steady = _sat(flat, Not(Modal("AF", Atom("steady"))))
+    bad = _sat(flat, Atom("adapting")) & never_steady
     reachable_bad = _shortest_path(flat, flat.init_index, bad)
     if reachable_bad is None:
         return None
@@ -331,7 +303,7 @@ def strong_counterexample(flat):
     seen_at = {cur: len(path) - 1}
     while True:
         nxt = None
-        for j in g.succ[cur]:
+        for j in flat.succ[cur] or (cur,):  # a deadlock steps to itself
             if j in never_steady:
                 nxt = j
                 break
@@ -351,10 +323,8 @@ def ctl_oracle(flat, f):
     n = len(flat.states)
     succ = [list(js) or [i] for i, js in enumerate(flat.succ)]
     full = frozenset(range(n))
-    adapt_src = {
-        i for i, j in flat.edges
-        if flat.states[i].pending is not None or flat.states[j].pending is not None
-    }
+    pending = [p is not None for _, _, p in flat.states]
+    adapt_src = {i for i, j in flat.edges if pending[i] or pending[j]}
 
     def pre_e(S):
         return frozenset(i for i in range(n) if any(j in S for j in succ[i]))
@@ -386,17 +356,17 @@ def ctl_oracle(flat, f):
                 return frozenset(adapt_src)
             return frozenset(
                 i for i in range(n)
-                if flat.states[i].pending is None and i not in adapt_src
+                if not pending[i] and i not in adapt_src
             )
         if isinstance(node, InState):
             if node.r not in flat.system.structure.states:
                 raise CtlError(f"unknown structure state {node.r!r} in in(...)")
-            return frozenset(i for i in range(n) if flat.states[i].r == node.r)
+            return frozenset(i for i in range(n) if flat.states[i][1] == node.r)
         if isinstance(node, ObsHolds):
             checked = F.typecheck(node.phi, flat.system.observables)
             return frozenset(
                 i for i in range(n)
-                if F.evaluate(checked, flat.system.observe(flat.states[i].q))
+                if F.evaluate(checked, flat.system.observe(flat.states[i][0]))
             )
         if isinstance(node, Not):
             return full - rec(node.arg)

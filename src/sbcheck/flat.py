@@ -1,8 +1,9 @@
 """Flat semantics: one transition system combining behaviour and structure.
 
-A flat state is (q, r, pending) where pending is None or the index, in
-``sys.options(r)``, of the structure transition whose adaptation is in
-progress.  Exactly one rule family applies to any state:
+A flat state is the plain tuple (q, r, pending): behaviour state q,
+structure state r, and pending None or the index, in ``sys.options(r)``,
+of the structure transition whose adaptation is in progress.  Exactly one
+rule family applies to any state:
 
 * steady moves follow behaviour transitions whose endpoint satisfies the
   active constraint;
@@ -18,10 +19,12 @@ classified stuck.
 
 A move's label follows from its two endpoints: it is an adaptation move
 when either endpoint is pending, a steady move otherwise.  A flat system
-stores its transitions as pairs of state ids and always has its model;
-the pending invariant and target are looked up through the model only at
-the edges (text, JSON, DOT, labels).  In the JSON form each transition
-row must equal the row :func:`export_json` writes for its endpoints.
+stores its transitions as pairs of state ids, indexed by source
+(``succ``) and, from the first CTL check on, by target (``pred``), and
+always has its model; the pending invariant, as text, and target are
+looked up through the model only at the edges (text, JSON, DOT, labels).
+In the JSON form each transition row must equal the row
+:func:`export_json` writes for its endpoints.
 
 The rules read one move-table entry per mode ``(r, pending)`` met
 (:func:`_mode`), and one function applies them (:func:`_step`):
@@ -41,41 +44,27 @@ ADAPTING = "adapting"
 STUCK = "stuck"
 
 
-FlatState = namedtuple("FlatState", "q r pending")
-FlatState.__doc__ = """Behaviour state q, structure state r and, while an adaptation is
-under way, the index in ``sys.options(r)`` of its structure transition, else None.
-
-A flat state is a tuple: it equals, and hashes as, the plain tuple
-``(q, r, pending)``."""
-
 FlatTransition = namedtuple("FlatTransition", "source target label")
 FlatTransition.__doc__ = """A move between two flat states: ``label`` is ``("steady", r)``, or
-``("adapt", r, invariant, target)`` from the pending endpoint."""
-
-
-def adaptation(sys, state):
-    """The ``(invariant, target)`` of a pending state, None for a state with none."""
-    return None if state.pending is None else sys.options(state.r)[state.pending][:2]
+``("adapt", r, invariant text, target)`` from the pending endpoint."""
 
 
 def _written(sys, state):
-    """As :func:`adaptation`, with the invariant as its canonical text."""
-    return None if state.pending is None else sys.structure.out_texts(state.r)[state.pending]
+    """The ``(invariant text, target)`` of a pending state, None for a state with none."""
+    _, r, pending = state
+    return None if pending is None else sys.structure.out_texts(r)[pending]
 
 
-def _label(sys, source, target, pair_of=adaptation):
-    pair = pair_of(sys, source) or pair_of(sys, target)
-    return (STEADY, source.r) if pair is None else ("adapt", source.r, *pair)
+def _label(sys, source, target):
+    pair = _written(sys, source) or _written(sys, target)
+    return (STEADY, source[1]) if pair is None else ("adapt", source[1], *pair)
 
 
 def state_text(sys, state):
     """``(q,r)``, or ``(q,r,[invariant => target])`` for a pending state."""
     pair = _written(sys, state)
     tail = "" if pair is None else f",[{pair[0]} => {pair[1]}]"
-    return f"({state.q},{state.r}{tail})"
-
-
-_new = tuple.__new__  # builds a FlatState without namedtuple's Python-level __new__
+    return f"({state[0]},{state[1]}{tail})"
 
 
 def _mode(sys, r, pending):
@@ -97,10 +86,10 @@ def _step(sys, mode, succs, q, r, pending):
     """The successors of flat state ``(q, r, pending)``, with ``mode`` its
     :func:`_mode` and ``succs`` the behaviour successors of q."""
     if pending is None:
-        steady = [_new(FlatState, (q2, r, None)) for q2 in succs if q2 in mode]
+        steady = [(q2, r, None) for q2 in succs if q2 in mode]
         # no steady move possible: adaptation may start
         return steady or [
-            _new(FlatState, (q2, r, k))
+            (q2, r, k)
             for q2 in succs
             for k, (_, _, inv_region) in enumerate(sys.options(r))
             if q2 in inv_region
@@ -108,8 +97,8 @@ def _step(sys, mode, succs, q, r, pending):
     goal, target, inv_region = mode
     if q in goal:
         # adaptation ends here; the behaviour does not move
-        return [_new(FlatState, (q, target, None))]
-    return [_new(FlatState, (q2, r, pending)) for q2 in succs if q2 in inv_region]
+        return [(q, target, None)]
+    return [(q2, r, pending) for q2 in succs if q2 in inv_region]
 
 
 def successors(sys, state):
@@ -126,8 +115,10 @@ class FlatLTS:
     """Reachable fragment of the flat semantics of ``system``, with stable
     state numbering.
 
-    ``edges`` holds the transitions as ``(source id, target id)`` pairs in
-    a fixed order, and ``succ[i]`` the target ids of state i in that order.
+    ``states`` are ``(q, r, pending)`` tuples.  ``edges`` holds the
+    transitions as ``(source id, target id)`` pairs in a fixed order,
+    ``succ[i]`` the target ids of state i in that order, and :attr:`pred`
+    the source ids of the edges into each state.
     Equality compares states, the initial index and edges, not the system,
     so a JSON round trip restores an equal value.
 
@@ -141,18 +132,29 @@ class FlatLTS:
         self.init_index = init_index
         self.edges = tuple(edges)
         self.system = system
-        self._graph = None  # the CTL view (``ctl._Graph``), built on the first check
+        self._pred = None
         succ = [[] for _ in self.states]
         for i, j in self.edges:
             succ[i].append(j)
         self.succ = tuple(map(tuple, succ))
-        pending = [s.pending is not None for s in self.states]
+        pending = [p is not None for _, _, p in self.states]
         self.classes = tuple(
             ADAPTING if js and (pending[i] or any(pending[j] for j in js))
             else STUCK if pending[i]
             else STEADY
             for i, js in enumerate(self.succ)
         )
+
+    @property
+    def pred(self):
+        """``pred[j]``: the source ids of the edges into state j, one per edge;
+        built on first use (by CTL checking, not by the exports)."""
+        if self._pred is None:
+            pred = [[] for _ in self.states]
+            for i, j in self.edges:
+                pred[j].append(i)
+            self._pred = tuple(map(tuple, pred))
+        return self._pred
 
     @property
     def transitions(self):
@@ -183,10 +185,10 @@ def flatten(sys, roots=None):
     require_well_formed(sys)
     if roots is None:
         roots = [(sys.behaviour.init, sys.structure.init)]
-    states = [FlatState(q, r, None) for q, r in roots]
+    states = [(q, r, None) for q, r in roots]
     number = {s: i for i, s in enumerate(states)}
     if not states or len(number) < len(states) or any(
-        s.q not in sys.constraint_region(s.r) for s in states
+        q not in sys.constraint_region(r) for q, r, _ in states
     ):
         raise ModelError("flatten needs distinct roots (q, r) with q satisfying the constraint of r")
     edges = []
@@ -211,12 +213,12 @@ def state_json(sys, state):
     """The JSON form of a flat state: ``{"q", "r", "pending": {"inv", "target"}}``."""
     pair = _written(sys, state)
     pending = None if pair is None else {"inv": pair[0], "target": pair[1]}
-    return {"q": state.q, "r": state.r, "pending": pending}
+    return {"q": state[0], "r": state[1], "pending": pending}
 
 
 def edge_json(sys, states, i, j):
     """The JSON row of the transition from ``states[i]`` to ``states[j]``."""
-    label = _label(sys, states[i], states[j], _written)
+    label = _label(sys, states[i], states[j])
     adapt = label[0] == "adapt"
     return {
         "from": i,
@@ -264,15 +266,16 @@ def export_json(flat):
     sys, states, classes = flat.system, flat.states, flat.classes
     state_rows, cuts = [], {}
     for i, s in enumerate(states):
-        key = s.r, s.pending, classes[i]
+        q, r, pending = s
+        key = r, pending, classes[i]
         cut = cuts.get(key)
         if cut is None:
             cut = cuts[key] = _cut({"id": i, **state_json(sys, s), "class": classes[i]})
-        state_rows.append(f"{cut[0]}{i}{cut[1]}{encode_basestring_ascii(s.q)}{cut[2]}")
+        state_rows.append(f"{cut[0]}{i}{cut[1]}{encode_basestring_ascii(q)}{cut[2]}")
     edge_rows, cuts = [], {}
     for i, j in flat.edges:
-        s, t = states[i], states[j]
-        key = s.r, s.pending, t.r, t.pending
+        (_, r, pending), (_, r2, pending2) = states[i], states[j]
+        key = r, pending, r2, pending2
         cut = cuts.get(key)
         if cut is None:
             cut = cuts[key] = _cut(edge_json(sys, states, i, j))
@@ -304,7 +307,7 @@ def import_json(text, system):
 
     def option(pending, r, where):
         if r not in pendings:
-            pendings[r] = [state_json(system, FlatState(None, r, k))["pending"]
+            pendings[r] = [state_json(system, (None, r, k))["pending"]
                            for k in range(len(system.options(r)))]
         if pending not in pendings[r]:
             raise ModelError(f"invalid flat JSON: {where}: pending {json.dumps(pending)} "
@@ -325,7 +328,7 @@ def import_json(text, system):
             where = f"state {i}"
             q, r = known(row["q"], "behaviour", where), known(row["r"], "structure", where)
             pending = row["pending"]
-            state = FlatState(q, r, None if pending is None else option(pending, r, where))
+            state = q, r, None if pending is None else option(pending, r, where)
             if state in seen:
                 raise ModelError(f"invalid flat JSON: duplicate state {state_text(system, state)}")
             seen.add(state)
@@ -365,7 +368,7 @@ def export_dot(flat):
     ]
     for i, s in enumerate(flat.states):
         pair = _written(sys, s)
-        label = f"{s.q},{s.r}" + ("" if pair is None else f",({pair[0]},{pair[1]})")
+        label = f"{s[0]},{s[1]}" + ("" if pair is None else f",({pair[0]},{pair[1]})")
         attrs = [f'label="{_dot_escape(label)}"']
         if pair is not None:
             attrs.append("style=filled")
@@ -375,7 +378,7 @@ def export_dot(flat):
         lines.append(f'  n{i} [{", ".join(attrs)}];')
     lines.append(f"  __init -> n{flat.init_index};")
     for i, j in flat.edges:
-        label = _label(sys, flat.states[i], flat.states[j], _written)
+        label = _label(sys, flat.states[i], flat.states[j])
         text = label[1] if label[0] == STEADY else f"{label[1]},{label[2]},{label[3]}"
         lines.append(f'  n{i} -> n{j} [label="{_dot_escape(text)}"];')
     lines.append("}")

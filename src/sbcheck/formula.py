@@ -388,15 +388,11 @@ def _text(node, args, parent):
     cls = type(node)
     if cls is Name:
         return node.name
-    if cls is Not:
-        return _lex.prefix("!", node, args[0], _lex.LEVELS)
-    if cls is And or cls is Or or cls is Implies:
-        return _lex.join(node, args, _lex.LEVELS)
+    if cls in _lex.CONNECTIVES:
+        return _lex.text(node, args, _lex.LEVELS)
     if cls is Compare or cls is Arith:
         nested = cls is Arith and type(node.right) is Arith  # parenthesised to re-parse
         return f"{args[0]} {node.op} " + (f"({args[1]})" if nested else args[1])
-    if cls is BoolLit:
-        return "true" if node.value else "false"
     if cls is IntLit or cls is EnumLit:
         return str(node.value)
     raise FormulaError(f"not a formula node: {node!r}")

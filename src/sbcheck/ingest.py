@@ -299,12 +299,13 @@ def _block(p, observables, word, state_body, edge_middle):
     tuple placed between them.  Returns (entries by state id, initial state
     id, transitions).
 
-    The behaviour block also takes each ``run`` token in one step, reading
-    its statements with one ``findall`` and each distinct valuation text
-    once.  Text in a run that is no statement, and the errors that would
-    overwrite an entry or put a state after a transition, raise
-    :class:`ModelFileError` for the token grammar to report;
-    :class:`SBSystem` rejects the rest.
+    One loop reads the statements: a ``state <id>`` declaration, a
+    transition, or, in the behaviour block, a ``run`` token, taken in one
+    step by reading its statements with one ``findall`` and each distinct
+    valuation text once.  Text in a run that is no statement, and the
+    errors that would overwrite an entry or put a state after a
+    transition, raise :class:`ModelFileError` for the token grammar to
+    report; :class:`SBSystem` rejects the rest.
     """
     head = p.keyword(word)
     p.take("lbrace", f"expected '{{' opening the {word} block")
@@ -312,42 +313,6 @@ def _block(p, observables, word, state_body, edge_middle):
     init = None
     transitions = []
     bodies = {} if word == "behaviour" else None  # valuation text -> valuation
-
-    def run(text):
-        nonlocal init
-        for q, body, marked, src, dst in _PARTS(text):
-            if src:
-                transitions.append((src, dst))
-                continue
-            if not q or transitions or q in table or marked and init is not None:
-                raise ModelFileError(_REREAD)
-            if body not in bodies:
-                bodies[body] = _assignments(body)
-            table[q] = bodies[body]
-            init = q if marked else init
-
-    while True:
-        if bodies is not None and p.peek().kind == "run":
-            run(p.take().text)
-            continue
-        if transitions or not (p.at_keyword("state") and p.tokens[p.i + 1].kind == "ident"):
-            break
-        p.take()
-        id_tok = p.take("ident")
-        if id_tok.text in table:
-            raise ModelFileError(
-                f"duplicate {word} state {id_tok.text!r}", id_tok.line, id_tok.col
-            )
-        entry = state_body(p, observables, id_tok)
-        if p.at_keyword("init"):
-            p.take()
-            if init is not None:
-                raise ModelFileError(
-                    f"{word} declares a second initial state", id_tok.line, id_tok.col
-                )
-            init = id_tok.text
-        p.take("semi", "expected ';' after the state declaration")
-        table[id_tok.text] = entry
 
     def declared(tok):
         if tok.text not in table:
@@ -358,13 +323,43 @@ def _block(p, observables, word, state_body, edge_middle):
 
     while (t := p.peek()).kind == "ident" or t.kind == "run" and bodies is not None:
         if t.kind == "run":
-            run(p.take().text)
-            continue
-        src = declared(p.take("ident"))
-        middle = edge_middle(p, observables, src)
-        dst = declared(p.take("ident", "expected the target state"))
-        p.take("semi", "expected ';' after the transition")
-        transitions.append((src, *middle, dst))
+            for q, body, marked, src, dst in _PARTS(p.take().text):
+                if src:
+                    transitions.append((src, dst))
+                    continue
+                if not q or transitions or q in table or marked and init is not None:
+                    raise ModelFileError(_REREAD)
+                if body not in bodies:
+                    bodies[body] = _assignments(body)
+                table[q] = bodies[body]
+                init = q if marked else init
+        elif t.text == "state" and p.tokens[p.i + 1].kind == "ident":
+            if transitions:
+                raise ModelFileError(
+                    f"{word} states must be declared before transitions", t.line, t.col
+                )
+            p.take()
+            id_tok = p.take()
+            if id_tok.text in table:
+                raise ModelFileError(
+                    f"duplicate {word} state {id_tok.text!r}", id_tok.line, id_tok.col
+                )
+            entry = state_body(p, observables, id_tok)
+            if p.at_keyword("init"):
+                p.take()
+                if init is not None:
+                    raise ModelFileError(
+                        f"{word} declares a second initial state", id_tok.line, id_tok.col
+                    )
+                init = id_tok.text
+            p.take("semi", "expected ';' after the state declaration")
+            table[id_tok.text] = entry
+        else:
+            src = declared(p.take())
+            middle = edge_middle(p, observables, src)
+            dst = declared(p.take("ident", "expected the target state"))
+            p.take("semi", "expected ';' after the transition")
+            transitions.append((src, *middle, dst))
     p.take("rbrace", f"expected '}}' closing the {word} block")
     if not table:
         raise ModelFileError(f"{word} declares no states", head.line, head.col)

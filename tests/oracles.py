@@ -246,16 +246,14 @@ def flat_oracle(system):
 
 
 def flat_state_triple(state):
-    """FlatState -> comparable triple matching the oracle's representation."""
-    return (state.q, state.r, state.pending)
+    """A flat state as the oracle's ``(q, r, pending)`` triple, which it already is."""
+    return tuple(state)
 
 
 def flat_label_tuple(label):
-    """A ``FlatTransition.label`` with its invariant as text, as in :func:`flat_oracle`."""
-    if label[0] == "adapt":
-        kind, r, inv, target = label
-        return (kind, r, F.unparse(inv), target)
-    return label
+    """A ``FlatTransition.label``, which already carries its invariant as text,
+    as in :func:`flat_oracle`."""
+    return tuple(label)
 
 
 # ---------------------------------------------------------------------------

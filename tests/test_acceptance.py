@@ -156,30 +156,30 @@ def test_criterion_3_flat_semantics_invariants(corpus_flats):
     assert len(corpus_flats) >= 1000
     for seed, sys, flat in corpus_flats:
         tag = f"seed {seed}"
-        for i, s in enumerate(flat.states):
-            if s.pending is None:
+        for i, (q, r, pending) in enumerate(flat.states):
+            if pending is None:
                 # exclusivity: no state offers both a steady and an adaptation move
-                assert len({flat.states[j].pending is None for j in flat.succ[i]}) <= 1, tag
+                assert len({flat.states[j][2] is None for j in flat.succ[i]}) <= 1, tag
                 # region soundness: outside an adaptation the constraint holds
-                assert s.q in sys.constraint_region(s.r), tag
+                assert q in sys.constraint_region(r), tag
             else:
                 # invariant soundness: adaptation phases satisfy the invariant
-                assert s.q in sys.options(s.r)[s.pending][2], tag
+                assert q in sys.options(r)[pending][2], tag
         for t in flat.transitions:
-            src, dst = t.source, t.target
-            if src.pending is None and dst.pending is None:
+            (q, r, pending), (q2, r2, pending2) = t.source, t.target
+            if pending is None and pending2 is None:
                 # steady: the structure state is unchanged
-                assert src.r == dst.r, tag
-            elif src.pending is None:
+                assert r == r2, tag
+            elif pending is None:
                 # adaptation starts along a declared structure transition
-                assert dst.r == src.r, tag
-                assert (src.r, *FL.adaptation(sys, dst)) in sys.structure.transitions, tag
-            elif dst.pending is not None:
+                assert r2 == r, tag
+                assert (r, *sys.options(r2)[pending2][:2]) in sys.structure.transitions, tag
+            elif pending2 is not None:
                 # adaptation continues under the same pending pair
-                assert (dst.r, dst.pending) == (src.r, src.pending), tag
+                assert (r2, pending2) == (r, pending), tag
             else:
                 # adaptation ends: the behaviour is frozen, the structure switches
-                assert (dst.q, dst.r) == (src.q, FL.adaptation(sys, src)[1]), tag
+                assert (q2, r2) == (q, sys.options(r)[pending][1]), tag
 
 
 # ---------------------------------------------------------------------------

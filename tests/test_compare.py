@@ -8,6 +8,7 @@ import gen
 import sbcheck.adapt as A
 import sbcheck.compare as C
 import sbcheck.ctl as CTL
+import sbcheck.flat as FL
 from sbcheck import cli
 from sbcheck.flat import flatten
 from sbcheck.ingest import bundled_model_path, loads, save
@@ -67,35 +68,37 @@ def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch,
 
 
 def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monkeypatch, tmp_path):
-    # the walks do not depend on the kind, nor the CTL graph on the formula:
-    # weak, strong, the discrepancy search's relation and --witness share them
-    walks, graphs = [], []
-    branch, graph = A._branch, CTL._Graph
+    # the walks do not depend on the kind, nor a flat system's predecessor
+    # table on the formula: weak, strong, the discrepancy search's relation
+    # and --witness share them
+    walks, tables = [], []
+    branch, pred = A._branch, FL.FlatLTS.pred
 
     def counted_branch(sys, start, r, k):
         walks.append((start, r, k))
         return branch(sys, start, r, k)
 
-    def counted_graph(flat):
-        graphs.append(flat)
-        return graph(flat)
+    def counted_pred(flat):
+        if flat._pred is None:
+            tables.append(flat)
+        return pred.fget(flat)
 
     monkeypatch.setattr(A, "_branch", counted_branch)
-    monkeypatch.setattr(CTL, "_Graph", counted_graph)
+    monkeypatch.setattr(FL.FlatLTS, "pred", property(counted_pred))
     chain = tmp_path / "chain.sbs"
     chain.write_text(save(gen.adaptation_chain(50)))
     gadget = tmp_path / "discrepancy.sbs"
     gadget.write_text(workloads.model_text("discrepancy", 1, "smoke"))
     for path, code, flats in ((chain, cli.EXIT_OK, 1), (gadget, cli.EXIT_DISCREPANCY, 2)):
         walks.clear()
-        graphs.clear()
+        tables.clear()
         assert cli.main(["adapt", "--json", "--witness", str(path)]) == code
         assert walks and len(walks) == len(set(walks)), path.name
-        # one graph per flat system: the verdict's, and the search's multi-root one
-        assert len(graphs) == len({id(f) for f in graphs}) == flats, path.name
-        graphs.clear()
+        # one table per flat system: the verdict's, and the search's multi-root one
+        assert len(tables) == len({id(f) for f in tables}) == flats, path.name
+        tables.clear()
         assert cli.main(["flatten", "--json", str(path)]) == cli.EXIT_OK
-        assert not graphs  # built on the first check, not by flatten
+        assert not tables  # built on the first check, not by flatten
 
 
 def test_library_calls_leave_no_cyclic_garbage():

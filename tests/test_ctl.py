@@ -149,7 +149,7 @@ def test_in_atom_partitions_by_structure_state(s0):
     union = set()
     for r in ("r0", "r1", "r2"):
         S = C.check_ctl(flat, C.parse_ctl(f"in({r})")).satisfying
-        assert S == {i for i, s in enumerate(flat.states) if s.r == r}
+        assert S == {i for i, (_, r2, _) in enumerate(flat.states) if r2 == r}
         assert not (S & union)
         union |= S
     assert union == set(range(len(flat.states)))
@@ -164,7 +164,7 @@ def test_in_atom_rejects_unknown_state(s0):
 def test_observation_atom(s0):
     flat = flat_of(s0)
     S = C.check_ctl(flat, C.parse_ctl("@(moved)")).satisfying
-    assert S == {i for i, s in enumerate(flat.states) if s.q == "moved"}
+    assert S == {i for i, (q, _, _) in enumerate(flat.states) if q == "moved"}
     with pytest.raises(CtlError):
         C.check_ctl(flat, C.parse_ctl("@(nosuch)"))
 
@@ -359,7 +359,7 @@ def test_reachability_witness(s0):
     assert res.witness is not None
     assert res.witness[0] == flat.init_index
     assert is_real_path(flat, res.witness)
-    assert flat.states[res.witness[-1]].r == "r2"
+    assert flat.states[res.witness[-1]][1] == "r2"
 
 
 def test_trivial_reachability_witness(s0):

@@ -1,6 +1,9 @@
 """Flattened operational semantics: rules, classification and exports."""
 
+import gc
 import json
+import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -13,7 +16,10 @@ import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck.compare import rerooted
 from sbcheck.errors import ModelError
-from sbcheck.ingest import bundled_model
+from sbcheck.ingest import bundled_model, loads
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 def as_triple_set(flat):
@@ -52,13 +58,13 @@ def test_flat_size_of_second_scenario(s1):
 def test_initial_flat_state(s0):
     flat = FL.flatten(s0)
     assert flat.init_index == 0
-    assert flat.states[0] == FL.FlatState("q011t", "r0", None)
+    assert flat.states[0] == ("q011t", "r0", None)
     assert flat.classes[0] == FL.STEADY
 
 
 def test_migrated_state_is_a_steady_deadend(s0):
     flat = FL.flatten(s0)
-    i = flat.states.index(FL.FlatState("moved", "r2", None))
+    i = flat.states.index(("moved", "r2", None))
     assert flat.classes[i] == FL.STEADY
     assert flat.succ[i] == ()
 
@@ -101,18 +107,15 @@ def systems_under_test():
 
 
 def is_steady_move(t):
-    return t.source.pending is None and t.target.pending is None
+    return t.source[2] is None and t.target[2] is None
 
 
 def test_steady_and_adapt_moves_never_mix():
     # a state offering a steady move never offers an adaptation move too
     for sys in systems_under_test():
         flat = FL.flatten(sys)
-        for i, s in enumerate(flat.states):
-            steady = {
-                FL.adaptation(sys, s) is None and FL.adaptation(sys, flat.states[j]) is None
-                for j in flat.succ[i]
-            }
+        for i, (_, _, pending) in enumerate(flat.states):
+            steady = {pending is None and flat.states[j][2] is None for j in flat.succ[i]}
             assert len(steady) <= 1
 
 
@@ -126,16 +129,29 @@ def test_flatten_steps_by_the_successor_rule():
             assert [flat.states[j] for j in flat.succ[i]] == FL.successors(sys, state), (seed, state)
 
 
+def test_flat_states_are_left_to_reference_counting():
+    # a flat state is a tuple of atoms, which a collection untracks, so the
+    # cyclic collector does not traverse the states of a live flat system
+    system = loads(workloads.model_text("chain", 1))
+    flat = FL.flatten(system)
+    read = FL.import_json(FL.export_json(flat), system)
+    stepped = [t for s in flat.states for t in FL.successors(system, s)]
+    gc.collect()
+    for states in (flat.states, read.states, stepped):
+        assert states and not any(map(gc.is_tracked, states))
+
+
 def test_steady_rule_soundness():
     for sys in systems_under_test():
         flat = FL.flatten(sys)
         for t in flat.transitions:
             if not is_steady_move(t):
                 continue
-            assert t.label == ("steady", t.source.r)
-            assert t.source.r == t.target.r
-            assert (t.source.q, t.target.q) in sys.behaviour.transitions
-            assert t.target.q in sys.constraint_region(t.source.r)
+            (q, r, _), (q2, r2, _) = t.source, t.target
+            assert t.label == ("steady", r)
+            assert r == r2
+            assert (q, q2) in sys.behaviour.transitions
+            assert q2 in sys.constraint_region(r)
 
 
 def test_adaptation_rule_soundness():
@@ -144,39 +160,39 @@ def test_adaptation_rule_soundness():
         for t in flat.transitions:
             if is_steady_move(t):
                 continue
-            inv, target = FL.adaptation(sys, t.source) or FL.adaptation(sys, t.target)
-            assert t.label == ("adapt", t.source.r, inv, target)
-            if t.source.pending is None:
+            (q, r, pending), (q2, r2, pending2) = t.source, t.target
+            inv, target, _ = sys.options(r)[pending if pending2 is None else pending2]
+            assert t.label == ("adapt", r, F.unparse(inv), target)
+            if pending is None:
                 # start: declared structure transition, all steady moves blocked
-                assert (t.source.r, inv, target) in sys.structure.transitions
-                assert t.target.r == t.source.r
-                assert t.target.q in sys.region(inv)
-                region = sys.constraint_region(t.source.r)
-                succs = sys.behaviour.successors(t.source.q)
-                assert not any(q2 in region for q2 in succs)
-            elif t.target.pending is not None:
+                assert (r, inv, target) in sys.structure.transitions
+                assert r2 == r
+                assert q2 in sys.region(inv)
+                region = sys.constraint_region(r)
+                assert not any(q3 in region for q3 in sys.behaviour.successors(q))
+            elif pending2 is not None:
                 # continue: stay inside the invariant, target not yet reached
-                assert t.target.pending == t.source.pending
-                assert t.target.r == t.source.r
-                assert (t.source.q, t.target.q) in sys.behaviour.transitions
-                assert t.target.q in sys.region(inv)
-                assert t.source.q not in sys.constraint_region(target)
+                assert pending2 == pending
+                assert r2 == r
+                assert (q, q2) in sys.behaviour.transitions
+                assert q2 in sys.region(inv)
+                assert q not in sys.constraint_region(target)
             else:
                 # end: structure switches underneath an unmoved behaviour state
-                assert t.target.q == t.source.q
-                assert t.target.r == target
-                assert t.source.q in sys.constraint_region(target)
+                assert q2 == q
+                assert r2 == target
+                assert q in sys.constraint_region(target)
 
 
 def test_stuck_states_have_pending_and_no_way_out():
     for sys in systems_under_test():
         flat = FL.flatten(sys)
-        for i, s in enumerate(flat.states):
+        for i, (_, _, pending) in enumerate(flat.states):
             if flat.classes[i] == FL.STUCK:
-                assert s.pending is not None
+                assert pending is not None
                 assert flat.succ[i] == ()
             if flat.classes[i] == FL.STEADY:
-                assert s.pending is None
+                assert pending is None
 
 
 def test_flatten_requires_well_formed():
@@ -399,9 +415,9 @@ def test_rooted_flatten_matches_rerooted_system():
 def test_roots_are_numbered_in_order(s0):
     roots = [("moved", "r2"), ("q011t", "r0")]
     flat = FL.flatten(s0, roots)
-    assert flat.states[:2] == tuple(FL.FlatState(q, r, None) for q, r in roots)
+    assert flat.states[:2] == tuple((q, r, None) for q, r in roots)
     assert flat.init_index == 0
-    assert set(flat.states) == set(FL.flatten(s0).states) | {FL.FlatState("moved", "r2", None)}
+    assert set(flat.states) == set(FL.flatten(s0).states) | {("moved", "r2", None)}
 
 
 def test_flatten_rejects_bad_roots(s0):
@@ -467,9 +483,9 @@ def test_json_escapes_names_and_writes_an_empty_move_list():
         assert FL.import_json(out, sys) == flat
         assert FL.export_json(FL.import_json(out, sys)) == out
     flat = FL.flatten(cycle)
-    assert {s.q for s in flat.states} == {quote, slash, tab, accent}
-    assert {s.r for s in flat.states} == {'r "x"', "r\\any"}
-    assert any(s.pending is not None for s in flat.states)
+    assert {q for q, _, _ in flat.states} == {quote, slash, tab, accent}
+    assert {r for _, r, _ in flat.states} == {'r "x"', "r\\any"}
+    assert any(pending is not None for _, _, pending in flat.states)
     assert len(FL.flatten(alone).states) == 1
     assert FL.export_json(FL.flatten(alone)).endswith('"transitions": []\n}\n')
 
@@ -491,7 +507,7 @@ def test_dot_output_shape(s0):
     assert len(node_lines) == len(flat.states)
     assert len(edge_lines) == len(flat.transitions)
     assert dot.count("peripheries=2") == 3  # stuck states double-bordered
-    assert dot.count("style=filled") == sum(1 for s in flat.states if s.pending is not None)
+    assert dot.count("style=filled") == sum(1 for _, _, pending in flat.states if pending is not None)
     assert f"__init -> n{flat.init_index};" in dot
 
 

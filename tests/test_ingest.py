@@ -478,7 +478,7 @@ def test_behaviour_statement_spellings_load_as_their_canonical_form(text, canoni
         (DOMAINS.replace("m = blue", "m = blue, z = 1"), 11, 41, "undeclared observable 'z'"),
         (DOMAINS.replace(", m = blue", ""), 11, 9, "state 's1' leaves 'm' unassigned"),
         (BASE.replace("a -> b;", "a -> b;\n  state c {x = true};"), 11, 3,
-         "transition uses undeclared behaviour state 'state'"),
+         "behaviour states must be declared before transitions"),
         (BASE.replace('state r: "x" init;', 'state r: "x" init;\n  a -> b;'), 15, 3,
          "transition uses undeclared structure state 'a'"),
         (BASE.replace('state r: "x" init;', 'state r: "x" init;\n  state c {x = true};'), 15, 11,
