@@ -33,11 +33,21 @@ member of, and a dropped pair decrements those counts.  So a pair drops
 once, when it has an empty clause, a count reaches 0 or a steady
 successor drops, and every dropped pair is outside the global relation G.
 
-The relation takes the clauses of every candidate; a verdict takes those
-of the closure D of the initial pair under steady successors and clause
-members.  A drop may spread to pairs outside D; each is outside G, and no
-pair of D reads one.  With L the pairs of D left standing, G ∩ D ⊆ L, as
-only pairs outside G drop.  Each requirement of a pair in L has all its
+Which pairs must adapt, and the walks from their successors, do not
+depend on the kind either.  So both are found once per system and root,
+in one move table (:func:`_moves`), and each kind reads its clauses off
+it.  The relation takes every candidate.  A verdict takes the closure D
+of the initial pair under steady successors and, from a pair that must
+adapt, the endpoints of every branch it can enter.  Every member of a
+weak or a strong clause is such an endpoint, so D is closed under the
+requirements of both kinds.  D may be larger than one kind needs: a
+strong pair whose run need not end has only the empty clause, yet D holds
+its endpoints.  That keeps the verdict exact, as the argument below uses
+only that D is closed.
+
+A drop may spread to pairs outside D; each is outside G, and no pair of
+D reads one.  With L the pairs of D left standing, G ∩ D ⊆ L, as only
+pairs outside G drop.  Each requirement of a pair in L has all its
 members in D and keeps one standing, else the pair would have dropped, so
 L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.
 """
@@ -128,41 +138,66 @@ def _runs(sys, q2, r):
     return runs
 
 
+def _moves(sys, root=None):
+    """The move table from ``root``, or of every candidate without one: each
+    adapting pair (q, r) -> the :func:`_runs` of each behaviour successor of
+    q.  It does not depend on the kind, so it is built once per system and
+    root, kept in ``sys._moves``.  It is found per structure state r over a
+    set of behaviour states: all of r's constraint region without a root,
+    else the root's closure under steady successors and every branch
+    endpoint.  A steady pair is read once and never stored."""
+    table = sys._moves.get(root)
+    if table is not None:
+        return table
+    table = {}
+    succ = sys.behaviour._succ
+    if root is None:
+        found = sys._admits  # every candidate, so the sweep adds none
+    else:
+        found = {r: set() for r in sys._admits}  # the closure, per structure state
+        found[root[1]].add(root[0])
+    todo = {r: list(qs) for r, qs in found.items() if qs}
+    while todo:
+        r, qs = todo.popitem()
+        region = sys._admits[r]
+        seen = found[r]
+        for q in qs:  # grows by the steady successors found at r
+            succs = succ[q]
+            if not region.isdisjoint(succs):  # steady at r
+                if root:
+                    for q2 in succs:
+                        if q2 in region and q2 not in seen:
+                            seen.add(q2)
+                            qs.append(q2)
+                continue
+            table[q, r] = moves = [_runs(sys, q2, r) for q2 in succs]
+            if root:
+                for runs in moves:
+                    for ends, _ in runs:
+                        for x, t in ends:
+                            if x not in found[t]:
+                                found[t].add(x)
+                                todo.setdefault(t, []).append(x)
+    sys._moves[root] = table
+    return table
+
+
 def _adapting(sys, kind, root=None):
-    """Map each candidate pair without a steady move to its clauses under
-    ``kind`` (none for a behaviour deadlock): every such candidate, or those
-    in the closure of ``root`` under steady successors and clause members."""
+    """Map each adapting pair of :func:`_moves` to its clauses under
+    ``kind`` (none for a behaviour deadlock): a weak clause per successor
+    some branch admits, or for strong the empty clause when a run need not
+    end, else one clause per endpoint."""
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
-
-    def adapting_into(q2, r):  # the clauses that adapting from r into q2 adds
-        runs = _runs(sys, q2, r)
-        if kind == WEAK:
-            if len(runs) == 1:
-                return [runs[0][0]]  # the walk's own tuple, shared by every pair
-            return [tuple([m for ends, _ in runs for m in ends])] if runs else []
-        if all(finite for _, finite in runs):
-            return [(m,) for ends, _ in runs for m in ends]
-        return [()]
-
-    succ = sys.behaviour._succ
-    todo = [root] if root else [(q, r) for r in sys.structure.states for q in sys.constraint_region(r)]
-    seen = set(todo)
     table = {}
-    for q, r in todo:
-        succs = succ[q]
-        region = sys.constraint_region(r)
-        if region.isdisjoint(succs):
-            table[q, r] = cs = [c for q2 in succs for c in adapting_into(q2, r)]
-            reached = [m for c in cs for m in c]
-        elif root:
-            reached = [(q2, r) for q2 in succs if q2 in region]
+    for p, moves in _moves(sys, root).items():
+        if kind == WEAK:  # a lone walk's own tuple is shared by every pair
+            table[p] = [runs[0][0] if len(runs) == 1 else tuple([m for ends, _ in runs for m in ends])
+                        for runs in moves if runs]
+        elif all(finite for runs in moves for _, finite in runs):
+            table[p] = [(m,) for runs in moves for ends, _ in runs for m in ends]
         else:
-            continue  # every candidate is in todo already
-        for m in reached:
-            if m not in seen:
-                seen.add(m)
-                todo.append(m)
+            table[p] = [()]
     return table
 
 

@@ -406,10 +406,11 @@ def load(path):
     """Read and parse a model file in UTF-8.
 
     Newlines are read as in text mode: ``\\r\\n`` and ``\\r`` each end a
-    line.  A byte that is no UTF-8 is reported at its ``line:col``.
+    line.  A leading byte-order mark is skipped, and positions are counted
+    after it.  A byte that is no UTF-8 is reported at its ``line:col``.
     """
     try:
-        data = pathlib.Path(path).read_bytes()
+        data = pathlib.Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     except OSError as e:
         raise ModelFileError(f"cannot read {path}: {e.strerror or e}") from None
     try:

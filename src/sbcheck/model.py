@@ -9,8 +9,11 @@ An ``SBSystem`` keeps one region table, keyed by structure state and
 transition, never by formula: the behaviour states each constraint admits,
 computed at construction, and those each invariant out of a structure
 state admits, computed on that state's first use (``SBSystem.options``).
-Next to it sits the walk of each adaptation branch, filled by ``adapt``
-once per entry state, structure state and option (``SBSystem._walks``).
+Next to it sit two tables that ``adapt`` fills and both adaptability
+kinds read: the walk of each adaptation branch, once per entry state,
+structure state and option (``SBSystem._walks``), and the move table of
+the pairs that must adapt, once per root: the initial pair of a verdict,
+or every candidate for a whole relation (``SBSystem._moves``).
 Regions are computed from bitsets over the classes of equal valuation,
 one kept per boolean observable and keyed by its name.
 """
@@ -146,7 +149,7 @@ class SBSystem(Record):
     """
 
     __slots__ = ("name", "observables", "behaviour", "structure", "observation",
-                 "_classes", "_all", "_names", "_admits", "_options", "_walks")
+                 "_classes", "_all", "_names", "_admits", "_options", "_walks", "_moves")
 
     def __init__(self, name, observables, behaviour, structure, observation):
         super().__init__(name, observables, behaviour, structure, observation)
@@ -186,7 +189,8 @@ class SBSystem(Record):
             set_field(self, "structure", m)
         set_field(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
         set_field(self, "_options", {})
-        set_field(self, "_walks", {})  # (entry, r, option index) -> adapt._branch's result
+        set_field(self, "_walks", {})  # (entry, r, option index) -> adapt._branch's result, for every root and kind
+        set_field(self, "_moves", {})  # root pair, or None for every candidate -> adapt._moves's table
 
     def observe(self, q):
         """Valuation of behaviour state ``q``."""

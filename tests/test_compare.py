@@ -3,6 +3,7 @@
 import gc
 import pathlib
 import sys
+from collections import Counter
 
 import gen
 import sbcheck.adapt as A
@@ -10,6 +11,7 @@ import sbcheck.compare as C
 import sbcheck.ctl as CTL
 import sbcheck.flat as FL
 from sbcheck import cli
+from sbcheck._record import set_field
 from sbcheck.flat import flatten
 from sbcheck.ingest import bundled_model_path, loads, save
 
@@ -99,6 +101,63 @@ def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monke
         tables.clear()
         assert cli.main(["flatten", "--json", str(path)]) == cli.EXIT_OK
         assert not tables  # built on the first check, not by flatten
+
+
+def test_adapt_builds_one_move_table_and_reads_each_successor_list_once_per_structure_state(
+        monkeypatch, tmp_path):
+    # the weak and strong verdicts read one table of adapting pairs, found
+    # per structure state: a behaviour state's successors are read once for
+    # each structure state whose constraint it satisfies, whichever kind asks
+    builds, reads, systems = [], Counter(), []
+    walking = False
+    moves, branch, load = A._moves, A._branch, cli.ingest.load
+
+    class CountedSucc(dict):
+        def __getitem__(self, q):
+            if not walking:  # a branch walk reads the successors of its own states
+                reads[q] += 1
+            return dict.__getitem__(self, q)
+
+    def counted_moves(sys, root=None):
+        if root not in sys._moves:
+            builds.append(root)
+        return moves(sys, root)
+
+    def quiet_branch(*args):
+        nonlocal walking
+        walking = True
+        try:
+            return branch(*args)
+        finally:
+            walking = False
+
+    def counted_load(path):
+        system = load(path)
+        set_field(system.behaviour, "_succ", CountedSucc(system.behaviour._succ))
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(A, "_moves", counted_moves)
+    monkeypatch.setattr(A, "_branch", quiet_branch)
+    monkeypatch.setattr(cli.ingest, "load", counted_load)
+    chain = tmp_path / "chain.sbs"
+    chain.write_text(save(gen.adaptation_chain(50)))
+    gadget = tmp_path / "discrepancy.sbs"
+    gadget.write_text(workloads.model_text("discrepancy", 1, "smoke"))
+    wide = tmp_path / "wide.sbs"
+    wide.write_text(workloads.model_text("wide", 1))
+    for path in (chain, gadget, wide):
+        for argv in (["adapt", "--method", "relational"], ["equiv"]):
+            builds.clear()
+            reads.clear()
+            systems.clear()
+            cli.main([*argv, str(path)])  # relational only: flatten reads successors too
+            (system,) = systems
+            root = (system.behaviour.init, system.structure.init) if argv[0] == "adapt" else None
+            assert builds == [root], (path.name, argv)
+            assert reads, (path.name, argv)
+            for q, n in reads.items():
+                assert n <= sum(q in region for region in system._admits.values()), (path.name, argv, q)
 
 
 def test_library_calls_leave_no_cyclic_garbage():

@@ -259,6 +259,34 @@ def test_load_write_load(tmp_path):
     assert I.load(target) == sys
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "data, line, col, message",
+    [
+        (BOM + BASE.encode(), None, None, None),
+        (BOM + BASE.replace("\n", "\r\n").encode(), None, None, None),
+        (BOM + BASE.replace("} init;", "} init2;").encode(), 8, 22,
+         "expected ';' after the state declaration, found 'init2'"),
+        (BOM + b"// d\xe9j\xe0\n" + BASE.encode(), 1, 5, "byte 0xe9 is not UTF-8"),
+        (BOM + BOM + BASE.encode(), 1, 1, "unexpected character '\\ufeff'"),
+        (BASE.encode() + BOM, 16, 1, "unexpected character '\\ufeff'"),
+    ],
+    ids=["bom", "bom-crlf", "bom-then-error", "bom-then-latin1", "second-bom", "bom-at-end"],
+)
+def test_load_skips_one_leading_byte_order_mark(tmp_path, data, line, col, message):
+    # positions after the mark are those of the same file without it
+    target = tmp_path / "model.sbs"
+    target.write_bytes(data)
+    if message is None:
+        assert I.load(target) == I.loads(BASE)
+        return
+    with pytest.raises(ModelFileError) as e:
+        I.load(target)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
 # ---------------------------------------------------------------------------
 # error reporting: every diagnostic carries a useful position
 
