@@ -18,13 +18,14 @@ from functools import reduce
 from itertools import accumulate
 from operator import and_, attrgetter, or_
 
-from ._record import Record
+from ._record import Record, set_field
 
 EOF = "eof"
 
 # Taken up after every token and before the first: whitespace, newlines
 # and "//" comments, which run to the end of the line.
 _SKIP = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_SKIP_HEADS = " \t\r\n/"  # the characters a skip can start with
 
 
 class Source:
@@ -33,7 +34,9 @@ class Source:
     The line starts are found on the first :meth:`position` asked of the
     text, for an error or a formula node, and kept for the rest.  So a
     model file read without error never has them found, and a position
-    costs one bisection even on a long line.
+    costs one bisection even on a long line.  A text without a newline,
+    such as every quoted formula, has its one line found without a split,
+    and a position on the first line costs no bisection.
     """
 
     __slots__ = ("text", "_starts")
@@ -43,16 +46,21 @@ class Source:
         self._starts = None
 
     def position(self, offset):
-        """The ``(line, col)`` of ``offset``, each counted from 1: one bisection."""
+        """The ``(line, col)`` of ``offset``, each counted from 1."""
         starts = self._starts
         if starts is None:
             starts = self._starts = self.line_starts()
+        if offset < starts[1]:  # on the first line, the only one of most texts
+            return 1, offset + 1
         line = bisect_right(starts, offset)
         return line, offset - starts[line - 1] + 1
 
     def line_starts(self):
         """0 and the offset after each newline of the text, then ``len(text) + 1``."""
-        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
+        text = self.text
+        if "\n" not in text:
+            return [0, len(text) + 1]
+        return [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
 
 
 class Token(namedtuple("Token", "kind text offset source")):
@@ -60,7 +68,8 @@ class Token(namedtuple("Token", "kind text offset source")):
 
     ``source`` is the :class:`Source` shared by all tokens of one text.
     ``line`` and ``col`` (``pos`` for both) are computed from it only when
-    read: by an error, or for an AST node's ``pos``.
+    read: by an error, or for an AST node's ``pos``, which the operand
+    readers take as ``source.position(offset)`` without this property.
     """
 
     __slots__ = ()
@@ -109,21 +118,25 @@ class Lexer:
         source = text if type(text) is Source else Source(text)
         text = source.text
         new = tuple.__new__
+        start = self._lead(text).end() if text[:1] in _SKIP_HEADS else 0
         out = [
             new(Token, (m.lastgroup, m[m.lastindex], m.start(), source))
-            for m in self._scan(text, self._lead(text).end())
+            for m in self._scan(text, start)
         ]
-        end = 0
+        end, eof = 0, len(text)
         if out:
             last = out[-1]
             if last.kind == "_bad":
                 raise self.error_cls(f"unexpected character {last.text[0]!r}", *last.pos)
             end = last.offset + len(last.text)
-        # After a comment that ends the text, EOF sits where it starts.  On
-        # the last line of the skip after the last token, only blanks can
-        # come before that comment.
-        comment = text.find("//", max(end, text.rfind("\n", end) + 1))
-        out.append(new(Token, (EOF, "", len(text) if comment < 0 else comment, source)))
+        if end < eof:
+            # After a comment that ends the text, EOF sits where it starts.
+            # On the last line of the skip after the last token, only
+            # blanks can come before that comment.
+            comment = text.find("//", max(end, text.rfind("\n", end) + 1))
+            if comment >= 0:
+                eof = comment
+        out.append(new(Token, (EOF, "", eof, source)))
         return out
 
     def parser(self, text):
@@ -201,7 +214,8 @@ class _Chain(Record):
         edge = args[self._side]
         if type(edge) is type(self):
             args = edge.args + args[1:] if self._side == 0 else args[:-1] + edge.args
-        super().__init__(args, pos)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
 class And(_Chain):
@@ -239,7 +253,7 @@ def boolean(node, values, top):
 # precedence levels, loosest first; a language's term operators bind above UNARY
 IMPLIES, OR, AND, UNARY, ATOM = 1, 2, 3, 4, 5
 LEVELS = {Implies: IMPLIES, Or: OR, And: AND, Not: UNARY}
-_SYMBOL = {IMPLIES: "->", OR: "||", AND: "&&"}
+_SEPARATOR = {IMPLIES: " -> ", OR: " || ", AND: " && "}
 _CONNECTIVE = {"arrow": (IMPLIES, Implies, ()), "or": (OR, Or, ()), "and": (AND, And, ())}
 
 # What a bracket's content must be: a formula; a term; or either, for a "("
@@ -253,9 +267,9 @@ class Language:
     ``operand(p, term)`` reads from ``p`` and returns a prefix operator, an
     opened :class:`Bracket` or an atom node; ``term`` is true where only a
     term may stand.  A prefix operator is a tuple ``(UNARY, cls, args, pos)``
-    that builds ``cls(*args, operand, pos=pos)``.  ``binary`` maps the token
+    that builds ``cls(*args, operand, pos)``.  ``binary`` maps the token
     kinds of term operators to ``(level, cls, args)``, levels above UNARY;
-    they associate left and build ``cls(*args, left, right, pos=pos)``.
+    they associate left and build ``cls(*args, left, right, pos)``.
     ``terms`` are the node classes a term operator takes, and of those only
     the ``bare`` ones may also stand as a formula.
     """
@@ -265,28 +279,29 @@ class Language:
         self.error = error
         self.binary = {**_CONNECTIVE, **dict(binary)}
         self.terms = frozenset(terms)
-        self._not_formulas = self.terms - frozenset(bare)
+        self.not_formulas = self.terms - frozenset(bare)
+        self.whole = Bracket(self, "", "unexpected trailing input")  # the whole text
 
-    def require_formula(self, node, after):
-        """Raise unless ``node`` may stand as a formula; ``after`` is the token after it."""
-        if type(node) in self._not_formulas:
-            raise failure(
-                self.error, after, "expected a comparison operator after an arithmetic term"
-            )
+    def not_a_formula(self, after):
+        """The error for a node of :attr:`not_formulas` that stands as a
+        formula; ``after`` is the token after it."""
+        what = "expected a comparison operator after an arithmetic term"
+        return failure(self.error, after, what)
 
 
 class Bracket:
-    """An open bracket: its content's language and sort, and how it closes.
+    """A kind of bracket: its content's language and sort, and how it closes.
 
     It closes at the token spelled ``close`` (the end of the text is
     spelled ``""``); any other token where its content ends is an error
     ``what`` of the language it opened in.  ``build`` makes the node from
     the content, or opens the next bracket of a compound one such as
-    ``A[ ... U ... ]``.  ``ops`` are the operators still waiting for an
-    operand inside it, loosest first.
+    ``A[ ... U ... ]``.  :func:`expression` keeps the operators waiting
+    inside an open bracket, so a bracket without a ``build`` of its own is
+    built once per language and shared by every parse.
     """
 
-    __slots__ = ("language", "close", "what", "build", "sort", "ops")
+    __slots__ = ("language", "close", "what", "build", "sort")
 
     def __init__(self, language, close, what, build=None, sort=FORMULA):
         self.language = language
@@ -294,16 +309,16 @@ class Bracket:
         self.what = what
         self.build = build
         self.sort = sort
-        self.ops = []
 
 
 def _apply(ops, bound, x, language, after):
     """Apply to ``x`` every waiting operator that binds tighter than ``bound``."""
     while ops and ops[-1][0] > bound:
         lvl, cls, args, pos = ops.pop()
-        if lvl <= UNARY:
-            language.require_formula(x, after)
-        x = cls(*args, x, pos=pos)
+        if lvl <= UNARY and type(x) in language.not_formulas:
+            raise language.not_a_formula(after)
+        # a chain takes any number of operands, so its position by name
+        x = cls(*args, x, pos=pos) if lvl <= AND else cls(*args, x, pos)
     return x
 
 
@@ -322,17 +337,18 @@ def expression(p, language):
     a formula is reported at the token after it.
     """
     tokens = p.tokens
-    top = Bracket(language, "", "unexpected trailing input")
-    stack = [top]
+    position = tokens[-1].source.position
+    top, ops = language.whole, []  # the innermost open bracket, and the operators waiting in it
+    stack = []  # the brackets around it, each with its waiting operators
     while True:
-        lang, ops = top.language, top.ops
+        lang = top.language
         x = lang.operand(p, top.sort is TERM or bool(ops) and ops[-1][0] > UNARY)
         if type(x) is tuple:
             ops.append(x)
             continue
         if type(x) is Bracket:
-            stack.append(x)
-            top = x
+            stack.append((top, ops))
+            top, ops = x, []
             continue
         end = p.i  # the token after x while x is a term
         while True:  # binary operators and closing brackets, until one wants an operand
@@ -341,40 +357,44 @@ def expression(p, language):
             if op is not None and (top.sort is not TERM or op[1] in lang.terms):
                 lvl, cls, args = op
                 if lvl <= AND:
-                    x = _apply(ops, lvl, x, lang, tokens[end])
-                    lang.require_formula(x, tokens[end])
+                    if ops and ops[-1][0] > lvl:
+                        x = _apply(ops, lvl, x, lang, tokens[end])
+                    if type(x) in lang.not_formulas:
+                        raise lang.not_a_formula(tokens[end])
                     if ops and ops[-1][1] is cls:
                         ops[-1][2].append(x)
                     else:
-                        ops.append((lvl, cls, [x], t.pos))
+                        ops.append((lvl, cls, [x], position(t.offset)))
                     p.i += 1
                     break
                 # a term operator applies its equal too: it associates left
-                x = _apply(ops, lvl - 1, x, lang, tokens[end])
+                if ops and ops[-1][0] >= lvl:
+                    x = _apply(ops, lvl - 1, x, lang, tokens[end])
                 if type(x) in lang.terms:
-                    ops.append((lvl, cls, [*args, x], t.pos))
+                    ops.append((lvl, cls, [*args, x], position(t.offset)))
                     p.i += 1
                     break
-            x = _apply(ops, 0, x, lang, tokens[end])
+            if ops:
+                x = _apply(ops, 0, x, lang, tokens[end])
             closes = t.text == top.close
-            if top.sort is FORMULA or top.sort is EITHER and not closes:
-                lang.require_formula(x, tokens[end])
+            formula = top.sort is FORMULA or top.sort is EITHER and not closes
+            if formula and type(x) in lang.not_formulas:
+                raise lang.not_a_formula(tokens[end])
             if not closes:
-                opener = stack[-2] if len(stack) > 1 else top
+                opener = stack[-1][0] if stack else top
                 raise failure(opener.language.error, t, top.what)
-            if len(stack) == 1:
+            if not stack:
                 return x
             p.i += 1
-            stack.pop()
             if top.sort is TERM:
                 end = p.i
             if top.build is not None:
                 x = top.build(x)
-            top = stack[-1]
-            lang, ops = top.language, top.ops
+            top, ops = stack.pop()
+            lang = top.language
             if type(x) is Bracket:
-                stack.append(x)
-                top = x
+                stack.append((top, ops))
+                top, ops = x, []
                 break
 
 
@@ -389,7 +409,7 @@ def join(node, texts, levels):
     parts = []
     for arg, text in zip(node.args, texts):
         parts.append(f"({text})" if levels.get(type(arg), ATOM) <= lvl else text)
-    return f" {_SYMBOL[lvl]} ".join(parts)
+    return _SEPARATOR[lvl].join(parts)
 
 
 def prefix(symbol, node, text, levels, sep=""):
@@ -419,18 +439,23 @@ def operands(node):
     and ``right``.  So CTL's ``@(phi)``, whose formula is in ``phi``, is a
     leaf of the CTL walks, and the formula walks take its formula.
     """
-    return (_GETTERS.get(type(node)) or _getter(type(node)))(node)
+    get = _GETTERS[type(node)]
+    return () if get is None else get(node)
 
 
-_GETTERS = {}  # node class -> function from a node of it to its operands
+class _Getters(dict):
+    """Node class -> function from a node of it to its operands, or None
+    for a class whose nodes are leaves: a leaf costs no call."""
+
+    def __missing__(self, cls):
+        fields = cls._fields if issubclass(cls, Record) else ()
+        get = self[cls] = next((g for f, g in _BY_FIELD.items() if f in fields), None)
+        return get
+
+
+_GETTERS = _Getters()
 _BY_FIELD = {"args": attrgetter("args"), "arg": lambda node: (node.arg,),
              "left": attrgetter("left", "right")}
-
-
-def _getter(cls):
-    fields = cls._fields if issubclass(cls, Record) else ()
-    get = _GETTERS[cls] = next((g for f, g in _BY_FIELD.items() if f in fields), lambda node: ())
-    return get
 
 
 def fold(root, combine):
@@ -443,24 +468,23 @@ def fold(root, combine):
     costs a frame.
     """
     getters = _GETTERS
-    args = (getters.get(type(root)) or _getter(type(root)))(root)
+    args = operands(root)
     if not args:
         return combine(root, args, None)
     stack = []  # the open ancestors of ``node``, each with its state
-    node, parent, values, i, n = root, None, [], 0, len(args)
+    node, parent, todo, values = root, None, iter(args), []
     while True:
-        if i < n:  # the next operand: a leaf is done at once
-            arg = args[i]
-            i += 1
-            sub = (getters.get(type(arg)) or _getter(type(arg)))(arg)
-            if sub:
-                stack.append((node, parent, args, values, i, n))
-                node, parent, args, values, i, n = arg, node, sub, [], 0, len(sub)
-            else:
-                values.append(combine(arg, sub, node))
+        for arg in todo:  # the next operand: a leaf is done at once
+            get = getters[type(arg)]
+            args = () if get is None else get(arg)
+            if args:
+                stack.append((node, parent, todo, values))
+                node, parent, todo, values = arg, node, iter(args), []
+                break
+            values.append(combine(arg, args, node))
         else:
             value = combine(node, values, parent)
             if not stack:
                 return value
-            node, parent, args, values, i, n = stack.pop()
+            node, parent, todo, values = stack.pop()
             values.append(value)

@@ -35,8 +35,14 @@ class Record:
     def __init__(self, *args, **kwargs):
         """Set the parameters from ``args``, in order, and the rest from
         ``kwargs``; ``pos`` defaults to None.  A missing, unknown, surplus
-        or twice-given argument raises :class:`TypeError`."""
+        or twice-given argument raises :class:`TypeError`.  A call that
+        gives every parameter by position, as the parsers build their
+        nodes, sets them in one loop without looking at ``kwargs``."""
         names = self._params
+        if len(args) == len(names) and not kwargs:
+            for name, value in zip(names, args):
+                set_field(self, name, value)
+            return
         if len(args) > len(names):
             raise TypeError(f"{type(self).__name__}() got too many arguments")
         for name, value in zip(names, args):

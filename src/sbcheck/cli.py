@@ -386,7 +386,14 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     color = _want_color()
     try:
-        return _COMMANDS[args.command](args, color)
+        code = _COMMANDS[args.command](args, color)
+        sys.stdout.flush()  # so that a closed output fails here, not at exit
+        return code
+    except BrokenPipeError as e:  # the reader of the output is gone
+        # point stdout at the null device, so that the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except SourceError as e:
         prefix = "" if str(args.file) in str(e) else f"{args.file}: "
         print(f"error: {prefix}{e}", file=sys.stderr)

@@ -82,39 +82,42 @@ def parse_ctl(text):
 
 def _operand(p, term):
     """A prefix ``!`` or modal operator, an opened bracket or an atom."""
-    t = p.take()
-    word, pos = t.text, t.pos
+    t = p.tokens[p.i]
+    p.i += 1
+    word = t.text
+    if word == "(":
+        return _GROUP
+    pos = t.source.position(t.offset)
     if word == "!":
         return (_lex.UNARY, Not, (), pos)
     if word in _MODALS:
         return (_lex.UNARY, Modal, (word,), pos)
     if word == "true" or word == "false":
-        return BoolLit(word == "true", pos=pos)
+        return BoolLit(word == "true", pos)
     if word == "adapting" or word == "steady":
-        return Atom(word, pos=pos)
+        return Atom(word, pos)
     if word == "in":
         p.take("lpar", "expected '(' after in")
         name = p.take("ident", "expected a structure state name")
         p.take("rpar", "expected ')'")
-        return InState(name.text, pos=pos)
+        return InState(name.text, pos)
     if word == "A" or word == "E":
         p.take("lbracket", f"expected '[' after {word}")
 
         def right(left):  # "U" closes the left operand and opens the right one
-            until = lambda right: Until(word, left, right, pos=pos)
+            until = lambda right: Until(word, left, right, pos)
             return _lex.Bracket(LANGUAGE, "]", "expected ']'", until)
 
         return _lex.Bracket(LANGUAGE, "U", "expected 'U'", right)
     if word == "@":
         p.take("lpar", "expected '(' after @")
-        holds = lambda phi: ObsHolds(phi, pos=pos)
+        holds = lambda phi: ObsHolds(phi, pos)
         return _lex.Bracket(F.LANGUAGE, ")", "expected ')' closing @(...)", holds)
-    if word == "(":
-        return _lex.Bracket(LANGUAGE, ")", "expected ')'")
     raise _lex.failure(CtlError, t, "unknown atom" if t.kind == "ident" else "expected a CTL formula")
 
 
 LANGUAGE = _lex.Language(_operand, CtlError)
+_GROUP = _lex.Bracket(LANGUAGE, ")", "expected ')'")
 
 
 # ---------------------------------------------------------------------------

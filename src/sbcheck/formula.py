@@ -183,23 +183,24 @@ class Compare(_Binary):
 # ---------------------------------------------------------------------------
 # parsing
 
+# The most frequent first, each longer operator before its prefix.
 RULES = [
-    ("arrow", r"->"),
-    ("ne", r"!="),
-    ("le", r"<="),
-    ("ge", r">="),
-    ("eq", r"=="),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("int", r"[0-9]+"),
     ("and", r"&&"),
     ("or", r"\|\|"),
+    ("ne", r"!="),
     ("not", r"!"),
+    ("lpar", r"\("),
+    ("rpar", r"\)"),
+    ("arrow", r"->"),
+    ("eq", r"=="),
+    ("le", r"<="),
+    ("ge", r">="),
     ("lt", r"<"),
     ("gt", r">"),
     ("plus", r"\+"),
     ("minus", r"-"),
-    ("lpar", r"\("),
-    ("rpar", r"\)"),
-    ("int", r"[0-9]+"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
 ]
 
 LEXER = _lex.Lexer(RULES, FormulaError)
@@ -212,30 +213,34 @@ _BINARY.update(plus=(_lex.UNARY + 2, Arith, ("+",)), minus=(_lex.UNARY + 2, Arit
 
 def _operand(p, term):
     """A prefix ``!``, an opened ``(`` or an atom; only a term where ``term``."""
-    t = p.take()
-    kind, pos = t.kind, t.pos
+    t = p.tokens[p.i]
+    p.i += 1
+    kind = t.kind
+    if kind == "lpar":
+        return _TERM_GROUP if term else _GROUP
+    pos = t.source.position(t.offset)
     if kind == "ident":
         if t.text == "true" or t.text == "false":
             if term:
                 raise _lex.failure(FormulaError, t, f"{t.text!r} is not an arithmetic term")
-            return BoolLit(t.text == "true", pos=pos)
-        return Name(t.text, pos=pos)
+            return BoolLit(t.text == "true", pos)
+        return Name(t.text, pos)
+    if kind == "not" and not term:
+        return (_lex.UNARY, Not, (), pos)
     if kind == "int":
-        return IntLit(int(t.text), pos=pos)
+        return IntLit(int(t.text), pos)
     if kind == "minus":
         lit = p.take()
         if lit.kind != "int":
             raise _lex.failure(FormulaError, lit, "expected an integer after '-'")
-        return IntLit(-int(lit.text), pos=pos)
-    if kind == "lpar":
-        return _lex.Bracket(LANGUAGE, ")", "expected ')'", sort=_lex.TERM if term else _lex.EITHER)
-    if kind == "not" and not term:
-        return (_lex.UNARY, Not, (), pos)
+        return IntLit(-int(lit.text), pos)
     what = "expected an integer, an observable or '('" if term else "expected a formula"
     raise _lex.failure(FormulaError, t, what)
 
 
 LANGUAGE = _lex.Language(_operand, FormulaError, _BINARY, (Name, IntLit, Arith), (Name,))
+_GROUP = _lex.Bracket(LANGUAGE, ")", "expected ')'", sort=_lex.EITHER)
+_TERM_GROUP = _lex.Bracket(LANGUAGE, ")", "expected ')'", sort=_lex.TERM)
 
 
 def parse_raw(text):
@@ -269,18 +274,22 @@ def typecheck(phi, observables):
     checked = observables._checked
     if checked.get(id(phi)) is phi:
         return phi
+    domain = observables._domains.get
+    rewritten = False  # whether a name was rewritten yet, so that a node above it may be
 
     def check(node, args, parent):
         """The checked node; for a term, ``(node, type)``: 'int', 'bool' or ('enum', name)."""
+        nonlocal rewritten
         cls = type(node)
         if type(parent) in TERM_OPERATORS:
             if cls is Name:
-                dom = observables.domain_or_none(node.name)
+                dom = domain(node.name)
                 if dom is None:
                     owner = observables.enum_owner(node.name)
                     if owner is None:
                         raise _fail(f"undeclared observable {node.name!r}", node)
-                    return EnumLit(node.name, pos=node.pos), ("enum", owner)
+                    rewritten = True
+                    return EnumLit(node.name, node.pos), ("enum", owner)
                 return node, _SORTS.get(type(dom)) or ("enum", node.name)
             if cls is IntLit:
                 return node, _INT
@@ -296,8 +305,8 @@ def typecheck(phi, observables):
                 return node, ("enum", owner)
             raise FormulaError(f"not a term node: {node!r}")
         if cls is Name:
-            dom = observables.domain_or_none(node.name)
-            if isinstance(dom, BoolDomain):
+            dom = domain(node.name)
+            if type(dom) is BoolDomain:
                 return node
             if dom is not None:
                 raise _fail(f"observable {node.name!r} is not boolean", node)
@@ -305,8 +314,9 @@ def typecheck(phi, observables):
                 raise _fail(f"undeclared observable {node.name!r}", node)
             raise _fail(f"enum value {node.name!r} cannot stand alone as a boolean atom", node)
         if cls in _lex.CONNECTIVES:  # rebuilt only where an operand was
-            same = all(map(operator.is_, args, _lex.operands(node)))
-            return node if same else cls(*args, pos=node.pos)
+            if not rewritten or all(map(operator.is_, args, _lex.operands(node))):
+                return node
+            return cls(*args, pos=node.pos)
         if cls is Compare:
             (left, lt), (right, rt) = args
             if node.op in _ORDERED:

@@ -49,8 +49,11 @@ from .model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 LEXER = _lex.Lexer(
-    [
+    [  # the most frequent first, each longer operator before its prefix
+        ("ident", _ID),
+        ("int", r"[0-9]+"),
         ("string", r'"(?:[^"\\\n]|\\.)*"'),
+        ("semi", r";"),
         ("dotdot", r"\.\."),
         ("arrowl", r"-\["),
         ("arrowr", r"\]->"),
@@ -60,12 +63,9 @@ LEXER = _lex.Lexer(
         ("lbracket", r"\["),
         ("rbracket", r"\]"),
         ("colon", r":"),
-        ("semi", r";"),
         ("comma", r","),
         ("assign", r"="),
         ("minus", r"-"),
-        ("int", r"[0-9]+"),
-        ("ident", _ID),
     ],
     ModelFileError,
 )

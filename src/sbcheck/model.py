@@ -21,6 +21,7 @@ one kept per boolean observable and keyed by its name.
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import itemgetter
 
 from . import _lex
 from . import formula as F
@@ -201,7 +202,7 @@ class SBSystem(Record):
         against the observables."""
         bits = _lex.fold(phi, self._bits)
         members = compress(self._classes, map(int, format(bits, "b")[::-1]))
-        return frozenset(chain.from_iterable(qs for _, qs in members))
+        return frozenset(chain.from_iterable(map(itemgetter(1), members)))
 
     def _bits(self, node, args, parent):
         """The bitset of the classes satisfying ``node``, from those of its operands."""

@@ -421,6 +421,36 @@ def test_color_defaults_off_when_piped():
     assert "\x1b[" not in res.stdout
 
 
+COMMANDS = [
+    ("validate", S0),
+    ("flatten", S0, "--json"),
+    ("adapt", S0, "--json"),
+    ("equiv", S0),
+    ("ctl", S0, "--formula", "EF steady"),
+    ("simulate", S0),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", COMMANDS, ids=[a[0] for a in COMMANDS])
+def test_a_closed_output_is_a_usage_error(args, unbuffered):
+    # stdout is a pipe whose reader is gone before the command starts
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "sbcheck", *args], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert res.returncode == cli.EXIT_USAGE, res.stderr
+    assert res.stderr.startswith("error: cannot write the output: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr and "internal" not in res.stderr
+
+
 def test_deep_constraint_label_gives_a_documented_exit_code(tmp_path):
     # a chain of 500, and of 2000, conjunctions, in one label, and in one
     # invariant that the initial state adapts through

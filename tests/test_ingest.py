@@ -2,7 +2,9 @@
 
 import pathlib
 import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,11 @@ import oracles
 import sbcheck.formula as F
 import sbcheck.ingest as I
 import sbcheck.model as M
+from sbcheck import _lex
 from sbcheck.errors import ModelError, ModelFileError
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 BASE = '''system "t"
 
@@ -240,6 +246,43 @@ def test_a_load_typechecks_each_formula_once(monkeypatch):
     formulas += [inv for _, inv, _ in sys.structure.transitions]
     assert sorted(walks) == sorted(F.unparse(phi) for phi in formulas)
     assert len(walks) == 2
+
+
+# tokenize calls, typecheck folds, unparse folds and region folds of one load
+# of a pool model: one tokenize per quoted formula and one for the file, one
+# typecheck per formula, one unparse per structure transition, one region
+# per label, and no other walk
+LOAD_WORK = {"wide": (25, 24, 16, 8), "chain": (5, 4, 2, 2), "discrepancy": (31, 30, 19, 11)}
+
+
+@pytest.mark.parametrize("workload", sorted(LOAD_WORK))
+def test_a_load_reads_and_walks_each_formula_once_per_use(monkeypatch, workload):
+    work = Counter()
+    tokenize, fold = _lex.Lexer.tokenize, _lex.fold
+
+    def counted_tokenize(lexer, text):
+        work["tokenize"] += 1
+        return tokenize(lexer, text)
+
+    def counted_fold(root, combine):
+        if combine.__qualname__.startswith("typecheck."):
+            work["typecheck"] += 1
+        elif combine is F._text:
+            work["unparse"] += 1
+        elif getattr(combine, "__func__", None) is M.SBSystem._bits:
+            work["region"] += 1
+        else:
+            work[combine.__qualname__] += 1
+        return fold(root, combine)
+
+    texts = [workloads.model_text(workload, seed) for seed in workloads.POOL[workload]]
+    monkeypatch.setattr(_lex.Lexer, "tokenize", counted_tokenize)
+    monkeypatch.setattr(_lex, "fold", counted_fold)
+    for text in texts:
+        work.clear()
+        I.loads(text)
+        want = dict(zip(("tokenize", "typecheck", "unparse", "region"), LOAD_WORK[workload]))
+        assert work == want
 
 
 # ---------------------------------------------------------------------------

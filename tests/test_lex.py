@@ -71,6 +71,63 @@ def test_token_kinds_and_positions(lang, text, want):
     assert got == want
 
 
+def _node_positions(tree):
+    """``type line:col`` of every node of ``tree`` in fold order; the
+    formula of an ``@(...)`` comes just before its node."""
+    out = []
+
+    def visit(node, values, parent):
+        if type(node) is C.ObsHolds:
+            out.append(_node_positions(node.phi))
+        out.append(f"{type(node).__name__} {node.pos[0]}:{node.pos[1]}")
+
+    _lex.fold(tree, visit)
+    return ", ".join(out)
+
+
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [
+        # a run of "!"; a left-associative term chain and a negative literal
+        (F.parse_raw, "!!!x && y", "Name 1:4, Not 1:3, Not 1:2, Not 1:1, Name 1:9, And 1:6"),
+        (
+            F.parse_raw,
+            "a + 1 - b == -2 || c",
+            "Name 1:1, IntLit 1:5, Arith 1:3, Name 1:9, Arith 1:7, IntLit 1:14, Compare 1:11, "
+            "Name 1:20, Or 1:17",
+        ),
+        # a bracketed term, and brackets that make no node
+        (
+            F.parse_raw,
+            "(a + 1) < b && !((c)) -> d",
+            "Name 1:2, IntLit 1:6, Arith 1:4, Name 1:11, Compare 1:9, Name 1:19, Not 1:16, "
+            "And 1:13, Name 1:26, Implies 1:23",
+        ),
+        (
+            C.parse_ctl,
+            "@(x && !y) -> EF steady",
+            "Name 1:3, Name 1:9, Not 1:8, And 1:5, ObsHolds 1:1, Atom 1:18, Modal 1:15, "
+            "Implies 1:12",
+        ),
+        (
+            C.parse_ctl,
+            "A[adapting U in(r1)] || E[!steady U @(p - 1 == q)]",
+            "Atom 1:3, InState 1:14, Until 1:1, Atom 1:28, Not 1:27, Name 1:39, IntLit 1:43, "
+            "Arith 1:41, Name 1:48, Compare 1:45, ObsHolds 1:37, Until 1:25, Or 1:22",
+        ),
+        # a --formula text over three lines
+        (
+            C.parse_ctl,
+            "AG (adapting\n  -> AF steady)\n  && EX in(r0)",
+            "Atom 1:5, Atom 2:9, Modal 2:6, Implies 2:3, Modal 1:1, InState 3:9, Modal 3:6, "
+            "And 3:3",
+        ),
+    ],
+)
+def test_parsed_nodes_keep_their_positions(parse, text, want):
+    assert _node_positions(parse(text)) == want
+
+
 @pytest.mark.parametrize(
     "lang, text, line, col, char",
     [
