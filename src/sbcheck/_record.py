@@ -6,13 +6,17 @@ the fields by position, in that order, or by name; a slot named ``pos``
 (a source position) comes after them and defaults to None.  A class
 defines its own ``__init__`` only to check its fields or to fill a slot
 starting with ``_`` (a table derived from the fields).  Neither ``pos``
-nor a ``_`` slot is a field: ``==``, ``hash`` and ``repr`` read the
-fields alone, and walk nested records and tuples without recursion, so
-formulas of any depth compare and print.  Assignment raises
-:class:`AttributeError`, so a changed value is built with the
-constructor, and a copy, shallow or deep, is the record itself.  A record
-pickles with all its slots as a flat list of the records and tuples
-under it, so :mod:`pickle` too takes no frame per level of nesting.
+nor a ``_`` slot is a field.  Assignment raises :class:`AttributeError`,
+so a changed value is built with the constructor, and a copy, shallow or
+deep, is the record itself.
+
+One walk, :func:`_entries`, lists the records and plain tuples under a
+record children first, each with its fields (or all its slots), from an
+explicit stack; one replay, :func:`_replay`, rebuilds a value from such a
+list.  ``==`` compares two field lists, ``hash`` hashes one, ``repr``
+replays one into text, and :mod:`pickle` writes the slot list and
+replays it into records.  So formulas of any depth compare, hash, print
+and pickle without a frame per level of nesting.
 """
 
 from itertools import compress
@@ -58,61 +62,17 @@ class Record:
             problem = "multiple values for" if name in names else "an unexpected keyword"
             raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
 
-    def _values(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
-        """Same class and equal fields.  The values are compared from an
-        explicit stack that descends into records of one class and tuples
-        of one length, so no depth of nesting costs a frame."""
+        """Same class and equal fields, compared as the two field lists."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self._values(), other._values())]  # value tuples of one length
-        while todo:
-            xs, ys = todo.pop()
-            for x, y in zip(xs, ys):
-                if x is y:
-                    continue
-                if x.__class__ is y.__class__ and isinstance(x, Record):
-                    todo.append((x._values(), y._values()))
-                elif x.__class__ is y.__class__ is tuple and len(x) == len(y):
-                    todo.append((x, y))
-                elif not x == y:
-                    return False
-        return True
-
-    def _fold(self, leaf, combine):
-        """Fold the values under this record bottom-up from one explicit stack.
-
-        A record or plain tuple among them gives ``combine(value, results)``
-        over the results for its own values (a record's are its fields),
-        and any other value gives ``leaf(value)``.
-        """
-        stack = [(self, self._values(), [])]  # open values, each with its items and done results
-        while True:
-            value, items, done = stack[-1]
-            if len(done) < len(items):
-                v = items[len(done)]
-                if isinstance(v, Record):
-                    stack.append((v, v._values(), []))
-                elif v.__class__ is tuple:
-                    stack.append((v, v, []))
-                else:
-                    done.append(leaf(v))
-                continue
-            stack.pop()
-            result = combine(value, done)
-            if not stack:
-                return result
-            stack[-1][2].append(result)
+        return _entries(self, "_fields") == _entries(other, "_fields")
 
     def __hash__(self):
-        """The hash of the tuple of the fields' hashes, where a record or a
-        tuple among the values hashes the same way over its own values."""
-        return self._fold(hash, lambda value, hashes: hash(tuple(hashes)))
+        return hash(tuple(_entries(self, "_fields")))
 
     def __repr__(self):
-        return self._fold(repr, _text)
+        return _replay(_entries(self, "_fields"), repr, _text)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,46 +87,60 @@ class Record:
         return self
 
     def __reduce__(self):
-        """Pickle as :func:`_rebuild` of the records and plain tuples under
-        this one, found from one explicit stack and listed children first.
-        Each is ``(class, slot values)``, with :class:`_Below` standing for
-        each value that is one of them; a record keeps every slot."""
-        todo, entries = [self], []
-        while todo:  # each value after those below it, read backwards
-            value = todo.pop()
-            cls = value.__class__
-            values = value if cls is tuple else [getattr(value, s) for s in cls._slots]
-            below = [v.__class__ is tuple or isinstance(v, Record) for v in values]
-            todo += compress(values, below)
-            entries.append((cls, tuple([_Below if b else v for v, b in zip(values, below)])))
-        return _rebuild, (entries[::-1],)
+        return _replay, (_entries(self, "_slots"), _same, _made)
 
 
 class _Below:
-    """In a pickled record, a value that is a record or tuple listed before it."""
+    """In an entry list, a value that is a record or tuple listed before it."""
 
 
-def _rebuild(entries):
-    """The record that :meth:`Record.__reduce__` listed as ``entries``."""
+def _entries(root, names):
+    """The records and plain tuples under ``root``, ``root`` last and each
+    after those under it, found from one explicit stack.  Each is ``(class,
+    values)``: a tuple's items, or a record's values of the slots that its
+    class lists in the attribute ``names`` (``"_fields"`` or ``"_slots"``),
+    with :class:`_Below` standing for each value that is itself listed."""
+    todo, entries = [root], []
+    while todo:  # each value before those below it, read backwards
+        value = todo.pop()
+        cls = value.__class__
+        values = value if cls is tuple else [getattr(value, s) for s in getattr(cls, names)]
+        below = [v.__class__ is tuple or isinstance(v, Record) for v in values]
+        todo += compress(values, below)
+        entries.append((cls, tuple([_Below if b else v for v, b in zip(values, below)])))
+    return entries[::-1]
+
+
+def _replay(entries, leaf, build):
+    """``build(class, results)`` of the last of ``entries``, where the
+    results are ``leaf(value)`` for a plain value and the result of the
+    entry listed for each :class:`_Below`."""
     built = []
     for cls, values in entries:
-        n = sum(v is _Below for v in values)
-        below = iter(built[len(built) - n :])
-        del built[len(built) - n :]
-        values = [next(below) if v is _Below else v for v in values]
-        if cls is tuple:
-            built.append(tuple(values))
-            continue
-        record = cls.__new__(cls)
-        for name, value in zip(cls._slots, values):
-            set_field(record, name, value)
-        built.append(record)
+        n = len(built) - sum(v is _Below for v in values)
+        below = iter(built[n:])
+        del built[n:]
+        built.append(build(cls, [next(below) if v is _Below else leaf(v) for v in values]))
     return built[0]
 
 
-def _text(value, texts):
-    """The repr of a record or tuple ``value`` from the reprs of its values."""
-    if isinstance(value, Record):
-        fields = ", ".join([f"{name}={text}" for name, text in zip(value._fields, texts)])
-        return f"{type(value).__qualname__}({fields})"
-    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
+def _same(value):
+    return value
+
+
+def _made(cls, values):
+    """The tuple, or the record with these slot values, that unpickles."""
+    if cls is tuple:
+        return tuple(values)
+    record = cls.__new__(cls)
+    for name, value in zip(cls._slots, values):
+        set_field(record, name, value)
+    return record
+
+
+def _text(cls, texts):
+    """The repr of a record or tuple of class ``cls`` from the reprs of its values."""
+    if cls is tuple:
+        return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
+    fields = ", ".join([f"{name}={text}" for name, text in zip(cls._fields, texts)])
+    return f"{cls.__qualname__}({fields})"

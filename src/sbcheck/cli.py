@@ -282,18 +282,10 @@ def cmd_equiv(args, color):
 
 
 def cmd_ctl(args, color):
-    try:
-        phi = parse_ctl(args.formula)
-    except CtlError as e:
-        print(f"error: in --formula: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    phi = parse_ctl(args.formula)  # before the model, so a bad formula costs no load
     system = ingest.load(args.file)
     flat = flatten(system)
-    try:
-        result = check_ctl(flat, phi)
-    except CtlError as e:
-        print(f"error: in --formula: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    result = check_ctl(flat, phi)
     text = unparse_ctl(phi)
     if args.json:
         print(
@@ -393,6 +385,9 @@ def main(argv=None):
         # point stdout at the null device, so that the flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write the output: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    except CtlError as e:  # only ``--formula`` is CTL text
+        print(f"error: in --formula: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SourceError as e:
         prefix = "" if str(args.file) in str(e) else f"{args.file}: "

@@ -80,9 +80,9 @@ class ObservableDecl(Record):
 class Observables:
     """Ordered observable declarations sharing one flat namespace.
 
-    Observable names and enum value names must not collide: a bare
-    identifier in a formula resolves either to an observable or to an
-    enum value, never ambiguously.
+    Observable names and enum value names must not collide, nor be
+    ``true`` or ``false``: a bare identifier in a formula resolves to the
+    boolean literal, an observable or an enum value, never ambiguously.
     """
 
     def __init__(self, decls):
@@ -93,6 +93,9 @@ class Observables:
         self._enum_owner = {}
         self._checked = {}  # id -> a formula typecheck returned for these declarations
         for d in self.decls:
+            for name in (d.name, *(d.domain.values if isinstance(d.domain, EnumDomain) else ())):
+                if name in ("true", "false"):  # read as the boolean literal in every formula
+                    raise ModelError(f"reserved name {name!r} in observable declarations")
             if d.name in self._domains or d.name in self._enum_owner:
                 raise ModelError(f"duplicate name {d.name!r} in observable declarations")
             self._domains[d.name] = d.domain

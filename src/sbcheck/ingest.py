@@ -184,6 +184,10 @@ def _parse_observables(p):
         p.take("semi", "expected ';' after the declaration")
         namespace[name_tok.text] = name_tok
         decls.append(F.ObservableDecl(name_tok.text, dom))
+        try:
+            F.Observables(decls[-1:])  # the rules on the names of one declaration
+        except ModelError as e:
+            raise ModelFileError(str(e), name_tok.line, name_tok.col) from None
     p.take("rbrace", "expected '}' closing the observables block")
     return F.Observables(decls)
 

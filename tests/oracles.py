@@ -14,6 +14,7 @@ import re
 from collections import deque
 
 import sbcheck.formula as F
+from sbcheck._record import Record
 from sbcheck.model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
 # ---------------------------------------------------------------------------
@@ -417,3 +418,54 @@ def tokens_oracle(rules, error_cls, text):
                 col += len(word)
     out.append(("eof", "", *(eof or (line, col))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# record equality and text, by plain recursion
+
+
+def _record_fields(record):
+    """The field names of a record: its class's slots, base classes first,
+    without ``pos`` and the ``_`` tables."""
+    slots = [s for c in reversed(type(record).__mro__) for s in vars(c).get("__slots__", ())]
+    return [s for s in slots if s != "pos" and not s.startswith("_")]
+
+
+def record_key(value, positions=False):
+    """A value that is equal for two values exactly when they are equal as
+    records: the same classes and equal fields all the way down, inside
+    tuples, lists, sets and dicts too.  A record's ``pos`` counts only with
+    ``positions``."""
+    if isinstance(value, Record):
+        fields = tuple(record_key(getattr(value, f), positions) for f in _record_fields(value))
+        return ("record", type(value), fields, getattr(value, "pos", None) if positions else None)
+    if isinstance(value, F.Observables):
+        return ("observables", record_key(value.decls, positions))
+    if type(value) in (tuple, list):
+        return (type(value).__name__, tuple(record_key(v, positions) for v in value))
+    if type(value) in (set, frozenset):
+        return ("set", frozenset(record_key(v, positions) for v in value))
+    if type(value) is dict:
+        return ("dict", frozenset((k, record_key(v, positions)) for k, v in value.items()))
+    return value
+
+
+def record_text(value):
+    """The repr of ``value`` as a dataclass would print its records."""
+    if isinstance(value, Record):
+        fields = ", ".join(f"{f}={record_text(getattr(value, f))}" for f in _record_fields(value))
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, F.Observables):
+        return f"Observables({record_text(list(value.decls))})"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{record_text(k)}: {record_text(v)}" for k, v in value.items()) + "}"
+    if type(value) not in (tuple, list, set, frozenset):
+        return repr(value)
+    items = ", ".join(record_text(v) for v in value)
+    if type(value) is tuple:
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    if type(value) is list:
+        return f"[{items}]"
+    if not value:
+        return f"{type(value).__name__}()"
+    return f"{{{items}}}" if type(value) is set else f"frozenset({{{items}}})"

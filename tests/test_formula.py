@@ -14,7 +14,7 @@ import sbcheck.ctl as C
 import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck import _lex, _record, cli
-from sbcheck.errors import FormulaError, SourceError
+from sbcheck.errors import FormulaError, ModelError, SourceError
 from sbcheck.ingest import bundled_model_path
 
 
@@ -332,6 +332,16 @@ def test_comments_and_whitespace():
     text = "p == 0 // favourite prey kind\n  && !eat"
     f = F.parse_formula(text, obs())
     assert isinstance(f, F.And)
+
+
+@pytest.mark.parametrize("decl", [
+    F.ObservableDecl("m", F.EnumDomain(("true", "off"))),
+    F.ObservableDecl("false", F.BoolDomain()),
+])
+def test_boolean_literals_name_no_observable_or_enum_value(decl):
+    # "m == true" would read the literal, so a value "true" could not be saved and loaded back
+    with pytest.raises(ModelError, match="reserved name"):
+        F.Observables([F.ObservableDecl("x", F.BoolDomain()), decl])
 
 
 def test_enum_literals_resolve():

@@ -377,6 +377,15 @@ def test_enum_value_colliding_with_observable():
     )
 
 
+@pytest.mark.parametrize("decl, name", [
+    ("m: enum {true, off};", "true"),
+    ("true: bool;", "true"),
+    ("false: int[0..1];", "false"),
+])
+def test_boolean_literal_names_no_observable_or_enum_value(decl, name):
+    check_error(BASE.replace("x: bool;", "x: bool;\n  " + decl), 5, 3, f"reserved name '{name}'")
+
+
 def test_missing_semicolon():
     check_error(BASE.replace("x: bool;", "x: bool"), 5, 1, "expected ';'")
 

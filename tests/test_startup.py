@@ -5,11 +5,14 @@ import copy
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
 
 import pytest
 
+import gen
+import oracles
 import sbcheck._lex as L
 import sbcheck.adapt as A
 import sbcheck.compare as K
@@ -18,6 +21,7 @@ import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck._record import Record
 from sbcheck.errors import ModelError
+from sbcheck.ingest import loads, save
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -223,3 +227,49 @@ def test_constructors_validate_their_fields():
     table = {"a": {"x": True}, "b": {"x": True}, "z": {"x": True}}
     with pytest.raises(ModelError, match="observation recorded for undeclared state 'z'"):
         M.SBSystem("t", s.observables, s.behaviour, s.structure, M.ObservationMap(table))
+
+
+def _respaced(text):
+    """``text`` with more blanks, so the nodes read from it sit elsewhere."""
+    return "  " + text.replace(" ", "   ")
+
+
+def _record_corpus():
+    """Generated formulas and systems, each with the records read back from
+    its text and from that text re-spaced: equal, at other positions."""
+    rng = random.Random(26)
+    bools = F.Observables([F.ObservableDecl(n, F.BoolDomain()) for n in ("x", "y", "z")])
+    typed = gen.typed_observables()
+    values = []
+    for depth in range(7):
+        for _ in range(3):
+            for f, read, write in (
+                (gen.random_bool_formula(rng, ("x", "y", "z"), depth),
+                 lambda t: F.parse_formula(t, bools), F.unparse),
+                (gen.random_typed_formula(rng, depth), lambda t: F.parse_formula(t, typed), F.unparse),
+                (gen.random_ctl_formula(rng, ("r0", "r1"), ("x", "y"), depth), C.parse_ctl,
+                 C.unparse_ctl),
+            ):
+                values += [f, read(write(f)), read(_respaced(write(f)))]
+    for seed in range(12):
+        system = gen.random_system(seed)
+        text = save(system)
+        values += [system, loads(text), loads(text.replace(': "', ': "  ').replace('["', '["  '))]
+    return values
+
+
+def test_record_protocols_match_a_naive_reference():
+    values = _record_corpus()
+    keys = [oracles.record_key(v) for v in values]
+    placed = [oracles.record_key(v, positions=True) for v in values]
+    moved = 0  # pairs of equal records at different positions
+    for a, key, at in zip(values, keys, placed):
+        for b, other, elsewhere in zip(values, keys, placed):
+            assert (a == b) == (key == other) and (a != b) == (key != other), (a, b)
+            if key == other and not isinstance(a, UNHASHABLE):
+                assert hash(a) == hash(b), (a, b)
+            moved += key == other and at != elsewhere
+        assert repr(a) == oracles.record_text(a)
+        twin = pickle.loads(pickle.dumps(a))
+        assert twin == a and oracles.record_key(twin, positions=True) == at
+    assert moved >= 2 * len(values)
