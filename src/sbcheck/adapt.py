@@ -269,10 +269,6 @@ def is_weak_adaptable(sys):
     return adaptable(sys, WEAK)
 
 
-def is_strong_adaptable(sys):
-    return adaptable(sys, STRONG)
-
-
 def equiv_partition(sys, kind):
     """Group behaviour states with identical rows of the chosen relation.
 

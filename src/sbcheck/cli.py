@@ -11,6 +11,11 @@ Exit codes:
 
 ``SBCHECK_COLOR=1`` forces coloured output, ``SBCHECK_COLOR=0`` disables
 it; otherwise colour is used only on a terminal.
+
+Each command works out the values it reports once, builds from them a
+JSON document and the lines of its text, and returns through
+:func:`_emit`, which prints the one that ``--json`` asks for.  Only
+``flatten --json`` and ``flatten --dot`` write their exports directly.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .flat import (
     export_dot,
     export_json,
     flatten,
+    rule_name,
     state_json,
     state_text,
     successors,
@@ -51,12 +57,8 @@ _GREEN, _RED, _YELLOW = "32", "31", "33"
 
 
 def _want_color():
-    v = os.environ.get("SBCHECK_COLOR")
-    if v == "0":
-        return False
-    if v == "1":
-        return True
-    return sys.stdout.isatty()
+    forced = os.environ.get("SBCHECK_COLOR")
+    return forced == "1" if forced in ("0", "1") else sys.stdout.isatty()
 
 
 def _paint(text, code, on):
@@ -64,9 +66,25 @@ def _paint(text, code, on):
 
 
 def _yesno(value, color):
-    if value:
-        return _paint("yes", _GREEN, color)
-    return _paint("no", _RED, color)
+    return _paint("yes", _GREEN, color) if value else _paint("no", _RED, color)
+
+
+def _emit(args, doc, lines, code):
+    """Print ``doc`` as JSON under ``--json``, else the text ``lines``; return ``code``."""
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+    return code
+
+
+def _path(flat, path, lasso=False):
+    """A state-id path, or None, as JSON rows and as numbered text steps; the
+    last step of a lasso names the step it repeats."""
+    if path is None:
+        return None, []
+    system, states = flat.system, flat.states
+    steps = [f"  {n:>3}  {state_text(system, states[i])}" for n, i in enumerate(path)]
+    if lasso:
+        steps[-1] += f"  <- repeats step {path.index(path[-1])}"
+    return [dict(state_json(system, states[i]), id=i) for i in path], steps
 
 
 @functools.cache
@@ -78,18 +96,18 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("validate", help="check that a model is well formed")
-    p.add_argument("file", help="model file (.sbs)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", help="model file (.sbs)")
+        return p
 
-    p = sub.add_parser("flatten", help="compute the flat transition system")
-    p.add_argument("file", help="model file (.sbs)")
-    g = p.add_mutually_exclusive_group()
+    command("validate", "check that a model is well formed")
+
+    g = command("flatten", "compute the flat transition system").add_mutually_exclusive_group()
     g.add_argument("--json", action="store_true", help="emit the flat system as JSON")
     g.add_argument("--dot", action="store_true", help="emit the flat system as Graphviz DOT")
 
-    p = sub.add_parser("adapt", help="decide weak/strong adaptability")
-    p.add_argument("file", help="model file (.sbs)")
+    p = command("adapt", "decide weak/strong adaptability")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weak", action="store_true", help="check weak adaptability only")
     g.add_argument("--strong", action="store_true", help="check strong adaptability only")
@@ -105,221 +123,127 @@ def _build_parser():
         action="store_true",
         help="print a counterexample path when strong adaptability fails",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("equiv", help="group behaviour states adaptable to the same structure states")
-    p.add_argument("file", help="model file (.sbs)")
+    p = command("equiv", "group behaviour states adaptable to the same structure states")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weak", action="store_true", help="use the weak relation (default)")
     g.add_argument("--strong", action="store_true", help="use the strong relation")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("ctl", help="check a CTL formula on the flat system")
-    p.add_argument("file", help="model file (.sbs)")
-    p.add_argument("--formula", required=True, help="CTL formula text")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    command("ctl", "check a CTL formula on the flat system").add_argument(
+        "--formula", required=True, help="CTL formula text"
+    )
 
-    p = sub.add_parser("simulate", help="random walk through the flat semantics")
-    p.add_argument("file", help="model file (.sbs)")
+    p = command("simulate", "random walk through the flat semantics")
     p.add_argument("--steps", type=int, default=10, help="number of steps (default 10)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    for name, p in sub.choices.items():  # last, so that the usage lists it last
+        if name != "flatten":  # whose --json excludes --dot
+            p.add_argument("--json", action="store_true", help="machine-readable output")
     return ap
 
 
 def cmd_validate(args, color):
     system = ingest.load(args.file)
     report = check_well_formed(system)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "violations": [
-                        {"kind": v.kind, "subject": v.subject, "message": v.message}
-                        for v in report.violations
-                    ],
-                },
-                indent=2,
-            )
-        )
-    elif report.ok:
-        print(
+    violations = report.violations
+    if report.ok:
+        lines = [
             f"{_paint('ok', _GREEN, color)}: {system.name} is well formed "
             f"({len(system.behaviour.states)} behaviour states, "
             f"{len(system.structure.states)} structure states)"
-        )
+        ]
     else:
-        print(
-            f"{_paint('not well formed', _RED, color)}: "
-            f"{len(report.violations)} violation(s)"
-        )
-        for v in report.violations:
-            print(f"  [{v.kind}] {v.subject}: {v.message}")
-    return EXIT_OK if report.ok else EXIT_MODEL
+        lines = [f"{_paint('not well formed', _RED, color)}: {len(violations)} violation(s)"]
+        lines += [f"  [{v.kind}] {v.subject}: {v.message}" for v in violations]
+    rows = [{"kind": v.kind, "subject": v.subject, "message": v.message} for v in violations]
+    return _emit(args, {"ok": report.ok, "violations": rows}, lines,
+                 EXIT_OK if report.ok else EXIT_MODEL)
 
 
 def cmd_flatten(args, color):
     system = ingest.load(args.file)
     flat = flatten(system)
-    if args.json:
-        sys.stdout.write(export_json(flat))
-    elif args.dot:
-        sys.stdout.write(export_dot(flat))
-    else:
-        tally = {STEADY: 0, ADAPTING: 0, STUCK: 0}
-        for c in flat.classes:
-            tally[c] += 1
-        print(
-            f"flat system of {system.name}: "
-            f"{len(flat.states)} states, {len(flat.edges)} transitions"
-        )
-        print(f"  initial: {state_text(system, flat.states[flat.init_index])}")
-        print(
-            f"  steady {tally[STEADY]}, adapting {tally[ADAPTING]}, "
-            f"stuck {tally[STUCK]}"
-        )
-    return EXIT_OK
+    if args.json or args.dot:
+        sys.stdout.write((export_json if args.json else export_dot)(flat))
+        return EXIT_OK
+    steady, adapting, stuck = map(flat.classes.count, (STEADY, ADAPTING, STUCK))
+    lines = [
+        f"flat system of {system.name}: {len(flat.states)} states, {len(flat.edges)} transitions",
+        f"  initial: {state_text(system, flat.states[flat.init_index])}",
+        f"  steady {steady}, adapting {adapting}, stuck {stuck}",
+    ]
+    return _emit(args, None, lines, EXIT_OK)
 
 
 def cmd_adapt(args, color):
     system = ingest.load(args.file)
     flat = flatten(system) if args.method != "relational" or args.witness else None
-    if args.weak:
-        kinds = [WEAK]
-    elif args.strong:
-        kinds = [STRONG]
-    else:
-        kinds = [WEAK, STRONG]
-
-    properties = []
-    discrepancy = None
+    kinds = [WEAK] if args.weak else [STRONG] if args.strong else [WEAK, STRONG]
+    properties, discrepancy, lines = [], None, []
     for kind in kinds:
-        if args.method == "relational":
-            holds = adaptable(system, kind)
-            verdicts = {"relational": holds}
-        elif args.method == "ctl":
-            verdicts = {"ctl": check_ctl(flat, adaptability_formula(kind)).holds_at_init}
-            holds = verdicts["ctl"]
-        else:
+        if args.method == "both":
             mv = compare_methods(system, kind, flat=flat)
             verdicts = {"relational": mv.relational, "ctl": mv.ctl}
-            holds = mv.relational if mv.agree else None
-            if not mv.agree and discrepancy is None:
-                pair, rel_holds, ctl_holds = find_discrepancy(system, kind)
-                discrepancy = {
-                    "kind": kind,
-                    "pair": list(pair),
-                    "relational": rel_holds,
-                    "ctl": ctl_holds,
-                }
+        elif args.method == "relational":
+            verdicts = {"relational": adaptable(system, kind)}
+        else:
+            verdicts = {"ctl": check_ctl(flat, adaptability_formula(kind)).holds_at_init}
+        agreed = set(verdicts.values())
+        holds = agreed.pop() if len(agreed) == 1 else None  # None: the methods run disagree
+        if holds is None and discrepancy is None:
+            pair, rel_holds, ctl_holds = find_discrepancy(system, kind)
+            discrepancy = {"kind": kind, "pair": list(pair), "relational": rel_holds,
+                           "ctl": ctl_holds}
         properties.append({"kind": kind, "verdicts": verdicts, "holds": holds})
-
-    witness = None
-    if args.witness and STRONG in kinds:
-        strong_entry = next(p for p in properties if p["kind"] == STRONG)
-        if strong_entry["holds"] is not True:
-            witness = strong_counterexample(flat)
-
-    if args.json:
-        payload = {
-            "properties": properties,
-            "discrepancy": discrepancy,
-            "witness": None
-            if witness is None
-            else [dict(state_json(system, flat.states[i]), id=i) for i in witness],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for entry in properties:
-            print(f"{entry['kind']} adaptability:")
-            for method in ("relational", "ctl"):
-                if method in entry["verdicts"]:
-                    print(f"  {method:<10} {_yesno(entry['verdicts'][method], color)}")
-        if discrepancy is not None:
-            q, r = discrepancy["pair"]
-            print(
-                f"{_paint('DISCREPANCY', _YELLOW, color)}: methods disagree on "
-                f"{discrepancy['kind']} adaptability"
-            )
-            print(
-                f"  minimal offending pair ({q}, {r}): "
-                f"relational {_yesno(discrepancy['relational'], color)}, "
-                f"ctl {_yesno(discrepancy['ctl'], color)}"
-            )
-        if witness is not None:
-            print("counterexample (adaptation that never has to end):")
-            for step, i in enumerate(witness):
-                loop = ""
-                if step == len(witness) - 1:
-                    loop = f"  <- repeats step {witness.index(i)}"
-                print(f"  {step:>3}  {state_text(system, flat.states[i])}{loop}")
+        lines.append(f"{kind} adaptability:")
+        lines += [f"  {method:<10} {_yesno(v, color)}" for method, v in verdicts.items()]
 
     if discrepancy is not None:
-        return EXIT_DISCREPANCY
-    if any(entry["holds"] is not True for entry in properties):
-        return EXIT_PROPERTY
-    return EXIT_OK
+        q, r = discrepancy["pair"]
+        lines += [
+            f"{_paint('DISCREPANCY', _YELLOW, color)}: methods disagree on "
+            f"{discrepancy['kind']} adaptability",
+            f"  minimal offending pair ({q}, {r}): "
+            f"relational {_yesno(discrepancy['relational'], color)}, "
+            f"ctl {_yesno(discrepancy['ctl'], color)}",
+        ]
+    # strong is the last kind checked, so ``holds`` is its verdict
+    witness = args.witness and kinds[-1] == STRONG and holds is not True
+    rows, steps = _path(flat, strong_counterexample(flat) if witness else None, lasso=True)
+    if rows is not None:
+        lines += ["counterexample (adaptation that never has to end):", *steps]
+
+    code = (EXIT_DISCREPANCY if discrepancy is not None
+            else EXIT_OK if all(entry["holds"] for entry in properties) else EXIT_PROPERTY)
+    return _emit(args, {"properties": properties, "discrepancy": discrepancy, "witness": rows},
+                 lines, code)
 
 
 def cmd_equiv(args, color):
-    system = ingest.load(args.file)
-    kind = STRONG if args.strong else WEAK
-    part = equiv_partition(system, kind)
-    if args.json:
-        print(
-            json.dumps(
-                {"kind": part.kind, "blocks": [sorted(b) for b in part.blocks]},
-                indent=2,
-            )
-        )
-    else:
-        print(f"{part.kind} adaptation equivalence: {len(part.blocks)} block(s)")
-        for b in part.blocks:
-            print("  {" + ", ".join(sorted(b)) + "}")
-    return EXIT_OK
+    part = equiv_partition(ingest.load(args.file), STRONG if args.strong else WEAK)
+    blocks = [sorted(b) for b in part.blocks]
+    lines = [f"{part.kind} adaptation equivalence: {len(blocks)} block(s)"]
+    lines += ["  {" + ", ".join(b) + "}" for b in blocks]
+    return _emit(args, {"kind": part.kind, "blocks": blocks}, lines, EXIT_OK)
 
 
 def cmd_ctl(args, color):
     phi = parse_ctl(args.formula)  # before the model, so a bad formula costs no load
-    system = ingest.load(args.file)
-    flat = flatten(system)
+    flat = flatten(ingest.load(args.file))
     result = check_ctl(flat, phi)
-    text = unparse_ctl(phi)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "formula": text,
-                    "holds": result.holds_at_init,
-                    "satisfying": sorted(result.satisfying),
-                    "witness": None
-                    if result.witness is None
-                    else [dict(state_json(system, flat.states[i]), id=i) for i in result.witness],
-                },
-                indent=2,
-            )
-        )
-    else:
-        verdict = "holds" if result.holds_at_init else "fails"
-        painted = _paint(verdict, _GREEN if result.holds_at_init else _RED, color)
-        print(
-            f"{text}: {painted} at the initial state "
-            f"(satisfied by {len(result.satisfying)} of {len(flat.states)} states)"
-        )
-        if result.witness is not None:
-            title = "witness path" if result.holds_at_init else "counterexample path"
-            print(f"{title}:")
-            for step, i in enumerate(result.witness):
-                print(f"  {step:>3}  {state_text(system, flat.states[i])}")
-    return EXIT_OK if result.holds_at_init else EXIT_PROPERTY
-
-
-def _rule_name(source, target):
-    if source[2] is None:
-        return "Steady" if target[2] is None else "AdaptStart"
-    return "Adapt" if target[2] is not None else "AdaptEnd"
+    text, holds = unparse_ctl(phi), result.holds_at_init
+    rows, steps = _path(flat, result.witness)
+    verdict = _paint("holds", _GREEN, color) if holds else _paint("fails", _RED, color)
+    lines = [
+        f"{text}: {verdict} at the initial state "
+        f"(satisfied by {len(result.satisfying)} of {len(flat.states)} states)"
+    ]
+    if rows is not None:
+        lines += [f"{'witness' if holds else 'counterexample'} path:", *steps]
+    doc = {"formula": text, "holds": holds, "satisfying": sorted(result.satisfying),
+           "witness": rows}
+    return _emit(args, doc, lines, EXIT_OK if holds else EXIT_PROPERTY)
 
 
 def cmd_simulate(args, color):
@@ -329,39 +253,26 @@ def cmd_simulate(args, color):
     system = ingest.load(args.file)
     require_well_formed(system)
     rng = random.Random(args.seed)
-    first = state = (system.behaviour.init, system.structure.init, None)
-    steps = []
-    stopped = "steps"
+    walk = [("init", (system.behaviour.init, system.structure.init, None))]  # (rule, state)
     for _ in range(args.steps):
+        state = walk[-1][1]
         out = successors(system, state)
         if not out:
-            stopped = "deadend"
             break
         chosen = out[rng.randrange(len(out))]
-        steps.append((_rule_name(state, chosen), chosen))
-        state = chosen
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "initial": state_json(system, first),
-                    "steps": [
-                        {"rule": rule, "state": state_json(system, s)} for rule, s in steps
-                    ],
-                    "stopped": stopped,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"random walk of {system.name}, seed {args.seed}")
-        print(f"  {0:>3}  {'init':<11} {state_text(system, first)}")
-        for n, (rule, s) in enumerate(steps, start=1):
-            print(f"  {n:>3}  {rule:<11} {state_text(system, s)}")
-        if stopped == "deadend":
-            print(f"stopped after {len(steps)} step(s): no move possible")
-    return EXIT_OK
+        walk.append((rule_name(state, chosen), chosen))
+    stopped = "steps" if len(walk) > args.steps else "deadend"  # short only at a dead end
+    lines = [f"random walk of {system.name}, seed {args.seed}"]
+    lines += [f"  {n:>3}  {rule:<11} {state_text(system, s)}" for n, (rule, s) in enumerate(walk)]
+    if stopped == "deadend":
+        lines.append(f"stopped after {len(walk) - 1} step(s): no move possible")
+    doc = {
+        "seed": args.seed,
+        "initial": state_json(system, walk[0][1]),
+        "steps": [{"rule": rule, "state": state_json(system, s)} for rule, s in walk[1:]],
+        "stopped": stopped,
+    }
+    return _emit(args, doc, lines, EXIT_OK)
 
 
 _COMMANDS = {

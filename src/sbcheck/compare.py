@@ -22,10 +22,6 @@ class MethodVerdicts(Record):
 
     __slots__ = ("kind", "relational", "ctl")  # kind: 'weak' or 'strong'
 
-    @property
-    def agree(self):
-        return self.relational == self.ctl
-
 
 def rerooted(sys, q, r):
     """The same system re-anchored to start at behaviour state ``q`` and

@@ -281,10 +281,6 @@ def adaptability_formula(kind):
     return weak_formula() if kind == WEAK else strong_formula()
 
 
-def weak_adaptable_ctl(flat):
-    return check_ctl(flat, weak_formula()).holds_at_init
-
-
 def strong_adaptable_ctl(flat):
     return check_ctl(flat, strong_formula()).holds_at_init
 

@@ -60,6 +60,16 @@ def _label(sys, source, target):
     return (STEADY, source[1]) if pair is None else ("adapt", source[1], *pair)
 
 
+_RULES = {(False, False): "Steady", (False, True): "AdaptStart",
+          (True, True): "Adapt", (True, False): "AdaptEnd"}
+
+
+def rule_name(source, target):
+    """The rule of the move from ``source`` to ``target``, read off which
+    endpoints are pending: Steady, AdaptStart, Adapt or AdaptEnd."""
+    return _RULES[source[2] is not None, target[2] is not None]
+
+
 def state_text(sys, state):
     """``(q,r)``, or ``(q,r,[invariant => target])`` for a pending state."""
     pair = _written(sys, state)

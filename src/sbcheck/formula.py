@@ -17,7 +17,7 @@ import operator
 
 from . import _lex
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with CTL
-from ._record import Record
+from ._record import Record, set_field
 from .errors import FormulaError, ModelError
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,8 @@ class EnumDomain(Record):
         if not values:
             raise ModelError("enum domain with no values")
         if len(set(values)) != len(values):
-            raise ModelError("duplicate enum value")
+            twice = next(v for i, v in enumerate(values) if v in values[:i])
+            raise ModelError(f"duplicate enum value {twice!r}")
         super().__init__(values)
 
 
@@ -77,33 +78,38 @@ class ObservableDecl(Record):
     __slots__ = ("name", "domain")
 
 
-class Observables:
+class Observables(Record):
     """Ordered observable declarations sharing one flat namespace.
 
     Observable names and enum value names must not collide, nor be
     ``true`` or ``false``: a bare identifier in a formula resolves to the
     boolean literal, an observable or an enum value, never ambiguously.
+    ``decls`` is the one field, so declarations in another order are
+    another value, as :func:`sbcheck.ingest.save` prints them.
     """
 
+    __slots__ = ("decls", "_names", "_name_set", "_domains", "_enum_owner", "_checked")
+
     def __init__(self, decls):
-        self.decls = tuple(decls)
-        self._names = tuple(d.name for d in self.decls)
-        self._name_set = frozenset(self._names)
-        self._domains = {}
-        self._enum_owner = {}
-        self._checked = {}  # id -> a formula typecheck returned for these declarations
-        for d in self.decls:
-            for name in (d.name, *(d.domain.values if isinstance(d.domain, EnumDomain) else ())):
+        decls = tuple(decls)
+        seen = set()
+        for d in decls:
+            names = (d.name, *(d.domain.values if isinstance(d.domain, EnumDomain) else ()))
+            for name in names:
                 if name in ("true", "false"):  # read as the boolean literal in every formula
                     raise ModelError(f"reserved name {name!r} in observable declarations")
-            if d.name in self._domains or d.name in self._enum_owner:
-                raise ModelError(f"duplicate name {d.name!r} in observable declarations")
-            self._domains[d.name] = d.domain
-            if isinstance(d.domain, EnumDomain):
-                for v in d.domain.values:
-                    if v in self._domains or v in self._enum_owner:
-                        raise ModelError(f"duplicate name {v!r} in observable declarations")
-                    self._enum_owner[v] = d.name
+            for name in names:
+                if name in seen:
+                    raise ModelError(f"duplicate name {name!r} in observable declarations")
+                seen.add(name)
+        super().__init__(decls)
+        set_field(self, "_names", tuple(d.name for d in decls))
+        set_field(self, "_name_set", frozenset(self._names))
+        set_field(self, "_domains", {d.name: d.domain for d in decls})
+        set_field(self, "_enum_owner", {
+            v: d.name for d in decls if isinstance(d.domain, EnumDomain) for v in d.domain.values
+        })
+        set_field(self, "_checked", {})  # id -> a formula typecheck returned for these declarations
 
     def names(self):
         return self._names
@@ -120,12 +126,6 @@ class Observables:
     def enum_owner(self, value):
         """Name of the enum observable declaring ``value``, or None."""
         return self._enum_owner.get(value)
-
-    def __eq__(self, other):
-        return isinstance(other, Observables) and self._domains == other._domains
-
-    def __repr__(self):
-        return f"Observables({list(self.decls)!r})"
 
 
 def check_valuation(observables, valuation):
@@ -249,11 +249,6 @@ _TERM_GROUP = _lex.Bracket(LANGUAGE, ")", "expected ')'", sort=_lex.TERM)
 def parse_raw(text):
     """Parse formula syntax without resolving names (no declarations needed)."""
     return _lex.expression(LEXER.parser(text), LANGUAGE)
-
-
-def parse_formula(text, observables):
-    """Parse and typecheck a formula against ``observables``."""
-    return typecheck(parse_raw(text), observables)
 
 
 # ---------------------------------------------------------------------------

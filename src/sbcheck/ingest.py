@@ -160,36 +160,23 @@ def _parse_domain(p):
 def _parse_observables(p):
     p.keyword("observables")
     p.take("lbrace", "expected '{' opening the observables block")
-    decls = []
-    namespace = {}
+    names, decls = [], []
     while p.peek().kind == "ident":
-        name_tok = p.take("ident")
-        if name_tok.text in namespace:
-            raise ModelFileError(
-                f"duplicate name {name_tok.text!r} in observable declarations",
-                name_tok.line,
-                name_tok.col,
-            )
+        names.append(p.take("ident"))
         p.take("colon", "expected ':' after the observable name")
         dom = _parse_domain(p)
-        if isinstance(dom, F.EnumDomain):
-            for v in dom.values:
-                if v in namespace or v == name_tok.text:
-                    raise ModelFileError(
-                        f"duplicate name {v!r} in observable declarations",
-                        name_tok.line,
-                        name_tok.col,
-                    )
-                namespace[v] = name_tok
         p.take("semi", "expected ';' after the declaration")
-        namespace[name_tok.text] = name_tok
-        decls.append(F.ObservableDecl(name_tok.text, dom))
+        decls.append(F.ObservableDecl(names[-1].text, dom))
+    p.take("rbrace", "expected '}' closing the observables block")
+    try:
+        return F.Observables(decls)
+    except ModelError:
+        pass
+    for n, name_tok in enumerate(names, 1):  # the first declaration that breaks the rules
         try:
-            F.Observables(decls[-1:])  # the rules on the names of one declaration
+            F.Observables(decls[:n])
         except ModelError as e:
             raise ModelFileError(str(e), name_tok.line, name_tok.col) from None
-    p.take("rbrace", "expected '}' closing the observables block")
-    return F.Observables(decls)
 
 
 def _lit_text(v):

@@ -80,8 +80,8 @@ def adaptation_chain(n):
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("y", F.BoolDomain())])
     run = tuple(f"a{i}" for i in range(n))
     beh = BehaviourMachine(("h",) + run, "h", frozenset(zip(("h",) + run, run)))
-    labels = {"r0": F.parse_formula("x", obs), "r1": F.parse_formula("y", obs)}
-    st = StructureMachine(("r0", "r1"), "r0", labels, frozenset({("r0", F.parse_formula("!x", obs), "r1")}))
+    labels = {"r0": F.parse_raw("x"), "r1": F.parse_raw("y")}  # SBSystem typechecks them
+    st = StructureMachine(("r0", "r1"), "r0", labels, frozenset({("r0", F.parse_raw("!x"), "r1")}))
     table = {"h": {"x": True, "y": False}, **{a: {"x": False, "y": a == run[-1]} for a in run}}
     return SBSystem("chain", obs, beh, st, ObservationMap(table))
 

@@ -99,9 +99,9 @@ def predator_system(which):
     obs = predator_observables()
     table, init, edges = predator_machine()
     behaviour = BehaviourMachine(tuple(table), init, frozenset(edges))
-    labels = {r: F.parse_formula(text, obs) for r, text in _LABELS.items()}
+    labels = {r: F.typecheck(F.parse_raw(text), obs) for r, text in _LABELS.items()}
     strans = frozenset(
-        (src, F.parse_formula(inv, obs), dst) for src, inv, dst in _STRUCTURES[which]
+        (src, F.typecheck(F.parse_raw(inv), obs), dst) for src, inv, dst in _STRUCTURES[which]
     )
     structure = StructureMachine(tuple(labels), "r0", labels, strans)
     return SBSystem(which, obs, behaviour, structure, ObservationMap(table))
@@ -439,8 +439,6 @@ def record_key(value, positions=False):
     if isinstance(value, Record):
         fields = tuple(record_key(getattr(value, f), positions) for f in _record_fields(value))
         return ("record", type(value), fields, getattr(value, "pos", None) if positions else None)
-    if isinstance(value, F.Observables):
-        return ("observables", record_key(value.decls, positions))
     if type(value) in (tuple, list):
         return (type(value).__name__, tuple(record_key(v, positions) for v in value))
     if type(value) in (set, frozenset):
@@ -455,8 +453,6 @@ def record_text(value):
     if isinstance(value, Record):
         fields = ", ".join(f"{f}={record_text(getattr(value, f))}" for f in _record_fields(value))
         return f"{type(value).__qualname__}({fields})"
-    if isinstance(value, F.Observables):
-        return f"Observables({record_text(list(value.decls))})"
     if type(value) is dict:
         return "{" + ", ".join(f"{record_text(k)}: {record_text(v)}" for k, v in value.items()) + "}"
     if type(value) not in (tuple, list, set, frozenset):

@@ -51,14 +51,14 @@ def test_criterion_1_bundled_verdicts_by_both_methods():
     s1 = ingest.bundled_model("predator_s1")
 
     assert A.is_weak_adaptable(s0) is True
-    assert A.is_strong_adaptable(s0) is False
+    assert A.adaptable(s0, A.STRONG) is False
     assert A.is_weak_adaptable(s1) is True
-    assert A.is_strong_adaptable(s1) is True
+    assert A.adaptable(s1, A.STRONG) is True
 
     f0, f1 = FL.flatten(s0), FL.flatten(s1)
-    assert C.weak_adaptable_ctl(f0) is True
+    assert C.check_ctl(f0, C.weak_formula()).holds_at_init is True
     assert C.strong_adaptable_ctl(f0) is False
-    assert C.weak_adaptable_ctl(f1) is True
+    assert C.check_ctl(f1, C.weak_formula()).holds_at_init is True
     assert C.strong_adaptable_ctl(f1) is True
 
     elapsed = time.perf_counter() - t0
@@ -242,7 +242,7 @@ def test_criterion_5_strong_implies_weak(corpus_flats):
         if strong.holds_for(sys.behaviour.init, sys.structure.init):
             assert weak.holds_for(sys.behaviour.init, sys.structure.init), tag
         if C.strong_adaptable_ctl(flat):
-            assert C.weak_adaptable_ctl(flat), tag
+            assert C.check_ctl(flat, C.weak_formula()).holds_at_init, tag
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,8 @@ def _rebuild(sys, qs=None, btrans=None, rs=None, strans=None):
 def _still_disagrees(sys, kind):
     if not M.check_well_formed(sys).ok:
         return False
-    return not compare_methods(sys, kind).agree
+    mv = compare_methods(sys, kind)
+    return mv.relational != mv.ctl
 
 
 def _shrink(sys, kind):
@@ -321,7 +322,7 @@ def test_criterion_6_method_agreement_measured_with_artifacts(corpus):
         sys = ingest.bundled_model(which)
         for kind in (A.WEAK, A.STRONG):
             mv = compare_methods(sys, kind)
-            assert mv.agree, f"{which}/{kind}: methods must agree on the bundled models"
+            assert mv.relational == mv.ctl, f"{which}/{kind}: methods must agree on the bundled models"
             assert pair_disagreements(sys, kind) == ()
 
     ARTIFACTS.mkdir(exist_ok=True)
@@ -334,7 +335,7 @@ def test_criterion_6_method_agreement_measured_with_artifacts(corpus):
         for kind in (A.WEAK, A.STRONG):
             mv = compare_methods(sys, kind)
             checked += 1
-            if mv.agree:
+            if mv.relational == mv.ctl:
                 continue
             small = _shrink(sys, kind)
             name = f"discrepancy_seed{seed}_{kind}.sbs"
@@ -368,7 +369,7 @@ def test_criterion_6_method_agreement_measured_with_artifacts(corpus):
         assert path.is_file()
         again = ingest.load(path)
         mv = compare_methods(again, row["kind"])
-        assert not mv.agree
+        assert mv.relational != mv.ctl
         assert (mv.relational, mv.ctl) == (row["relational"], row["ctl"])
 
 

@@ -51,9 +51,9 @@ def test_relations_of_second_scenario(s1):
 
 def test_adaptability_verdicts(s0, s1):
     assert A.is_weak_adaptable(s0) is True
-    assert A.is_strong_adaptable(s0) is False
+    assert A.adaptable(s0, A.STRONG) is False
     assert A.is_weak_adaptable(s1) is True
-    assert A.is_strong_adaptable(s1) is True
+    assert A.adaptable(s1, A.STRONG) is True
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_verdict_rejects_unknown_kind_without_an_adapting_pair():
     # the initial pair only moves steadily, so no adaptation clause is built
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a",), "a", frozenset({("a", "a")}))
-    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("x", obs)}, frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.typecheck(F.parse_raw("x"), obs)}, frozenset())
     sys = M.SBSystem("steady", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     assert A.adaptable(sys, A.WEAK) and A.adaptable(sys, A.STRONG)
     with pytest.raises(ModelError):
@@ -131,7 +131,7 @@ def test_verdict_rejects_unknown_kind_without_an_adapting_pair():
 def test_relation_requires_well_formed():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a",), "a", frozenset())
-    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("!x", obs)}, frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.typecheck(F.parse_raw("!x"), obs)}, frozenset())
     sys = M.SBSystem("bad", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     with pytest.raises(ModelError):
         A.weak_relation(sys)
@@ -140,11 +140,11 @@ def test_relation_requires_well_formed():
 def test_single_state_system():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a",), "a", frozenset())
-    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("x", obs)}, frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.typecheck(F.parse_raw("x"), obs)}, frozenset())
     sys = M.SBSystem("one", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     assert A.weak_relation(sys).pairs == {("a", "r")}
     assert A.strong_relation(sys).pairs == {("a", "r")}
-    assert A.is_weak_adaptable(sys) and A.is_strong_adaptable(sys)
+    assert A.is_weak_adaptable(sys) and A.adaptable(sys, A.STRONG)
 
 
 def drop_cascade(n):
@@ -239,7 +239,7 @@ def test_initial_pair_verdicts_match_the_oracle():
         sys = gen.random_system(seed)
         init = (sys.behaviour.init, sys.structure.init)
         assert A.is_weak_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=False)), seed
-        assert A.is_strong_adaptable(sys) == (init in oracles.relation_oracle(sys, strong=True)), seed
+        assert A.adaptable(sys, A.STRONG) == (init in oracles.relation_oracle(sys, strong=True)), seed
 
 
 def with_copies(sys):

@@ -62,7 +62,8 @@ def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch,
 
     monkeypatch.setattr(A, "_branch", counted)
     for kind in (A.WEAK, A.STRONG):
-        assert C.compare_methods(system, kind).agree
+        mv = C.compare_methods(system, kind)
+        assert mv.relational == mv.ctl
     assert cli.main(["adapt", "--method", "relational", str(path)]) == cli.EXIT_OK
     assert walks == 0
     A.weak_relation(system)

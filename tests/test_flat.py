@@ -198,7 +198,7 @@ def test_stuck_states_have_pending_and_no_way_out():
 def test_flatten_requires_well_formed():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a",), "a", frozenset())
-    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("!x", obs)}, frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.typecheck(F.parse_raw("!x"), obs)}, frozenset())
     sys = M.SBSystem("bad", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     with pytest.raises(ModelError):
         FL.flatten(sys)
@@ -463,8 +463,8 @@ def escaped_system(qs, transitions):
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(tuple(q for q, _ in qs), qs[0][0], frozenset(transitions))
     up, down = 'r "x"', "r\\any"
-    labels = {up: F.parse_formula("x", obs), down: F.parse_formula("true", obs)}
-    strans = {(up, F.parse_formula("true", obs), down), (down, F.parse_formula("x", obs), up)}
+    labels = {up: F.parse_raw("x"), down: F.parse_raw("true")}  # SBSystem typechecks them
+    strans = {(up, F.parse_raw("true"), down), (down, F.parse_raw("x"), up)}
     st = M.StructureMachine((up, down), up, labels, frozenset(strans))
     return M.SBSystem("escapes", obs, beh, st, M.ObservationMap({q: {"x": x} for q, x in qs}))
 

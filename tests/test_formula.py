@@ -27,7 +27,7 @@ def obs():
 
 
 def test_implication_is_right_associative():
-    f = F.parse_formula("eat -> eat -> eat", obs())
+    f = F.typecheck(F.parse_raw("eat -> eat -> eat"), obs())
     eat = F.Name("eat")
     assert isinstance(f, F.Implies)
     assert f == F.Implies(eat, F.Implies(eat, eat))  # the right operand is itself a chain
@@ -35,7 +35,7 @@ def test_implication_is_right_associative():
 
 
 def test_precedence_not_and_or_implies():
-    f = F.parse_formula("!eat && eat || eat -> eat", obs())
+    f = F.typecheck(F.parse_raw("!eat && eat || eat -> eat"), obs())
     # ((!eat && eat) || eat) -> eat
     assert isinstance(f, F.Implies)
     assert isinstance(f.args[0], F.Or)
@@ -46,7 +46,7 @@ def test_precedence_not_and_or_implies():
 
 
 def test_comparison_binds_tighter_than_bool_ops():
-    f = F.parse_formula("p < 1 && count >= 0", obs())
+    f = F.typecheck(F.parse_raw("p < 1 && count >= 0"), obs())
     assert isinstance(f, F.And)
     assert isinstance(f.args[0], F.Compare) and f.args[0].op == "<"
     assert isinstance(f.args[1], F.Compare) and f.args[1].op == ">="
@@ -68,13 +68,13 @@ def test_a_chain_splices_only_its_associative_side():
 
 
 def test_terms_are_left_associative():
-    f = F.parse_formula("1 + 2 - 3 < p", obs())
+    f = F.typecheck(F.parse_raw("1 + 2 - 3 < p"), obs())
     assert isinstance(f.left, F.Arith) and f.left.op == "-"
     assert isinstance(f.left.left, F.Arith) and f.left.left.op == "+"
 
 
 def test_parenthesised_formula_and_term():
-    f = F.parse_formula("(eat -> eat) && p - (1 + 1) == 0", obs())
+    f = F.typecheck(F.parse_raw("(eat -> eat) && p - (1 + 1) == 0"), obs())
     assert isinstance(f, F.And)
     assert isinstance(f.args[0], F.Implies)
     assert isinstance(f.args[1].left, F.Arith)
@@ -330,7 +330,7 @@ def test_no_formula_or_ctl_walk_calls_itself():
 
 def test_comments_and_whitespace():
     text = "p == 0 // favourite prey kind\n  && !eat"
-    f = F.parse_formula(text, obs())
+    f = F.typecheck(F.parse_raw(text), obs())
     assert isinstance(f, F.And)
 
 
@@ -345,14 +345,14 @@ def test_boolean_literals_name_no_observable_or_enum_value(decl):
 
 
 def test_enum_literals_resolve():
-    f = F.parse_formula("mode == hunting", obs())
+    f = F.typecheck(F.parse_raw("mode == hunting"), obs())
     assert isinstance(f.right, F.EnumLit)
     assert f.right.value == "hunting"
 
 
 def test_bool_constants():
-    assert F.evaluate(F.parse_formula("true", obs()), gen.random_valuation(random.Random(0)))
-    assert not F.evaluate(F.parse_formula("false", obs()), gen.random_valuation(random.Random(0)))
+    assert F.evaluate(F.typecheck(F.parse_raw("true"), obs()), gen.random_valuation(random.Random(0)))
+    assert not F.evaluate(F.typecheck(F.parse_raw("false"), obs()), gen.random_valuation(random.Random(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +373,14 @@ def test_bool_constants():
 )
 def test_syntax_errors_have_positions(text):
     with pytest.raises(FormulaError) as e:
-        F.parse_formula(text, obs())
+        F.typecheck(F.parse_raw(text), obs())
     assert e.value.line == 1
     assert e.value.col is not None and e.value.col >= 1
 
 
 def test_error_position_points_at_offender():
     with pytest.raises(FormulaError) as e:
-        F.parse_formula("eat &&\n  ??", obs())
+        F.typecheck(F.parse_raw("eat &&\n  ??"), obs())
     assert e.value.line == 2
 
 
@@ -445,17 +445,17 @@ def test_a_term_leaving_its_group_is_reported_where_it_ends(
 )
 def test_type_errors(text):
     with pytest.raises(FormulaError):
-        F.parse_formula(text, obs())
+        F.typecheck(F.parse_raw(text), obs())
 
 
 def test_same_enum_literals_compare():
-    f = F.parse_formula("hunting != gone", obs())
+    f = F.typecheck(F.parse_raw("hunting != gone"), obs())
     assert F.evaluate(f, gen.random_valuation(random.Random(1)))
 
 
 def test_int_comparisons_are_unbounded():
     # literals outside every declared range still typecheck and evaluate
-    f = F.parse_formula("count + 100 > 50", obs())
+    f = F.typecheck(F.parse_raw("count + 100 > 50"), obs())
     assert F.evaluate(f, {"p": 0, "count": -3, "eat": False, "mode": "gone"})
 
 
@@ -472,7 +472,7 @@ def test_case_study_constraint_evaluation():
         F.ObservableDecl("moved", F.BoolDomain()),
     ]
     o = F.Observables(decls)
-    phi = F.parse_formula("p == 0 && (!eat -> a0 > 0) && !moved", o)
+    phi = F.typecheck(F.parse_raw("p == 0 && (!eat -> a0 > 0) && !moved"), o)
     v = lambda p, a0, a1, eat, moved: {"p": p, "a0": a0, "a1": a1, "eat": eat, "moved": moved}
     assert F.evaluate(phi, v(0, 1, 1, True, False))  # initial configuration
     assert F.evaluate(phi, v(0, 0, 1, True, False))  # just ate: vacuous implication
@@ -483,7 +483,7 @@ def test_case_study_constraint_evaluation():
 
 def test_implication_truth_table():
     o = obs()
-    f = F.parse_formula("eat -> count > 0", o)
+    f = F.typecheck(F.parse_raw("eat -> count > 0"), o)
     base = {"p": 0, "mode": "gone"}
     assert F.evaluate(f, dict(base, eat=False, count=-1))
     assert F.evaluate(f, dict(base, eat=True, count=2))
@@ -535,7 +535,7 @@ def test_unparse_of_case_study_constraint_is_stable():
         F.ObservableDecl("moved", F.BoolDomain()),
     ]
     o = F.Observables(decls)
-    assert F.unparse(F.parse_formula(text, o)) == text
+    assert F.unparse(F.typecheck(F.parse_raw(text), o)) == text
 
 
 def test_roundtrip_random_formulas():
@@ -545,7 +545,7 @@ def test_roundtrip_random_formulas():
         raw = gen.random_typed_formula(rng, 3)
         checked = F.typecheck(raw, o)
         text = F.unparse(checked)
-        again = F.parse_formula(text, o)
+        again = F.typecheck(F.parse_raw(text), o)
         assert again == checked, text
         assert F.unparse(again) == text
 
@@ -568,7 +568,7 @@ def test_roundtrip_right_nested_terms():
     t = F.Compare("==", F.Arith("-", F.Name("p"), F.Arith("-", F.IntLit(1), F.IntLit(2))), F.IntLit(2))
     checked = F.typecheck(t, o)
     text = F.unparse(checked)
-    assert F.parse_formula(text, o) == checked
+    assert F.typecheck(F.parse_raw(text), o) == checked
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,25 @@ def test_base_text_is_canonical():
     assert I.save(I.loads(BASE)) == BASE
 
 
+def test_equal_systems_save_to_the_same_text():
+    # the order of the observable declarations is part of the system, as
+    # save prints it
+    reordered = 0
+    for seed in range(30):
+        s = gen.random_system(seed)
+        twin = M.SBSystem(s.name, F.Observables(s.observables.decls[::-1]), s.behaviour,
+                          s.structure, s.observation)
+        group = [s, I.loads(I.save(s)), twin, I.loads(I.save(twin))]
+        for a in group:
+            for b in group:
+                if a == b:
+                    assert I.save(a) == I.save(b)
+        if len(s.observables.decls) > 1:
+            reordered += 1
+            assert twin != s and twin.observables != s.observables
+    assert reordered >= 10
+
+
 # ---------------------------------------------------------------------------
 # bundled models
 
@@ -366,6 +385,9 @@ def test_duplicate_observable():
         3,
         "duplicate name 'x'",
     )
+    # named at the first declaration that repeats a name, not at the last one
+    check_error(BASE.replace("x: bool;", "x: bool;\n  x: bool;\n  y: bool;\n  y: bool;"), 5, 3,
+                "duplicate name 'x'")
 
 
 def test_enum_value_colliding_with_observable():
@@ -384,6 +406,11 @@ def test_enum_value_colliding_with_observable():
 ])
 def test_boolean_literal_names_no_observable_or_enum_value(decl, name):
     check_error(BASE.replace("x: bool;", "x: bool;\n  " + decl), 5, 3, f"reserved name '{name}'")
+
+
+def test_duplicate_enum_value_is_named_at_its_domain():
+    check_error(BASE.replace("x: bool;", "x: bool;\n  m: enum {a, b, a};"), 5, 6,
+                "duplicate enum value 'a'")
 
 
 def test_missing_semicolon():

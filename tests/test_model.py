@@ -7,9 +7,12 @@ import pytest
 
 import gen
 import oracles
+import sbcheck.adapt as A
+import sbcheck.compare as K
 import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck.errors import ModelError
+from sbcheck.ingest import loads, save
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +23,7 @@ def tiny_parts():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a", "b"), "a", frozenset({("a", "b")}))
     st = M.StructureMachine(
-        ("r",), "r", {"r": F.parse_formula("x", obs)}, frozenset()
+        ("r",), "r", {"r": F.typecheck(F.parse_raw("x"), obs)}, frozenset()
     )
     om = M.ObservationMap({"a": {"x": True}, "b": {"x": False}})
     return obs, beh, st, om
@@ -54,7 +57,7 @@ def test_behaviour_successors_sorted_and_total():
 
 def test_structure_machine_validation():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
-    phi = F.parse_formula("x", obs)
+    phi = F.typecheck(F.parse_raw("x"), obs)
     with pytest.raises(ModelError):
         M.StructureMachine(("r", "r"), "r", {"r": phi}, frozenset())
     with pytest.raises(ModelError):
@@ -69,8 +72,8 @@ def test_structure_machine_validation():
 
 def test_structure_out_transitions_ordered_by_invariant_text():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
-    a = F.parse_formula("!x", obs)
-    b = F.parse_formula("x", obs)
+    a = F.typecheck(F.parse_raw("!x"), obs)
+    b = F.typecheck(F.parse_raw("x"), obs)
     st = M.StructureMachine(
         ("r", "s"),
         "r",
@@ -129,6 +132,44 @@ def test_construction_is_idempotent_under_replace():
     again = M.SBSystem(sys.name, sys.observables, sys.behaviour, sys.structure, sys.observation)
     assert again.structure.labels == sys.structure.labels
     assert again.structure.transitions == sys.structure.transitions
+
+
+def test_enum_values_in_raw_formulas_are_resolved_by_a_rebuilt_structure():
+    obs = F.Observables([F.ObservableDecl("mode", F.EnumDomain(("idle", "busy"))),
+                         F.ObservableDecl("x", F.BoolDomain())])
+    table = {"a": {"mode": "idle", "x": True}, "b": {"mode": "busy", "x": True},
+             "c": {"mode": "busy", "x": False}, "d": {"mode": "idle", "x": False}}
+    beh = M.BehaviourMachine(("a", "b", "c", "d"), "a",
+                             {("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")})
+    raw = F.parse_raw
+    labels = {"r0": raw("mode == idle"), "r1": raw("mode != idle && x"),
+              "r2": raw("idle == mode && !x")}
+    # from a, adaptation starts along both branches out of r0: the one to r1
+    # ends at b at once, the one to r2 gets stuck at c, whose successor
+    # leaves the invariant
+    st = M.StructureMachine(("r0", "r1", "r2"), "r0", labels,
+                            [("r0", raw("mode == busy"), "r1"), ("r0", raw("busy == mode"), "r2")])
+    sys = M.SBSystem("enums", obs, beh, st, M.ObservationMap(table))
+
+    assert sys.structure is not st and st.labels == labels  # rebuilt, the given one untouched
+    idle, busy, mode = F.EnumLit("idle"), F.EnumLit("busy"), F.Name("mode")
+    assert labels["r0"] == F.Compare("==", mode, F.Name("idle"))
+    assert sys.structure.label("r0") == F.Compare("==", mode, idle)
+    assert sys.structure.label("r1") == F.And(F.Compare("!=", mode, idle), F.Name("x"))
+    assert sys.structure.label("r2") == F.And(F.Compare("==", idle, mode), F.Not(F.Name("x")))
+    assert [inv for _, inv, _ in sys.structure.transitions] == [
+        F.Compare("==", busy, mode), F.Compare("==", mode, busy)]
+    assert [sys.constraint_region(r) for r in ("r0", "r1", "r2")] == [{"a", "d"}, {"b"}, {"d"}]
+    assert [(t, region) for _, t, region in sys.options("r0")] == [("r2", {"b", "c"}),
+                                                                 ("r1", {"b", "c"})]
+    assert sys.structure.out_texts("r0") == (("busy == mode", "r2"), ("mode == busy", "r1"))
+
+    init = ("a", "r0")
+    for kind, strong, holds in ((A.WEAK, False, True), (A.STRONG, True, False)):
+        assert A.adaptable(sys, kind) is holds
+        assert (init in oracles.relation_oracle(sys, strong)) is holds
+        assert K.compare_methods(sys, kind) == K.MethodVerdicts(kind, holds, holds)
+    assert loads(save(sys)) == sys
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +249,7 @@ def test_region_evaluates_each_atom_once_per_class(monkeypatch):
     )
     qs = [f"q{i}" for i in range(100)]
     table = {q: {"x": i % 2 == 0, "y": i % 3 == 0, "n": i % 4} for i, q in enumerate(qs)}
-    phi = F.parse_formula("!!!x && !y || n > 1 && (y -> x -> n == 3)", obs)
+    phi = F.typecheck(F.parse_raw("!!!x && !y || n > 1 && (y -> x -> n == 3)"), obs)
     want = {q for q in qs if F.evaluate(phi, table[q])}
     evaluate = F.evaluate
     calls = collections.Counter()
@@ -218,7 +259,7 @@ def test_region_evaluates_each_atom_once_per_class(monkeypatch):
         return evaluate(phi, v)
 
     monkeypatch.setattr(F, "evaluate", counted)
-    st = M.StructureMachine(("r",), "r", {"r": F.parse_formula("x || !y", obs)}, frozenset())
+    st = M.StructureMachine(("r",), "r", {"r": F.typecheck(F.parse_raw("x || !y"), obs)}, frozenset())
     beh = M.BehaviourMachine(tuple(qs), "q0", frozenset())
     sys = M.SBSystem("t", obs, beh, st, M.ObservationMap(table))
     for _ in range(3):
@@ -252,7 +293,7 @@ def test_bundled_models_are_well_formed():
 
 def test_unsatisfiable_label_is_reported():
     obs, beh, st, om = tiny_parts()
-    contradiction = F.parse_formula("x && !x", obs)
+    contradiction = F.typecheck(F.parse_raw("x && !x"), obs)
     st2 = M.StructureMachine(
         ("r", "s"),
         "r",
@@ -271,7 +312,7 @@ def test_unsatisfiable_label_is_reported():
 def test_initial_violation_is_reported():
     obs, beh, st, om = tiny_parts()
     st2 = M.StructureMachine(
-        ("r",), "r", {"r": F.parse_formula("!x", obs)}, frozenset()
+        ("r",), "r", {"r": F.typecheck(F.parse_raw("!x"), obs)}, frozenset()
     )
     sys = M.SBSystem("t", obs, beh, st2, om)
     report = M.check_well_formed(sys)
@@ -284,7 +325,7 @@ def test_both_violation_kinds_together():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     beh = M.BehaviourMachine(("a",), "a", frozenset())
     st = M.StructureMachine(
-        ("r",), "r", {"r": F.parse_formula("x && !x", obs)}, frozenset()
+        ("r",), "r", {"r": F.typecheck(F.parse_raw("x && !x"), obs)}, frozenset()
     )
     sys = M.SBSystem("t", obs, beh, st, M.ObservationMap({"a": {"x": True}}))
     report = M.check_well_formed(sys)
@@ -295,7 +336,7 @@ def test_both_violation_kinds_together():
 def test_violation_messages_name_the_constraint():
     obs, beh, st, om = tiny_parts()
     st2 = M.StructureMachine(
-        ("r",), "r", {"r": F.parse_formula("x && !x", obs)}, frozenset()
+        ("r",), "r", {"r": F.typecheck(F.parse_raw("x && !x"), obs)}, frozenset()
     )
     sys = M.SBSystem("t", obs, beh, st2, om)
     report = M.check_well_formed(sys)

@@ -42,6 +42,7 @@ def test_importing_the_cli_imports_none_of_dataclasses_inspect_or_typing():
 
 x, y, one = F.Name("x"), F.Name("y"), F.IntLit(1)
 AT = (1, 2)  # a source position, which == ignores
+ENUM = F.EnumDomain(("a", "b"))
 
 
 def _system(name="t", init="a"):
@@ -68,6 +69,9 @@ RECORDS = [
     (F.EnumDomain(("a", "b")), F.EnumDomain(("a", "b")), F.EnumDomain(("b", "a"))),
     (F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("x", F.BoolDomain()),
      F.ObservableDecl("x", F.IntRange(0, 1))),
+    (F.Observables([F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("m", ENUM)]),
+     F.Observables((F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("m", ENUM))),
+     F.Observables([F.ObservableDecl("m", ENUM), F.ObservableDecl("x", F.BoolDomain())])),
     (C.Atom("adapting", AT), C.Atom("adapting"), C.Atom("steady")),
     (C.InState("r0", AT), C.InState("r0"), C.InState("r1")),
     (C.ObsHolds(x, AT), C.ObsHolds(F.Name("x")), C.ObsHolds(y)),
@@ -100,7 +104,7 @@ UNHASHABLE = (M.StructureMachine, M.ObservationMap, M.SBSystem)  # fields hold d
 IDS = [type(a).__name__ for a, _, _ in RECORDS]
 # the records whose constructor does more than set the fields: splice
 # operands, check the fields or derive tables from them
-CONSTRUCTORS = {L._Chain, F.IntRange, F.EnumDomain,
+CONSTRUCTORS = {L._Chain, F.IntRange, F.EnumDomain, F.Observables,
                 M.BehaviourMachine, M.StructureMachine, M.ObservationMap, M.SBSystem}
 PLAIN = [a for a, _, _ in RECORDS if not isinstance(a, tuple(CONSTRUCTORS))]
 NODES = [a for a in PLAIN if hasattr(a, "pos")]  # AST nodes, which take a position
@@ -201,8 +205,8 @@ def test_a_node_takes_its_position_by_position_and_by_keyword(a):
         (F.IntRange(0, 3), "IntRange(lo=0, hi=3)"),
         (F.Observables([F.ObservableDecl("x", F.BoolDomain()),
                         F.ObservableDecl("m", F.EnumDomain(("red", "blue")))]),
-         "Observables([ObservableDecl(name='x', domain=BoolDomain()), "
-         "ObservableDecl(name='m', domain=EnumDomain(values=('red', 'blue')))])"),
+         "Observables(decls=(ObservableDecl(name='x', domain=BoolDomain()), "
+         "ObservableDecl(name='m', domain=EnumDomain(values=('red', 'blue')))))"),
         (F.Compare(">", F.Arith("-", x, one), F.IntLit(-2)),
          "Compare(op='>', left=Arith(op='-', left=Name(name='x'), right=IntLit(value=1)), "
          "right=IntLit(value=-2))"),
@@ -245,8 +249,8 @@ def _record_corpus():
         for _ in range(3):
             for f, read, write in (
                 (gen.random_bool_formula(rng, ("x", "y", "z"), depth),
-                 lambda t: F.parse_formula(t, bools), F.unparse),
-                (gen.random_typed_formula(rng, depth), lambda t: F.parse_formula(t, typed), F.unparse),
+                 lambda t: F.typecheck(F.parse_raw(t), bools), F.unparse),
+                (gen.random_typed_formula(rng, depth), lambda t: F.typecheck(F.parse_raw(t), typed), F.unparse),
                 (gen.random_ctl_formula(rng, ("r0", "r1"), ("x", "y"), depth), C.parse_ctl,
                  C.unparse_ctl),
             ):
