@@ -38,7 +38,8 @@ depend on the kind either.  So both are found once per system and root,
 in one move table (:func:`_moves`), and each kind reads its clauses off
 it.  The relation takes every candidate.  A verdict takes the closure D
 of the initial pair under steady successors and, from a pair that must
-adapt, the endpoints of every branch it can enter.  Every member of a
+adapt, the endpoints of every branch it can enter; the discrepancy search
+takes the closure of several roots alike.  Every member of a
 weak or a strong clause is such an endpoint, so D is closed under the
 requirements of both kinds.  D may be larger than one kind needs: a
 strong pair whose run need not end has only the empty clause, yet D holds
@@ -49,7 +50,9 @@ A drop may spread to pairs outside D; each is outside G, and no pair of
 D reads one.  With L the pairs of D left standing, G ∩ D ⊆ L, as only
 pairs outside G drop.  Each requirement of a pair in L has all its
 members in D and keeps one standing, else the pair would have dropped, so
-L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.
+L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.  That holds at
+every pair of D, not only at the roots, so the discrepancy search reads
+the verdict's D whole before it solves anything more.
 """
 
 from __future__ import annotations
@@ -139,13 +142,14 @@ def _runs(sys, q2, r):
 
 
 def _moves(sys, root=None):
-    """The move table from ``root``, or of every candidate without one: each
-    adapting pair (q, r) -> the :func:`_runs` of each behaviour successor of
-    q.  It does not depend on the kind, so it is built once per system and
-    root, kept in ``sys._moves``.  It is found per structure state r over a
-    set of behaviour states: all of r's constraint region without a root,
-    else the root's closure under steady successors and every branch
-    endpoint.  A steady pair is read once and never stored."""
+    """The move table from ``root``, one (q, r) pair or a frozenset of them,
+    or of every candidate without one: each adapting pair (q, r) -> the
+    :func:`_runs` of each behaviour successor of q.  It does not depend on
+    the kind, so it is built once per system and root, kept in
+    ``sys._moves``.  It is found per structure state r over a set of
+    behaviour states: all of r's constraint region without a root, else the
+    roots' closure under steady successors and every branch endpoint.  A
+    steady pair is read once and never stored."""
     table = sys._moves.get(root)
     if table is not None:
         return table
@@ -155,7 +159,8 @@ def _moves(sys, root=None):
         found = sys._admits  # every candidate, so the sweep adds none
     else:
         found = {r: set() for r in sys._admits}  # the closure, per structure state
-        found[root[1]].add(root[0])
+        for q, r in root if isinstance(root, frozenset) else (root,):
+            found[r].add(q)
     todo = {r: list(qs) for r, qs in found.items() if qs}
     while todo:
         r, qs = todo.popitem()
@@ -212,8 +217,8 @@ def _predecessors(beh):
 def _refuted(sys, kind, root=None):
     """The pairs that the clauses of ``_adapting(sys, kind, root)`` and the
     steady moves refute.  All lie outside the ``kind`` relation; they are
-    every candidate outside it, or with a ``root``, at least every pair of
-    its closure outside it (see the module docstring)."""
+    every candidate outside it, or with a ``root`` (see :func:`_moves`), at
+    least every pair of its closure outside it (see the module docstring)."""
     require_well_formed(sys)
     table = _adapting(sys, kind, root)
     todo = [p for p, clauses in table.items() if () in clauses]

@@ -192,7 +192,7 @@ def cmd_adapt(args, color):
         agreed = set(verdicts.values())
         holds = agreed.pop() if len(agreed) == 1 else None  # None: the methods run disagree
         if holds is None and discrepancy is None:
-            pair, rel_holds, ctl_holds = find_discrepancy(system, kind)
+            pair, rel_holds, ctl_holds = find_discrepancy(system, kind, flat)
             discrepancy = {"kind": kind, "pair": list(pair), "relational": rel_holds,
                            "ctl": ctl_holds}
         properties.append({"kind": kind, "verdicts": verdicts, "holds": holds})

@@ -13,7 +13,8 @@ Next to it sit two tables that ``adapt`` fills and both adaptability
 kinds read: the walk of each adaptation branch, once per entry state,
 structure state and option (``SBSystem._walks``), and the move table of
 the pairs that must adapt, once per root: the initial pair of a verdict,
-or every candidate for a whole relation (``SBSystem._moves``).
+the roots the discrepancy search solves, or every candidate for a whole
+relation (``SBSystem._moves``).
 Regions are computed from bitsets over the classes of equal valuation,
 one kept per boolean observable and keyed by its name.
 """
@@ -191,7 +192,7 @@ class SBSystem(Record):
         set_field(self, "_admits", {r: self.region(phi) for r, phi in m.labels.items()})
         set_field(self, "_options", {})
         set_field(self, "_walks", {})  # (entry, r, option index) -> adapt._branch's result, for every root and kind
-        set_field(self, "_moves", {})  # root pair, or None for every candidate -> adapt._moves's table
+        set_field(self, "_moves", {})  # root pair, frozenset of them, or None for every candidate -> adapt._moves's table
 
     def observe(self, q):
         """Valuation of behaviour state ``q``."""

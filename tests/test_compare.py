@@ -45,6 +45,95 @@ def test_pair_disagreements_match_per_pair_definition():
                 assert init in [pair for pair, _, _ in diffs], (seed, kind)
 
 
+# random systems (seed, max_q, kind) whose least disagreeing pair sorts below
+# every disagreement of the verdict's closure, so the search must solve more,
+# and ones whose closure holds it and the least candidates
+UNSETTLED = {(148, 24, A.WEAK), (1017, 24, A.WEAK), (1761, 24, A.WEAK), (217, 24, A.STRONG)}
+SETTLED = {(377, 24, A.WEAK), (550, 24, A.WEAK)}
+
+
+def test_the_verdicts_closure_answers_as_the_whole_relation_and_the_all_candidate_graph():
+    # the rooted solve is exact at every pair of the initial pair's closure,
+    # and a CTL label depends only on reachable states
+    systems = [(seed, max_q) for max_q, n in ((8, 1500), (24, 600)) for seed in range(n)]
+    systems += [(seed, max_q) for seed, max_q, _ in UNSETTLED | SETTLED]
+    for seed, max_q in systems:
+        sys = gen.random_system(seed, max_q=max_q)
+        init = (sys.behaviour.init, sys.structure.init)
+        flat = flatten(sys)
+        roots = sorted(A.candidate_pairs(sys))
+        whole, ids = flatten(sys, roots), {p: i for i, p in enumerate(roots)}
+        for kind in (A.WEAK, A.STRONG):
+            phi = CTL.adaptability_formula(kind)
+            rel = A.weak_relation(sys) if kind == A.WEAK else A.strong_relation(sys)
+            refuted = A._refuted(sys, kind, init)
+            sat, whole_sat = CTL.check_ctl(flat, phi).satisfying, CTL.check_ctl(whole, phi).satisfying
+            for i, (q, r, pending) in enumerate(flat.states):
+                if pending is None:
+                    assert ((q, r) not in refuted) == rel.holds_for(q, r), (seed, max_q, kind, q, r)
+                    assert (i in sat) == (ids[q, r] in whole_sat), (seed, max_q, kind, q, r)
+
+
+def test_find_discrepancy_is_the_least_disagreement_whether_or_not_the_closure_settles_it():
+    cases = [(gen.random_system(seed, max_q=max_q), kind, (seed, max_q, kind))
+             for seed, max_q, kind in sorted(UNSETTLED | SETTLED)]
+    cases += [(gen.random_system(seed, max_q=max_q), kind, (seed, max_q, kind))
+              for max_q, n in ((8, 2000), (24, 2000)) for seed in range(n) for kind in (A.WEAK, A.STRONG)]
+    cases.append((loads(workloads.model_text("discrepancy", 1)), A.WEAK, "gadget"))
+    settled = set()
+    for sys, kind, case in cases:
+        diffs = C.pair_disagreements(sys, kind)
+        if not diffs:
+            assert C.find_discrepancy(sys, kind) is None, case
+            continue
+        closure = {(q, r) for q, r, pending in flatten(sys).states if pending is None}
+        if diffs[0][0] in closure and min(A.candidate_pairs(sys) - closure, default=diffs[0][0]) >= diffs[0][0]:
+            settled.add(case)
+        assert C.find_discrepancy(sys, kind) == diffs[0], case
+        assert C.find_discrepancy(sys, kind, flatten(sys)) == diffs[0], case
+    assert not settled & UNSETTLED
+    assert settled >= SETTLED | {"gadget"}
+
+
+def test_the_discrepancy_search_solves_only_what_the_closure_leaves(monkeypatch, tmp_path):
+    # counts, not timings: the search reads the verdict's move table and flat
+    # system, and roots a further solve only at the candidates that sort
+    # below the closure's least disagreement and lie outside the closure
+    roots, tables = [], []
+    moves, pred, disagreements = A._moves, FL.FlatLTS.pred, C.pair_disagreements
+
+    def counted_moves(sys, root=None):
+        roots.append(root)
+        return moves(sys, root)
+
+    def counted_pred(flat):
+        if flat._pred is None:
+            tables.append(flat)
+        return pred.fget(flat)
+
+    monkeypatch.setattr(A, "_moves", counted_moves)
+    monkeypatch.setattr(FL.FlatLTS, "pred", property(counted_pred))
+    path = tmp_path / "discrepancy.sbs"
+    path.write_text(workloads.discrepancy(1, 2000, 8), encoding="utf-8")
+    assert cli.main(["adapt", "--json", str(path)]) == cli.EXIT_DISCREPANCY
+    assert roots and None not in roots
+    assert len(tables) == 1
+
+    searched = []
+    monkeypatch.setattr(C, "pair_disagreements", lambda sys, kind, roots=None: searched.append(roots)
+                        or disagreements(sys, kind, roots))
+    for seed, max_q, kind in sorted(UNSETTLED):
+        sys = gen.random_system(seed, max_q=max_q)
+        closure = {(q, r) for q, r, pending in flatten(sys).states if pending is None}
+        bound = min(p for p, _, _ in disagreements(sys, kind) if p in closure)
+        searched.clear()
+        roots.clear()
+        C.find_discrepancy(sys, kind)
+        below = sorted(p for p in A.candidate_pairs(sys) if p < bound and p not in closure)
+        assert searched == [below], (seed, max_q, kind)
+        assert None not in roots
+
+
 def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch, tmp_path):
     # r0 is "true" in a wide model: every pair the initial pair depends on
     # has a steady move, while the whole relation walks adaptation branches
@@ -72,8 +161,8 @@ def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch,
 
 def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monkeypatch, tmp_path):
     # the walks do not depend on the kind, nor a flat system's predecessor
-    # table on the formula: weak, strong, the discrepancy search's relation
-    # and --witness share them
+    # table on the formula: weak, strong, the discrepancy search and
+    # --witness share them
     walks, tables = [], []
     branch, pred = A._branch, FL.FlatLTS.pred
 
@@ -92,13 +181,14 @@ def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monke
     chain.write_text(save(gen.adaptation_chain(50)))
     gadget = tmp_path / "discrepancy.sbs"
     gadget.write_text(workloads.model_text("discrepancy", 1, "smoke"))
-    for path, code, flats in ((chain, cli.EXIT_OK, 1), (gadget, cli.EXIT_DISCREPANCY, 2)):
+    for path, code in ((chain, cli.EXIT_OK), (gadget, cli.EXIT_DISCREPANCY)):
         walks.clear()
         tables.clear()
         assert cli.main(["adapt", "--json", "--witness", str(path)]) == code
         assert walks and len(walks) == len(set(walks)), path.name
-        # one table per flat system: the verdict's, and the search's multi-root one
-        assert len(tables) == len({id(f) for f in tables}) == flats, path.name
+        # one table: the search reads the verdict's flat system, whose closure
+        # holds the gadget's least pair
+        assert len(tables) == len({id(f) for f in tables}) == 1, path.name
         tables.clear()
         assert cli.main(["flatten", "--json", str(path)]) == cli.EXIT_OK
         assert not tables  # built on the first check, not by flatten
