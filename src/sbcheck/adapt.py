@@ -14,9 +14,12 @@ from (q, r, no-pending):
   states, to the endpoints satisfying the constraint of t.  The weak
   relation needs, per successor some branch admits, one endpoint pair
   (x, t) of any such branch.  The strong relation needs every such branch
-  to end on all runs, with every endpoint pair surviving.  A walk does
-  not depend on the kind, so each is done once per system and read by
-  both (see :func:`_runs`);
+  to end on all runs, with every endpoint pair surviving.  A walk is one
+  reach pass that finds the endpoints and counts each reached state's
+  in-edges; only where runs join does a peel of those counts decide
+  whether every run ends (see :func:`_branch`), so it is linear in the
+  reached states and their moves.  A walk does not depend on the kind, so
+  each is done once per system and read by both (see :func:`_runs`);
 * a behaviour deadlock needs nothing.
 
 Behaviour successors the flat semantics cannot move to (they violate the
@@ -97,32 +100,49 @@ def _branch(sys, start, r, k):
     reached, and whether every run reaches one.
     A run does not when it meets a non-goal state with no move left
     (stuck) or a cycle of non-goal states.
+
+    One worklist pass reaches the states and the endpoints, and counts
+    each reached non-goal state's in-edges from the others.  When no state
+    is reached twice, the reached states form a tree under ``start`` and
+    every run ends.  Else a peel from ``start`` (Kahn, CACM 1962) takes a
+    state once its count falls to 0: every run ends exactly when ``start``
+    has no in-edge and every reached state peels off.  Both passes are
+    linear in the reached states and their moves.
     """
     _, target, inv_region = sys.options(r)[k]
     goal = sys.constraint_region(target)
+    if start in goal:
+        return ((start, target),), True
     succ = sys.behaviour._succ  # the table behind successors(), read without its check
     endpoints = set()
     finite = True
-    seen = set()
-    on_path = set()
-    stack = [(None, iter((start,)))]
-    while stack:
-        x, moves = stack[-1]
-        for y in moves:
-            if y in goal:
-                endpoints.add(y)
-            elif y in on_path:
-                finite = False  # a cycle of non-goal states
-            elif y not in seen:
-                seen.add(y)
-                on_path.add(y)
-                ys = [z for z in succ[y] if z in inv_region]
-                finite = finite and bool(ys)  # no move left: stuck
-                stack.append((y, iter(ys)))
-                break
-        else:
-            stack.pop()
-            on_path.discard(x)
+    joined = False  # some state reached twice
+    indeg = {start: 0}  # reached non-goal state -> its in-edges from reached states
+    reached = [start]
+    for x in reached:  # grows as states are reached
+        stuck = True
+        for y in succ[x]:
+            if y in inv_region:
+                stuck = False
+                if y in goal:
+                    endpoints.add(y)
+                elif y in indeg:
+                    indeg[y] += 1
+                    joined = True
+                else:
+                    indeg[y] = 1
+                    reached.append(y)
+        if stuck:  # no move left
+            finite = False
+    if finite and joined:
+        peeled = [start] if not indeg[start] else []  # an in-edge puts start on a cycle
+        for x in peeled:
+            for y in succ[x]:
+                if y in indeg:  # reached, so not a goal
+                    indeg[y] -= 1
+                    if not indeg[y]:
+                        peeled.append(y)
+        finite = len(peeled) == len(indeg)  # the rest lie on or past a cycle
     return tuple([(x, target) for x in endpoints]), finite
 
 

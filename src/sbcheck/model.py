@@ -202,7 +202,7 @@ class SBSystem(Record):
         """All behaviour states satisfying ``phi``, a formula typechecked
         against the observables."""
         bits = _lex.fold(phi, self._bits)
-        members = compress(self._classes, map(int, format(bits, "b")[::-1]))
+        members = compress(self._classes, map("1".__eq__, format(bits, "b")[::-1]))
         return frozenset(chain.from_iterable(map(itemgetter(1), members)))
 
     def _bits(self, node, args, parent):

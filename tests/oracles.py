@@ -280,19 +280,22 @@ def _phase_some_good(system, start, inv, target, pairs):
     return dfs(start, frozenset([start]))
 
 
-def _phase_all_good(system, start, inv, target, pairs):
-    """All maximal in-phase runs from ``start`` are finite and end well.
+def branch_oracle(system, start, inv, target):
+    """Where the in-phase runs from ``start`` along ``inv`` => ``target`` can
+    end: ``(endpoints, finite)``, the states satisfying the constraint of
+    ``target`` reached, and whether every maximal run reaches one.
 
-    Collects the non-endpoint states reachable inside the phase, rejects
-    a mid-phase state with no move left, rejects any endpoint outside
-    ``pairs``, and detects cycles by repeated sink elimination.
+    Collects the non-endpoint states reachable inside the phase, marks a
+    run infinite at a mid-phase state with no move left, and detects
+    cycles by repeated sink elimination.
     """
     B = system.behaviour
     goal = system.structure.labels[target]
     if _holds(system, start, goal):
-        return (start, target) in pairs
+        return {start}, True
     interior = set()
     endpoints = set()
+    finite = True
     work = [start]
     while work:
         x = work.pop()
@@ -301,14 +304,12 @@ def _phase_all_good(system, start, inv, target, pairs):
         interior.add(x)
         moves = [y for y in B.successors(x) if _holds(system, y, inv)]
         if not moves:
-            return False  # the phase can neither continue nor end here
+            finite = False  # the phase can neither continue nor end here
         for y in moves:
             if _holds(system, y, goal):
                 endpoints.add(y)
             elif y not in interior:
                 work.append(y)
-    if any((e, target) not in pairs for e in endpoints):
-        return False
     remaining = set(interior)
     while True:
         sinks = [
@@ -323,7 +324,13 @@ def _phase_all_good(system, start, inv, target, pairs):
         if not sinks:
             break
         remaining.difference_update(sinks)
-    return not remaining  # anything left sits on a cycle: an infinite run
+    return endpoints, finite and not remaining  # anything left sits on a cycle: an infinite run
+
+
+def _phase_all_good(system, start, inv, target, pairs):
+    """All maximal in-phase runs from ``start`` are finite and end in ``pairs``."""
+    endpoints, finite = branch_oracle(system, start, inv, target)
+    return finite and all((e, target) in pairs for e in endpoints)
 
 
 def relation_oracle(system, strong):

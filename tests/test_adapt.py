@@ -1,5 +1,7 @@
 """Weak and strong adaptability relations and the derived equivalences."""
 
+from collections import Counter
+
 import pytest
 
 import gen
@@ -7,6 +9,7 @@ import oracles
 import sbcheck.adapt as A
 import sbcheck.formula as F
 import sbcheck.model as M
+from sbcheck._record import set_field
 from sbcheck.errors import ModelError
 from sbcheck.ingest import loads
 
@@ -279,6 +282,113 @@ def test_long_adaptation_chain_needs_no_recursion():
     sys = gen.adaptation_chain(3000)
     assert A.weak_relation(sys).holds_for("h", "r0")
     assert A.strong_relation(sys).holds_for("h", "r0")
+
+
+# ---------------------------------------------------------------------------
+# adaptation branches
+
+
+def branch_system(edges, goals=()):
+    """h must adapt at once into the run from ``e`` along ``edges``: r0 ("x")
+    adapts along "!x" to r1 ("y"), x holds only at h and y only at ``goals``."""
+    obs = F.Observables([F.ObservableDecl("x", F.BoolDomain()), F.ObservableDecl("y", F.BoolDomain())])
+    states = {"h", "e"} | {q for edge in edges for q in edge}
+    beh = M.BehaviourMachine(states, "h", frozenset({("h", "e"), *edges}))
+    labels = {"r0": F.parse_raw("x"), "r1": F.parse_raw("y")}  # SBSystem typechecks them
+    st = M.StructureMachine(("r0", "r1"), "r0", labels, frozenset({("r0", F.parse_raw("!x"), "r1")}))
+    table = {q: {"x": q == "h", "y": q in goals} for q in states}
+    return M.SBSystem("branch", obs, beh, st, M.ObservationMap(table))
+
+
+def counted_walk(sys, start):
+    """The branch from ``start`` along r0's option, and how often it read
+    each behaviour state's successor list."""
+    reads = Counter()
+
+    class CountedSucc(dict):
+        def __getitem__(self, q):
+            reads[q] += 1
+            return dict.__getitem__(self, q)
+
+    set_field(sys.behaviour, "_succ", CountedSucc(sys.behaviour._succ))
+    return A._branch(sys, start, "r0", 0), reads
+
+
+def assert_branch_matches_the_oracle(sys, start, r, k):
+    inv, target, _ = sys.options(r)[k]
+    ends, finite = A._branch(sys, start, r, k)
+    endpoints, oracle_finite = oracles.branch_oracle(sys, start, inv, target)
+    assert len(ends) == len(set(ends)), (start, r, k)
+    assert set(ends) == {(x, target) for x in endpoints}, (start, r, k)
+    assert finite == oracle_finite, (start, r, k)
+
+
+def test_branch_walks_match_the_oracle_on_random_systems():
+    for max_q, seeds in ((8, 4000), (24, 1500), (64, 300)):
+        for seed in range(seeds):
+            sys = gen.random_system(seed, max_q=max_q)
+            for r in sys.structure.states:
+                for k, (_, _, region) in enumerate(sys.options(r)):
+                    for q in sorted(region):
+                        assert_branch_matches_the_oracle(sys, q, r, k)
+
+
+@pytest.mark.parametrize("edges, goals, ends, finite, most_reads", [
+    # most_reads: 1 when only the reach pass reads, 2 when a peel follows it
+    # a tree: no state is reached twice, so no peel runs, though two runs end at g
+    ([("e", "a"), ("e", "b"), ("a", "g"), ("b", "c"), ("b", "g"), ("c", "f")], "gf", "gf", True, 1),
+    # a diamond: runs join at c without a cycle
+    ([("e", "a"), ("e", "b"), ("a", "c"), ("b", "c"), ("c", "g")], "g", "g", True, 2),
+    # a cycle through the entry state
+    ([("e", "a"), ("a", "e"), ("a", "g")], "g", "g", False, 1),  # e has an in-edge: no peel
+    # a self-loop
+    ([("e", "a"), ("a", "a"), ("a", "g")], "g", "g", False, 2),
+    # a cycle away from the entry, behind a join-free prefix
+    ([("e", "a"), ("e", "g"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "f")], "gf", "gf", False, 2),
+    # a cycle away from the entry that every run can leave is still a cycle
+    ([("e", "a"), ("a", "b"), ("b", "a"), ("b", "g"), ("a", "g")], "g", "g", False, 2),
+    # a stuck state: b has no move, and c's only move leaves the invariant
+    ([("e", "b"), ("e", "g")], "g", "g", False, 1),
+    ([("e", "c"), ("e", "g"), ("c", "h")], "g", "g", False, 1),
+    # the entry state already meets the target's constraint
+    ([("e", "a")], "e", "e", True, 0),  # nothing is read
+])
+def test_branch_on_hand_built_runs(edges, goals, ends, finite, most_reads):
+    sys = branch_system(edges, goals)
+    assert_branch_matches_the_oracle(sys, "e", "r0", 0)
+    (found, found_finite), reads = counted_walk(sys, "e")
+    assert sorted(found) == [(x, "r1") for x in sorted(ends)]
+    assert found_finite == finite
+    assert max(reads.values(), default=0) == most_reads
+    assert "g" not in reads and "h" not in reads
+
+
+def ladder(n):
+    """Runs from ``e`` that join at every rung: e, c{i} and d{i} each move
+    to both c{i+1} and d{i+1}, and the last rung, i = n - 1, to the goal g."""
+    edges = [("e", "c1"), ("e", "d1")]
+    for i in range(1, n):
+        for a in (f"c{i}", f"d{i}"):
+            edges += [(a, f"c{i + 1}"), (a, f"d{i + 1}")] if i < n - 1 else [(a, "g")]
+    return branch_system(edges, "g")
+
+
+def test_branch_reads_each_successor_list_a_bounded_number_of_times():
+    # the reach pass reads each reached non-goal state's moves once, and a
+    # peel, which runs only where runs join, once more
+    for n in (1000, 2000, 4000):
+        sys = gen.adaptation_chain(n)
+        (ends, finite), reads = counted_walk(sys, "a0")
+        assert (ends, finite) == (((f"a{n - 1}", "r1"),), True)
+        # no state is reached twice on a chain: one read per non-goal state
+        assert reads == {f"a{i}": 1 for i in range(n - 1)}, n
+
+        sys = ladder(n)
+        (ends, finite), reads = counted_walk(sys, "e")
+        assert (ends, finite) == ((("g", "r1"),), True)
+        # runs join at every rung, so the peel reads each list once more
+        assert len(reads) == 2 * n - 1 and max(reads.values()) == 2, n
+        assert sum(reads.values()) == 2 * len(reads), n
 
 
 # ---------------------------------------------------------------------------
