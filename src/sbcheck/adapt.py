@@ -36,18 +36,18 @@ member of, and a dropped pair decrements those counts.  So a pair drops
 once, when it has an empty clause, a count reaches 0 or a steady
 successor drops, and every dropped pair is outside the global relation G.
 
-Which pairs must adapt, and the walks from their successors, do not
-depend on the kind either.  So both are found once per system and root,
-in one move table (:func:`_moves`), and each kind reads its clauses off
-it.  The relation takes every candidate.  A verdict takes the closure D
-of the initial pair under steady successors and, from a pair that must
+Which pairs must adapt, their weak clauses and whether all their runs end
+do not depend on the kind either.  So they are found once per system and
+root, in one move table (:func:`_moves`), and each kind reads its clauses
+off it.  The relation takes every candidate.  A verdict takes the closure
+D of the initial pair under steady successors and, from a pair that must
 adapt, the endpoints of every branch it can enter; the discrepancy search
-takes the closure of several roots alike.  Every member of a
-weak or a strong clause is such an endpoint, so D is closed under the
-requirements of both kinds.  D may be larger than one kind needs: a
-strong pair whose run need not end has only the empty clause, yet D holds
-its endpoints.  That keeps the verdict exact, as the argument below uses
-only that D is closed.
+takes the closure of several roots alike.  Every member of a weak or a
+strong clause is such an endpoint, so D is closed under the requirements
+of both kinds.  D may be larger than one kind needs: a strong pair whose
+run need not end has only the empty clause, yet D holds its endpoints.
+That keeps the verdict exact, as the argument below uses only that D is
+closed.
 
 A drop may spread to pairs outside D; each is outside G, and no pair of
 D reads one.  With L the pairs of D left standing, G ∩ D ⊆ L, as only
@@ -57,8 +57,6 @@ L ∪ G meets every requirement and L ⊆ G: L = G ∩ D.  That holds at
 every pair of D, not only at the roots, so the discrepancy search reads
 the verdict's D whole before it solves anything more.
 """
-
-from __future__ import annotations
 
 from ._record import Record
 from .errors import ModelError
@@ -163,13 +161,14 @@ def _runs(sys, q2, r):
 
 def _moves(sys, root=None):
     """The move table from ``root``, one (q, r) pair or a frozenset of them,
-    or of every candidate without one: each adapting pair (q, r) -> the
-    :func:`_runs` of each behaviour successor of q.  It does not depend on
-    the kind, so it is built once per system and root, kept in
-    ``sys._moves``.  It is found per structure state r over a set of
-    behaviour states: all of r's constraint region without a root, else the
-    roots' closure under steady successors and every branch endpoint.  A
-    steady pair is read once and never stored."""
+    or of every candidate without one: each adapting pair (q, r) ->
+    ``(clauses, finite)``, its weak clauses, a tuple of endpoint pairs per
+    behaviour successor some option admits, and whether every run of every
+    such branch ends.  Neither depends on the kind, so the table is built
+    once per system and root, kept in ``sys._moves``.  It is found per
+    structure state r over a set of behaviour states: all of r's constraint
+    region without a root, else the roots' closure under steady successors
+    and clause members.  A steady pair is read once and never stored."""
     table = sys._moves.get(root)
     if table is not None:
         return table
@@ -195,35 +194,31 @@ def _moves(sys, root=None):
                             seen.add(q2)
                             qs.append(q2)
                 continue
-            table[q, r] = moves = [_runs(sys, q2, r) for q2 in succs]
+            moves = [runs for q2 in succs if (runs := _runs(sys, q2, r))]
+            clauses = [runs[0][0] if len(runs) == 1  # a lone walk's tuple, shared by every pair
+                       else tuple([m for ends, _ in runs for m in ends]) for runs in moves]
+            table[q, r] = clauses, all(finite for runs in moves for _, finite in runs)
             if root:
-                for runs in moves:
-                    for ends, _ in runs:
-                        for x, t in ends:
-                            if x not in found[t]:
-                                found[t].add(x)
-                                todo.setdefault(t, []).append(x)
+                for c in clauses:
+                    for x, t in c:
+                        if x not in found[t]:
+                            found[t].add(x)
+                            todo.setdefault(t, []).append(x)
     sys._moves[root] = table
     return table
 
 
 def _adapting(sys, kind, root=None):
     """Map each adapting pair of :func:`_moves` to its clauses under
-    ``kind`` (none for a behaviour deadlock): a weak clause per successor
-    some branch admits, or for strong the empty clause when a run need not
-    end, else one clause per endpoint."""
+    ``kind`` (none for a behaviour deadlock): its weak clauses, or for
+    strong the empty clause when a run need not end, else one clause per
+    member of a weak one."""
     if kind not in (WEAK, STRONG):
         raise ModelError(f"unknown adaptability kind {kind!r}")
-    table = {}
-    for p, moves in _moves(sys, root).items():
-        if kind == WEAK:  # a lone walk's own tuple is shared by every pair
-            table[p] = [runs[0][0] if len(runs) == 1 else tuple([m for ends, _ in runs for m in ends])
-                        for runs in moves if runs]
-        elif all(finite for runs in moves for _, finite in runs):
-            table[p] = [(m,) for runs in moves for ends, _ in runs for m in ends]
-        else:
-            table[p] = [()]
-    return table
+    if kind == WEAK:
+        return {p: clauses for p, (clauses, _) in _moves(sys, root).items()}
+    return {p: [(m,) for c in clauses for m in c] if finite else [()]
+            for p, (clauses, finite) in _moves(sys, root).items()}
 
 
 def _predecessors(beh):

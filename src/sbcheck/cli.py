@@ -18,8 +18,6 @@ JSON document and the lines of its text, and returns through
 ``flatten --json`` and ``flatten --dot`` write their exports directly.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -96,18 +94,20 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name, help):
+    def command(name, help, run):
         p = sub.add_parser(name, help=help)
         p.add_argument("file", help="model file (.sbs)")
+        p.set_defaults(run=run)
         return p
 
-    command("validate", "check that a model is well formed")
+    command("validate", "check that a model is well formed", cmd_validate)
 
-    g = command("flatten", "compute the flat transition system").add_mutually_exclusive_group()
+    p = command("flatten", "compute the flat transition system", cmd_flatten)
+    g = p.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_true", help="emit the flat system as JSON")
     g.add_argument("--dot", action="store_true", help="emit the flat system as Graphviz DOT")
 
-    p = command("adapt", "decide weak/strong adaptability")
+    p = command("adapt", "decide weak/strong adaptability", cmd_adapt)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weak", action="store_true", help="check weak adaptability only")
     g.add_argument("--strong", action="store_true", help="check strong adaptability only")
@@ -124,16 +124,17 @@ def _build_parser():
         help="print a counterexample path when strong adaptability fails",
     )
 
-    p = command("equiv", "group behaviour states adaptable to the same structure states")
+    p = command("equiv", "group behaviour states adaptable to the same structure states",
+                cmd_equiv)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--weak", action="store_true", help="use the weak relation (default)")
     g.add_argument("--strong", action="store_true", help="use the strong relation")
 
-    command("ctl", "check a CTL formula on the flat system").add_argument(
+    command("ctl", "check a CTL formula on the flat system", cmd_ctl).add_argument(
         "--formula", required=True, help="CTL formula text"
     )
 
-    p = command("simulate", "random walk through the flat semantics")
+    p = command("simulate", "random walk through the flat semantics", cmd_simulate)
     p.add_argument("--steps", type=int, default=10, help="number of steps (default 10)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
@@ -275,21 +276,11 @@ def cmd_simulate(args, color):
     return _emit(args, doc, lines, EXIT_OK)
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "flatten": cmd_flatten,
-    "adapt": cmd_adapt,
-    "equiv": cmd_equiv,
-    "ctl": cmd_ctl,
-    "simulate": cmd_simulate,
-}
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     color = _want_color()
     try:
-        code = _COMMANDS[args.command](args, color)
+        code = args.run(args, color)
         sys.stdout.flush()  # so that a closed output fails here, not at exit
         return code
     except BrokenPipeError as e:  # the reader of the output is gone

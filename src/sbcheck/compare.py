@@ -12,15 +12,8 @@ what the verdict has solved: the closure of the initial pair, where the
 rooted relation and every CTL label are exact.  The least disagreement
 there is a bound, and only the candidates that sort below it and lie
 outside the closure are solved, rooted at themselves.  The saving depends
-on the closure holding the least candidates.  It does on every model of
-the benchmark's ``discrepancy`` workload, whose traced search fell from
-0.76 to 0.07 ms of an ``adapt`` that took about 2.6 ms (the bench's
-reference time), and on 3 of the 20 random systems (seeds 0 to 1999, up
-to 24 behaviour states) whose initial pair the methods disagree on; the
-other 17 root a further solve at 169 of their 381 candidates.
+on the closure holding the least candidates.
 """
-
-from __future__ import annotations
 
 from ._record import Record
 from .adapt import WEAK, _refuted, adaptable, candidate_pairs, strong_relation, weak_relation
@@ -78,12 +71,13 @@ def pair_disagreements(sys, kind, roots=None):
     sorted tuple of ((q, r), relational, ctl) entries; empty when the
     methods agree on every pair tried.
     """
+    phi = adaptability_formula(kind)  # first, so that an unknown kind is refused
     if roots is None:
         roots = sorted(candidate_pairs(sys))
         holds = (weak_relation if kind == WEAK else strong_relation)(sys).pairs
     else:
         holds = set(roots) - _refuted(sys, kind, frozenset(roots))
-    sat = check_ctl(flatten(sys, roots), adaptability_formula(kind)).satisfying
+    sat = check_ctl(flatten(sys, roots), phi).satisfying
     return _disagreeing(enumerate(roots), holds, sat)
 
 
@@ -101,9 +95,7 @@ def find_discrepancy(sys, kind, flat=None):
     gadget, whose ``(gq0, gr0)`` sorts first: there the search costs one
     rooted solve and one CTL check on the verdict's flat system, not the
     whole relation and a flat system over every candidate, and reads no
-    behaviour state past the bound's.  On ``discrepancy(1, 32000, 8)`` that
-    took ``adapt`` from 3.4 s and 293 MB to 0.35 s and 79 MB (Xeon,
-    Python 3.11).
+    behaviour state past the bound's.
     """
     if flat is None:
         flat = flatten(sys)

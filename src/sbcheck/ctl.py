@@ -27,8 +27,6 @@ Adaptability characterisations checked at the initial state:
 * strong: ``AG (adapting -> AF steady)``
 """
 
-from __future__ import annotations
-
 from collections import deque
 from itertools import compress
 
@@ -36,8 +34,8 @@ from . import _lex
 from . import formula as F
 from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared with formulas
 from ._record import Record
-from .adapt import WEAK
-from .errors import CtlError, FormulaError
+from .adapt import STRONG, WEAK
+from .errors import CtlError, FormulaError, ModelError
 from .flat import ADAPTING, STEADY
 
 
@@ -278,6 +276,8 @@ def strong_formula():
 
 def adaptability_formula(kind):
     """The CTL formula of ``kind`` adaptability, 'weak' or 'strong'."""
+    if kind not in (WEAK, STRONG):
+        raise ModelError(f"unknown adaptability kind {kind!r}")
     return weak_formula() if kind == WEAK else strong_formula()
 
 

@@ -297,11 +297,12 @@ def export_json(flat):
 def import_json(text, system):
     """Rebuild a FlatLTS of ``system`` from :func:`export_json` output.
 
-    Every behaviour and structure state named must be one of ``system``'s,
-    each pending object must equal the one :func:`state_json` writes for a
-    structure transition out of its state's ``r``, and each transition row
-    must equal the row :func:`export_json` writes for its two endpoint
-    states (see :func:`edge_json`).
+    The document and each state row must have the keys :func:`export_json`
+    writes and no other.  Every behaviour and structure state named must be
+    one of ``system``'s, each pending object must equal the one
+    :func:`state_json` writes for a structure transition out of its state's
+    ``r``, and each transition row must equal the row :func:`export_json`
+    writes for its two endpoint states (see :func:`edge_json`).
     """
     try:
         doc = json.loads(text)
@@ -332,12 +333,18 @@ def import_json(text, system):
     try:
         if type(doc["states"]) is not list or type(doc["transitions"]) is not list:
             raise ModelError("invalid flat JSON: 'states' and 'transitions' must be lists")
+        if len(doc) != 3:  # each key is read, so only an extra one is left to find
+            raise ModelError(f"invalid flat JSON: keys {sorted(doc)} are not "
+                             "states, init, transitions")
         states = []
         seen = set()
         for i, row in enumerate(doc["states"]):
             where = f"state {i}"
             q, r = known(row["q"], "behaviour", where), known(row["r"], "structure", where)
             pending = row["pending"]
+            if len(row) != 5:  # as for the document's keys
+                raise ModelError(f"invalid flat JSON: {where}: keys {sorted(row)} are not "
+                                 "id, q, r, pending, class")
             state = q, r, None if pending is None else option(pending, r, where)
             if state in seen:
                 raise ModelError(f"invalid flat JSON: duplicate state {state_text(system, state)}")

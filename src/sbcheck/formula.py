@@ -11,8 +11,6 @@ Integer arithmetic inside formulas is unbounded; observable domains only
 restrict the values a state may carry, not the literals a formula may use.
 """
 
-from __future__ import annotations
-
 import operator
 
 from . import _lex
@@ -88,7 +86,7 @@ class Observables(Record):
     another value, as :func:`sbcheck.ingest.save` prints them.
     """
 
-    __slots__ = ("decls", "_names", "_name_set", "_domains", "_enum_owner", "_checked")
+    __slots__ = ("decls", "_names", "_domains", "_enum_owner", "_checked")
 
     def __init__(self, decls):
         decls = tuple(decls)
@@ -104,7 +102,6 @@ class Observables(Record):
                 seen.add(name)
         super().__init__(decls)
         set_field(self, "_names", tuple(d.name for d in decls))
-        set_field(self, "_name_set", frozenset(self._names))
         set_field(self, "_domains", {d.name: d.domain for d in decls})
         set_field(self, "_enum_owner", {
             v: d.name for d in decls if isinstance(d.domain, EnumDomain) for v in d.domain.values
@@ -115,12 +112,7 @@ class Observables(Record):
         return self._names
 
     def domain(self, name):
-        try:
-            return self._domains[name]
-        except KeyError:
-            raise ModelError(f"undeclared observable {name!r}") from None
-
-    def domain_or_none(self, name):
+        """The domain of observable ``name``, or None when it is not declared."""
         return self._domains.get(name)
 
     def enum_owner(self, value):
@@ -130,7 +122,7 @@ class Observables(Record):
 
 def check_valuation(observables, valuation):
     """Raise ModelError unless ``valuation`` binds exactly the declared names to in-domain values."""
-    names = observables._name_set
+    names = observables._domains.keys()
     if valuation.keys() != names:
         got = set(valuation)
         missing = sorted(names - got)
@@ -141,8 +133,7 @@ def check_valuation(observables, valuation):
         if extra:
             parts.append("undeclared " + ", ".join(extra))
         raise ModelError("bad valuation: " + "; ".join(parts))
-    for name in observables.names():
-        dom = observables.domain(name)
+    for name, dom in observables._domains.items():
         if not domain_contains(dom, valuation[name]):
             raise ModelError(
                 f"value {valuation[name]!r} of {name!r} outside domain {domain_text(dom)}"

@@ -34,10 +34,9 @@ read again token by token (:data:`LEXER`), which reports every error.
 sorted by id, transitions sorted, formulas reprinted with canonical spacing;
 ``save(load(text))`` is a fixed point and ``load(save(sys))`` equals ``sys``.
 A quoted string cannot hold a newline, so ``save`` refuses a system whose
-name does.
+name does, and it refuses a state, observable or enum value whose name is
+no identifier.
 """
-
-from __future__ import annotations
 
 import pathlib
 import re
@@ -48,6 +47,7 @@ from .errors import FormulaError, ModelError, ModelFileError
 from .model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME = re.compile(_ID).fullmatch
 LEXER = _lex.Lexer(
     [  # the most frequent first, each longer operator before its prefix
         ("ident", _ID),
@@ -215,7 +215,7 @@ def _valuation(p, observables, id_tok):
     if p.peek().kind != "rbrace":
         while True:
             n_tok = p.take("ident", "expected an observable name")
-            if observables.domain_or_none(n_tok.text) is None:
+            if observables.domain(n_tok.text) is None:
                 raise ModelFileError(
                     f"undeclared observable {n_tok.text!r}", n_tok.line, n_tok.col
                 )
@@ -408,7 +408,7 @@ def load(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         head = _newlines(data[: e.start].decode("utf-8"))
-        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        line, col = _lex.Source(head).position(len(head))
         raise ModelFileError(f"byte 0x{data[e.start]:02x} is not UTF-8", line, col) from None
     return loads(_newlines(text))
 
@@ -424,17 +424,25 @@ def _quote(text):
 
 
 def save(sys):
-    """Render a system in the canonical text form."""
+    """Render a system in the canonical text form.
+
+    Raises :class:`ModelError` for a name that :data:`LEXER` would not read
+    back as one identifier.
+    """
+    obs = sys.observables
+    for name in (*obs.names(), *obs._enum_owner, *sys.behaviour.states, *sys.structure.states):
+        if not _NAME(name):
+            raise ModelError(f"cannot save {name!r}: a .sbs name must match {_ID}")
     out = [f"system {_quote(sys.name)}", ""]
     out.append("observables {")
-    for d in sys.observables.decls:
+    for d in obs.decls:
         out.append(f"  {d.name}: {F.domain_text(d.domain)};")
     out.append("}")
     out.append("")
     out.append("behaviour {")
     for q in sys.behaviour.states:
         v = sys.observation.table[q]
-        body = ", ".join(f"{n} = {_lit_text(v[n])}" for n in sys.observables.names())
+        body = ", ".join(f"{n} = {_lit_text(v[n])}" for n in obs.names())
         suffix = " init" if q == sys.behaviour.init else ""
         out.append(f"  state {q} {{{body}}}{suffix};")
     for q in sys.behaviour.states:
@@ -447,8 +455,8 @@ def save(sys):
         suffix = " init" if r == sys.structure.init else ""
         out.append(f"  state {r}: {_quote(F.unparse(sys.structure.label(r)))}{suffix};")
     for r in sys.structure.states:
-        for inv, dst in sys.structure.out_transitions(r):
-            out.append(f"  {r} -[{_quote(F.unparse(inv))}]-> {dst};")
+        for text, dst in sys.structure.out_texts(r):
+            out.append(f"  {r} -[{_quote(text)}]-> {dst};")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -19,8 +19,6 @@ Regions are computed from bitsets over the classes of equal valuation,
 one kept per boolean observable and keyed by its name.
 """
 
-from __future__ import annotations
-
 from itertools import chain, compress
 from operator import itemgetter
 

@@ -7,6 +7,8 @@ import pytest
 import gen
 import oracles
 import sbcheck.adapt as A
+import sbcheck.compare as C
+import sbcheck.ctl as CTL
 import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck._record import set_field
@@ -118,6 +120,14 @@ def test_relation_rejects_unknown_kind(s0):
         A._relation(s0, "loose")
     with pytest.raises(ModelError):
         A.equiv_partition(s0, "loose")
+
+
+def test_ctl_side_rejects_unknown_kind(s0):
+    # as the relation does, not as if asked for strong
+    for call in (lambda: CTL.adaptability_formula("loose"),
+                 lambda: C.pair_disagreements(s0, "loose")):
+        with pytest.raises(ModelError, match="^unknown adaptability kind 'loose'$"):
+            call()
 
 
 def test_verdict_rejects_unknown_kind_without_an_adapting_pair():

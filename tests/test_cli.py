@@ -535,10 +535,10 @@ def test_long_connective_chain_in_a_ctl_formula_prints_back(formula, code):
 
 
 def test_internal_error_exits_5(monkeypatch, capsys):
-    def crash(args, color):
+    def crash(system):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", crash)
+    monkeypatch.setattr(cli, "check_well_formed", crash)
     assert cli.main(["validate", S0]) == cli.EXIT_INTERNAL == 5
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: boom\n"

@@ -378,6 +378,16 @@ def test_syntax_errors_have_positions(text):
     assert e.value.col is not None and e.value.col >= 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x == true", "1:6: 'true' is not an arithmetic term, found 'true'"),
+    ("x == -y", "1:7: expected an integer after '-', found 'y'"),
+])
+def test_term_errors_have_positions(text, message):
+    with pytest.raises(FormulaError) as e:
+        F.parse_raw(text)
+    assert str(e.value) == message
+
+
 def test_error_position_points_at_offender():
     with pytest.raises(FormulaError) as e:
         F.typecheck(F.parse_raw("eat &&\n  ??"), obs())

@@ -413,6 +413,24 @@ def test_flat_json_field_mutants_are_rejected_or_written_back():
         assert again == mutant, (case, spot, key, row.get(key, "<deleted>"))
 
 
+def test_flat_json_extra_keys_are_rejected_or_written_back():
+    # one key more at each level: the document, a state row, a pending object, a transition row
+    system = bundled_model("predator_s0")
+    text = FL.export_json(FL.flatten(system))
+    for spot in range(4):
+        bad = json.loads(text)
+        pending = next(s["pending"] for s in bad["states"] if s["pending"] is not None)
+        row = (bad, bad["states"][0], pending, bad["transitions"][0])[spot]
+        row["extra"] = 1
+        mutant = json.dumps(bad, indent=2) + "\n"
+        try:
+            again = FL.export_json(FL.import_json(mutant, system))
+        except ModelError as e:
+            assert str(e).startswith("invalid flat JSON: "), spot
+            continue
+        assert again == mutant, spot
+
+
 def _chain_text(rng, operands, n, depth=0):
     """``n`` operands joined by ``&&``/``||``/``->``, some runs of them grouped.
 

@@ -124,6 +124,24 @@ def test_save_refuses_a_newline_in_the_name():
         I.save(odd)
 
 
+def _named(q="a", r="r", x="x", value="v"):
+    """A one-state system whose names are the arguments."""
+    obs = F.Observables([F.ObservableDecl(x, F.BoolDomain()),
+                         F.ObservableDecl("e", F.EnumDomain((value,)))])
+    beh = M.BehaviourMachine((q,), q, frozenset())
+    st = M.StructureMachine((r,), r, {r: F.parse_raw("true")}, frozenset())
+    return M.SBSystem("named", obs, beh, st, M.ObservationMap({q: {x: True, "e": value}}))
+
+
+def test_save_refuses_only_names_it_cannot_read_back():
+    for name in ("state", "init", "system", "bool"):  # keywords, yet read as names where they stand
+        for sys in (_named(q=name, r=name, x=name), _named(value=name)):
+            assert I.loads(I.save(sys)) == sys, name
+    for field, name in (("q", "a b"), ("r", "r-1"), ("x", "1x"), ("value", "\u00e9")):
+        with pytest.raises(ModelError, match=f"^cannot save {name!r}: "):
+            I.save(_named(**{field: name}))
+
+
 def test_roundtrip_every_domain_kind():
     text = '''system "domains"
 

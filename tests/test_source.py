@@ -1,5 +1,5 @@
 """What ``src/sbcheck`` holds: no function or class that only tests or the
-benchmark reach."""
+benchmark reach, and no import that its module does not read."""
 
 import ast
 import pathlib
@@ -11,6 +11,8 @@ SRC = ROOT / "src" / "sbcheck"
 # read only by bench/, which pins them until the benchmark itself changes
 BENCH_PINNED = {"ctl.ctl_oracle", "compare.rerooted", "flat.FlatLTS.transitions",
                 "flat.FlatTransition"}
+# imported to be read through their module: tests write them as F.And, F.Implies, F.Or
+RE_EXPORTED = {"formula.And", "formula.Implies", "formula.Or"}
 
 
 def _named(node):
@@ -51,3 +53,17 @@ def test_every_function_and_class_has_a_reader_in_src_or_the_library_docs():
         and named[node.name] == sum(n == node.name for n in _named(node))  # only itself
     }
     assert unread <= BENCH_PINNED
+
+
+def test_every_module_level_import_is_read_by_its_module():
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                unread.update(f"{path.stem}: from __future__ import {a.name}" for a in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ((a.asname or a.name).partition(".")[0] for a in node.names)
+                unread.update(f"{path.stem}.{name}" for name in names if name not in read)
+    assert unread <= RE_EXPORTED
