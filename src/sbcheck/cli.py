@@ -16,11 +16,13 @@ Each command works out the values it reports once, builds from them a
 JSON document and the lines of its text, and returns through
 :func:`_emit`, which prints the one that ``--json`` asks for.  Only
 ``flatten --json`` and ``flatten --dot`` write their exports directly.
+Every ``--json`` output, ``flatten``'s too, comes from the one writer of
+:mod:`sbcheck.flat` and equals ``json.dumps(doc, indent=2)``.
 """
 
 import argparse
 import functools
-import json
+import gc
 import os
 import random
 import sys
@@ -34,6 +36,7 @@ from .flat import (
     ADAPTING,
     STEADY,
     STUCK,
+    _json,
     export_dot,
     export_json,
     flatten,
@@ -69,7 +72,7 @@ def _yesno(value, color):
 
 def _emit(args, doc, lines, code):
     """Print ``doc`` as JSON under ``--json``, else the text ``lines``; return ``code``."""
-    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+    print(_json(doc) if args.json else "\n".join(lines))
     return code
 
 
@@ -279,6 +282,8 @@ def cmd_simulate(args, color):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     color = _want_color()
+    collecting = gc.isenabled()
+    gc.disable()  # no command builds a cycle, so a collection would only rescan live data
     try:
         code = args.run(args, color)
         sys.stdout.flush()  # so that a closed output fails here, not at exit
@@ -301,6 +306,9 @@ def main(argv=None):
     except Exception as e:  # a crash must not read as a verdict
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -240,21 +240,31 @@ def edge_json(sys, states, i, j):
     }
 
 
-def _json(value, depth):
-    """``json.dumps(value, indent=2)`` for a scalar, or a dict of scalars and
-    such dicts, nested ``depth`` levels deep."""
-    if type(value) is not dict or not value:
+def _json(value, depth=0):
+    """``json.dumps(value, indent=2)`` for a scalar, or a list or a dict with
+    string keys of such values, nested ``depth`` levels deep.  Unlike the
+    indenting ``json.dumps``, whose pure-Python encoder is a knot of closures,
+    it leaves no cyclic garbage."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is not dict and kind is not list or not value:
         return json.dumps(value)
+    if kind is dict:
+        members = [f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}" for k, v in value.items()]
+    else:
+        members = [_json(v, depth + 1) for v in value]
     pad = "\n" + "  " * depth
-    members = ",".join(f"{pad}  {json.dumps(k)}: {_json(v, depth + 1)}" for k, v in value.items())
-    return f"{{{members}{pad}}}"
+    ends = "{}" if kind is dict else "[]"
+    return f"{ends[0]}{pad}  " + f",{pad}  ".join(members) + f"{pad}{ends[1]}"
 
 
 def _cut(row):
     """The text of ``row``, an item of a top-level list, cut around its first
     two values: ``(before, between, after)``."""
     (first, _), (second, _), *rest = row.items()
-    return (f'{{\n      {json.dumps(first)}: ', f',\n      {json.dumps(second)}: ',
+    return (f'{{\n      {encode_basestring_ascii(first)}: ',
+            f',\n      {encode_basestring_ascii(second)}: ',
             "," + _json(dict(rest), 2)[1:])
 
 

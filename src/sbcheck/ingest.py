@@ -418,7 +418,7 @@ def _newlines(text):
 
 
 def _quote(text):
-    if "\n" in text:
+    if "\n" in text or "\r" in text:  # load reads a lone "\r" as a line end too
         raise ModelError(f"cannot save {text!r}: a .sbs string cannot hold a newline")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

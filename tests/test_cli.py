@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through subprocesses."""
 
+import gc
 import json
 import os
 import subprocess
@@ -543,6 +544,33 @@ def test_internal_error_exits_5(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(enabled, tmp_path, monkeypatch,
+                                                                 capsys):
+    broken, ill = tmp_path / "broken.sbs", tmp_path / "ill.sbs"
+    broken.write_text('system "x" junk\n')
+    ill.write_text(save(load(S0)).replace('state r2: "moved"', 'state r2: "moved && !moved"'))
+    check, seen = cli.check_well_formed, []
+
+    def hook(system):
+        seen.append(gc.isenabled())
+        if crash:
+            raise RuntimeError("boom")
+        return check(system)
+
+    monkeypatch.setattr(cli, "check_well_formed", hook)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for path, crash, code in [(S0, False, 0), (broken, False, 2), (ill, False, 3),
+                                  (S0, True, 5)]:
+            assert cli.main(["validate", str(path)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 3  # the syntax error stops before the hook
 
 
 def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):

@@ -8,6 +8,7 @@ shows it.  To print the pins of the current code::
     PYTHONPATH=src:tests python tests/test_cli_transcripts.py
 """
 
+import gc
 import hashlib
 import pathlib
 import shutil
@@ -141,6 +142,26 @@ def test_every_command_prints_its_pinned_transcript(flags, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)  # error lines name the model by the path given
     capsys.readouterr()
     assert transcript_digest(flags, _in_process(monkeypatch, capsys)) == PINS[" ".join(flags)]
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=[" ".join(f) for f in FLAG_SETS])
+def test_no_command_leaves_cyclic_garbage(flags, tmp_path, monkeypatch, capsys):
+    _write_models(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SBCHECK_COLOR", "0")
+    left = {}
+    for model in MODELS:
+        argv = [flags[0], model, *flags[1:]]
+        cli.main(argv)  # once first, so that one-time caches are filled
+        gc.collect()
+        gc.disable()
+        try:
+            cli.main(argv)
+            left[model] = gc.collect()
+        finally:
+            gc.enable()
+    capsys.readouterr()
+    assert left == dict.fromkeys(MODELS, 0)
 
 
 def test_every_flag_set_has_a_pin():

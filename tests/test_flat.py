@@ -3,6 +3,7 @@
 import gc
 import json
 import pathlib
+import random
 import sys
 from collections import Counter
 
@@ -515,3 +516,34 @@ def test_dot_is_deterministic(s1):
     a = FL.export_dot(FL.flatten(s1))
     b = FL.export_dot(FL.flatten(oracles.predator_system("predator_s1")))
     assert a == b
+
+
+# quote, backslash, slash, control and non-ASCII characters
+_JSON_CHARS = 'ab "\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'
+
+
+def _json_text(rng):
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(5)))
+
+
+def _json_doc(rng, depth=0):
+    roll = rng.randrange(7 if depth < 4 else 4)
+    if roll == 0:
+        return _json_text(rng)
+    if roll == 1:
+        return rng.randint(-10**6, 10**6)
+    if roll == 2:
+        return rng.choice((True, False, None))
+    if roll == 3:
+        return []
+    if roll < 6:
+        return [_json_doc(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {_json_text(rng): _json_doc(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def test_json_writer_equals_the_indenting_json_dumps():
+    rng = random.Random(31)
+    docs = [_json_doc(rng) for _ in range(2000)] + [{}, [], {"": {}}, [[], [{}]]]
+    assert sum(isinstance(d, dict) and len(d) > 1 for d in docs) > 100
+    for doc in docs:
+        assert FL._json(doc) == json.dumps(doc, indent=2)

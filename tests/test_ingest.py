@@ -124,6 +124,13 @@ def test_save_refuses_a_newline_in_the_name():
         I.save(odd)
 
 
+def test_save_refuses_a_carriage_return_in_the_name():
+    # load reads a lone "\r" as a line end, so the saved file would not load
+    odd = M.SBSystem("a\rb", *_parts(I.load(I.bundled_model_path("predator_s0"))))
+    with pytest.raises(ModelError, match="newline"):
+        I.save(odd)
+
+
 def _named(q="a", r="r", x="x", value="v"):
     """A one-state system whose names are the arguments."""
     obs = F.Observables([F.ObservableDecl(x, F.BoolDomain()),

@@ -1,5 +1,6 @@
 """What ``src/sbcheck`` holds: no function or class that only tests or the
-benchmark reach, and no import that its module does not read."""
+benchmark reach, no import that its module does not read, and no JSON call
+that indents."""
 
 import ast
 import pathlib
@@ -67,3 +68,17 @@ def test_every_module_level_import_is_read_by_its_module():
                 names = ((a.asname or a.name).partition(".")[0] for a in node.names)
                 unread.update(f"{path.stem}.{name}" for name in names if name not in read)
     assert unread <= RE_EXPORTED
+
+
+def test_no_json_call_passes_indent():
+    # ``indent=`` selects the stdlib's pure-Python encoder, whose closures form
+    # cycles on every call; ``flat._json`` writes the same text without them
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                if name in ("dumps", "dump"):
+                    calls.add(f"{path.stem}:{node.lineno}")
+    assert calls == set()
