@@ -173,7 +173,7 @@ def cmd_flatten(args, color):
         return EXIT_OK
     steady, adapting, stuck = map(flat.classes.count, (STEADY, ADAPTING, STUCK))
     lines = [
-        f"flat system of {system.name}: {len(flat.states)} states, {len(flat.edges)} transitions",
+        f"flat system of {system.name}: {len(flat.states)} states, {sum(map(len, flat.succ))} transitions",
         f"  initial: {state_text(system, flat.states[flat.init_index])}",
         f"  steady {steady}, adapting {adapting}, stuck {stuck}",
     ]

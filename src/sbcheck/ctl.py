@@ -182,6 +182,20 @@ def _until(flat, A, B, universal):
 _DUALS = {"AX": "EX", "EG": "AF", "AG": "EF"}
 
 
+def _modal(flat, op, S, full):
+    """The states satisfying ``op`` (AX, EX, AF, EF, AG or EG) over the
+    states ``S`` that satisfy its operand; ``full`` is every state."""
+    dual = _DUALS.get(op)  # AX S = !EX !S, EG S = !AF !S and AG S = !EF !S
+    if dual:
+        op, S = dual, full - S
+    if op == "EX":  # a state without successors is its own successor
+        pred, succ = flat.pred, flat.succ
+        S = frozenset([i for j in S for i in pred[j]] + [j for j in S if not succ[j]])
+    else:
+        S = _until(flat, full, S, op == "AF")
+    return full - S if dual else S
+
+
 def _sat(flat, f):
     """The set of states of ``flat`` satisfying ``f``, labelled bottom-up."""
     full = frozenset(range(len(flat.states)))
@@ -205,17 +219,8 @@ def _sat(flat, f):
             return frozenset(i for i, (q, _, _) in enumerate(flat.states) if q in region)
         if cls in _lex.CONNECTIVES:
             return _lex.boolean(node, args, full)
-        if cls is Modal:  # AX S = !EX !S, EG S = !AF !S and AG S = !EF !S
-            op, S = node.op, args[0]
-            dual = _DUALS.get(op)
-            if dual:
-                op, S = dual, full - S
-            if op == "EX":  # a state without successors is its own successor
-                pred, succ = flat.pred, flat.succ
-                S = frozenset([i for j in S for i in pred[j]] + [j for j in S if not succ[j]])
-            else:
-                S = _until(flat, full, S, op == "AF")
-            return full - S if dual else S
+        if cls is Modal:
+            return _modal(flat, node.op, args[0], full)
         if cls is Until:
             return _until(flat, args[0], args[1], node.quant == "A")
         raise CtlError(f"not a CTL node: {node!r}")
@@ -251,16 +256,21 @@ def check_ctl(flat, f):
 
     A witness path is attached for a satisfied ``EF phi`` (shortest run to
     a phi-state) and a counterexample path for a failed ``AG phi``
-    (shortest run to a violating state).
+    (shortest run to a violating state).  The phi-states are labelled
+    once, for the root and its path alike.
     """
-    sat = _sat(flat, f)
+    if not (isinstance(f, Modal) and f.op in ("AG", "EF")):
+        sat = _sat(flat, f)
+        return CheckResult(satisfying=sat, holds_at_init=flat.init_index in sat, witness=None)
+    full = frozenset(range(len(flat.states)))
+    operand = _sat(flat, f.arg)
+    sat = _modal(flat, f.op, operand, full)
     holds = flat.init_index in sat
     witness = None
-    if isinstance(f, Modal) and f.op == "AG" and not holds:
-        bad = _sat(flat, Not(f.arg))
-        witness = _shortest_path(flat, flat.init_index, bad)
-    elif isinstance(f, Modal) and f.op == "EF" and holds:
-        witness = _shortest_path(flat, flat.init_index, _sat(flat, f.arg))
+    if f.op == "EF" and holds:
+        witness = _shortest_path(flat, flat.init_index, operand)
+    elif f.op == "AG" and not holds:
+        witness = _shortest_path(flat, flat.init_index, full - operand)
     return CheckResult(satisfying=sat, holds_at_init=holds, witness=witness)
 
 

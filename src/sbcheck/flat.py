@@ -19,17 +19,21 @@ classified stuck.
 
 A move's label follows from its two endpoints: it is an adaptation move
 when either endpoint is pending, a steady move otherwise.  A flat system
-stores its transitions as pairs of state ids, indexed by source
-(``succ``) and, from the first CTL check on, by target (``pred``), and
-always has its model; the pending invariant, as text, and target are
-looked up through the model only at the edges (text, JSON, DOT, labels).
-In the JSON form each transition row must equal the row
-:func:`export_json` writes for its endpoints.
+stores, for each state, the tuple of its successors' ids (``succ``); its
+transitions are those moves ordered by source id.  The edge pairs and,
+from the first CTL check on, the table by target (``pred``) are derived
+from ``succ``.  A flat system always has its model; the pending
+invariant, as text, and target are looked up through the model only at
+the edges (text, JSON, DOT, labels).  In the JSON form each transition
+row must equal the row :func:`export_json` writes for its endpoints, and
+the rows are listed by ascending source id.
 
-The rules read one move-table entry per mode ``(r, pending)`` met
-(:func:`_mode`), and one function applies them (:func:`_step`):
-:func:`flatten` computes each entry once, and :func:`successors`, which
-``simulate`` walks, reads the same entry.
+The states of each mode ``(r, pending)`` met are numbered in one table
+keyed by behaviour state (:class:`_Mode`), which also holds the regions
+the rules read, so a move to a known state costs one lookup and builds
+nothing.  One function applies the rules (the ``step`` of
+:func:`_explorer`): :func:`flatten` steps every state it reaches, and
+:func:`successors`, which ``simulate`` walks, steps one.
 """
 
 import json
@@ -77,38 +81,70 @@ def state_text(sys, state):
     return f"({state[0]},{state[1]}{tail})"
 
 
-def _mode(sys, r, pending):
-    """The moves of the flat states ``(q, r, pending)``, whatever q is.
+class _Mode(dict):
+    """The flat states ``(q, r, pending)`` of one mode ``(r, pending)``: their
+    ids keyed by q, a state not yet met numbered next, at the end of
+    ``states``.
 
-    Steady mode (no pending): the constraint region of r.  The options of
-    r are read from ``sys.options(r)`` only when an adaptation starts, so
-    a model that never adapts computes no invariant region.  Pending mode:
-    the goal region of the option's target, the target, and the invariant
-    region.
+    Steady mode (no pending): ``region`` is the constraint region of r.  The
+    options of r are read from ``sys.options(r)`` only when an adaptation
+    starts, so a model that never adapts computes no invariant region.
+    Pending mode: ``region`` is the invariant region of the option, ``goal``
+    the region of its target and ``target`` the target.
     """
-    if pending is None:
-        return sys.constraint_region(r)
-    _, target, inv_region = sys.options(r)[pending]
-    return sys.constraint_region(target), target, inv_region
+
+    __slots__ = ("states", "r", "pending", "region", "goal", "target")
+
+    def __init__(self, sys, states, r, pending):
+        self.states, self.r, self.pending = states, r, pending
+        if pending is None:
+            self.region = sys.constraint_region(r)
+        else:
+            _, self.target, self.region = sys.options(r)[pending]
+            self.goal = sys.constraint_region(self.target)
+
+    def __missing__(self, q):
+        j = self[q] = len(self.states)
+        self.states.append((q, self.r, self.pending))
+        return j
 
 
-def _step(sys, mode, succs, q, r, pending):
-    """The successors of flat state ``(q, r, pending)``, with ``mode`` its
-    :func:`_mode` and ``succs`` the behaviour successors of q."""
-    if pending is None:
-        steady = [(q2, r, None) for q2 in succs if q2 in mode]
-        # no steady move possible: adaptation may start
-        return steady or [
-            (q2, r, k)
-            for q2 in succs
-            for k, (_, _, inv_region) in enumerate(sys.options(r))
-            if q2 in inv_region
-        ]
-    goal, target, inv_region = mode
-    if q in goal:
-        # adaptation ends here; the behaviour does not move
-        return [(q, target, None)]
-    return [(q2, r, pending) for q2 in succs if q2 in inv_region]
+def _explorer(sys, states):
+    """The rules of the flat semantics over ``states``, a list of flat states
+    numbered by position that grows as new ones are met.
+
+    Returns ``mode(r, pending)``, the :class:`_Mode` whose ids number the
+    states of that mode, and ``step(state)``, the ids of the successors of
+    ``state`` (one of ``states``) in a fixed order.  A move to a known
+    state costs one lookup.
+    """
+    modes = {}  # (r, pending) -> its _Mode
+    behaviour = sys.behaviour._succ  # the table behind successors(), read without its check
+
+    def mode(r, pending):
+        m = modes.get((r, pending))
+        if m is None:
+            m = modes[r, pending] = _Mode(sys, states, r, pending)
+        return m
+
+    def step(state):
+        q, r, pending = state
+        m = modes[r, pending]
+        region = m.region
+        if pending is None:
+            # no steady move possible: adaptation may start
+            return [m[q2] for q2 in behaviour[q] if q2 in region] or [
+                mode(r, k)[q2]
+                for q2 in behaviour[q]
+                for k, (_, _, inv_region) in enumerate(sys.options(r))
+                if q2 in inv_region
+            ]
+        if q in m.goal:
+            # adaptation ends here; the behaviour does not move
+            return [mode(m.target, None)[q]]
+        return [m[q2] for q2 in behaviour[q] if q2 in region]
+
+    return mode, step
 
 
 def successors(sys, state):
@@ -117,52 +153,59 @@ def successors(sys, state):
     The order is by target behaviour state, then by the structure
     machine's order of (invariant, target) options.
     """
+    states = []
+    mode, step = _explorer(sys, states)
     q, r, pending = state
-    return _step(sys, _mode(sys, r, pending), sys.behaviour.successors(q), q, r, pending)
+    mode(r, pending)[q]  # numbers the state 0
+    return [states[j] for j in step(states[0])]
 
 
 class FlatLTS:
     """Reachable fragment of the flat semantics of ``system``, with stable
     state numbering.
 
-    ``states`` are ``(q, r, pending)`` tuples.  ``edges`` holds the
-    transitions as ``(source id, target id)`` pairs in a fixed order,
-    ``succ[i]`` the target ids of state i in that order, and :attr:`pred`
-    the source ids of the edges into each state.
-    Equality compares states, the initial index and edges, not the system,
-    so a JSON round trip restores an equal value.
+    ``states`` are ``(q, r, pending)`` tuples and ``succ[i]`` the tuple of
+    the target ids of the moves out of state i, in a fixed order: the
+    transitions are those moves, ordered by source id.  :attr:`edges` lists
+    them as ``(source id, target id)`` pairs and :attr:`pred` the source
+    ids of the moves into each state; both are derived from ``succ``.
+    Equality compares states, the initial index and successors, not the
+    system, so a JSON round trip restores an equal value.
 
     ``classes[i]`` is 'adapting' when state i has a successor and it or a
     successor is pending (its moves are adaptation moves), else 'steady'
     without a pending adaptation and 'stuck' with one.
     """
 
-    def __init__(self, states, init_index, edges, system):
+    def __init__(self, states, init_index, succ, system):
         self.states = tuple(states)
         self.init_index = init_index
-        self.edges = tuple(edges)
+        self.succ = tuple(succ)
         self.system = system
         self._pred = None
-        succ = [[] for _ in self.states]
-        for i, j in self.edges:
-            succ[i].append(j)
-        self.succ = tuple(map(tuple, succ))
         pending = [p is not None for _, _, p in self.states]
-        self.classes = tuple(
-            ADAPTING if js and (pending[i] or any(pending[j] for j in js))
-            else STUCK if pending[i]
+        is_pending = pending.__getitem__
+        self.classes = tuple([
+            (ADAPTING if p or any(map(is_pending, js)) else STEADY) if js
+            else STUCK if p
             else STEADY
-            for i, js in enumerate(self.succ)
-        )
+            for p, js in zip(pending, self.succ)
+        ])
+
+    @property
+    def edges(self):
+        """The transitions as ``(source id, target id)`` pairs, by source id."""
+        return tuple((i, j) for i, js in enumerate(self.succ) for j in js)
 
     @property
     def pred(self):
-        """``pred[j]``: the source ids of the edges into state j, one per edge;
+        """``pred[j]``: the source ids of the moves into state j, one per move;
         built on first use (by CTL checking, not by the exports)."""
         if self._pred is None:
             pred = [[] for _ in self.states]
-            for i, j in self.edges:
-                pred[j].append(i)
+            for i, js in enumerate(self.succ):
+                for j in js:
+                    pred[j].append(i)
             self._pred = tuple(map(tuple, pred))
         return self._pred
 
@@ -180,7 +223,7 @@ class FlatLTS:
             isinstance(other, FlatLTS)
             and self.states == other.states
             and self.init_index == other.init_index
-            and self.edges == other.edges
+            and self.succ == other.succ
         )
 
 
@@ -195,25 +238,16 @@ def flatten(sys, roots=None):
     require_well_formed(sys)
     if roots is None:
         roots = [(sys.behaviour.init, sys.structure.init)]
-    states = [(q, r, None) for q, r in roots]
-    number = {s: i for i, s in enumerate(states)}
-    if not states or len(number) < len(states) or any(
-        q not in sys.constraint_region(r) for q, r, _ in states
-    ):
+    states = []
+    mode, step = _explorer(sys, states)
+    for q, r in roots:
+        if q not in sys.constraint_region(r):
+            break
+        mode(r, None)[q]  # numbers the root next, unless it repeats one
+    if not roots or len(states) != len(roots):
         raise ModelError("flatten needs distinct roots (q, r) with q satisfying the constraint of r")
-    edges = []
-    modes = {}  # (r, pending) -> its _mode, computed once
-    succ = sys.behaviour._succ  # the table behind successors(), read without its check
-    for i, (q, r, pending) in enumerate(states):  # breadth first: states grows as they are found
-        mode = modes.get((r, pending))
-        if mode is None:
-            mode = modes[r, pending] = _mode(sys, r, pending)
-        for t in _step(sys, mode, succ[q], q, r, pending):
-            j = number.setdefault(t, len(states))
-            if j == len(states):
-                states.append(t)
-            edges.append((i, j))
-    return FlatLTS(states, 0, edges, sys)
+    # breadth first: states grows as they are found, and the iteration reads it as it grows
+    return FlatLTS(states, 0, [tuple(step(s)) for s in states], sys)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +327,15 @@ def export_json(flat):
             cut = cuts[key] = _cut({"id": i, **state_json(sys, s), "class": classes[i]})
         state_rows.append(f"{cut[0]}{i}{cut[1]}{encode_basestring_ascii(q)}{cut[2]}")
     edge_rows, cuts = [], {}
-    for i, j in flat.edges:
-        (_, r, pending), (_, r2, pending2) = states[i], states[j]
-        key = r, pending, r2, pending2
-        cut = cuts.get(key)
-        if cut is None:
-            cut = cuts[key] = _cut(edge_json(sys, states, i, j))
-        edge_rows.append(f"{cut[0]}{i}{cut[1]}{j}{cut[2]}")
+    for i, js in enumerate(flat.succ):
+        _, r, pending = states[i]
+        for j in js:
+            _, r2, pending2 = states[j]
+            key = r, pending, r2, pending2
+            cut = cuts.get(key)
+            if cut is None:
+                cut = cuts[key] = _cut(edge_json(sys, states, i, j))
+            edge_rows.append(f"{cut[0]}{i}{cut[1]}{j}{cut[2]}")
     return (f'{{\n  "states": {_list(state_rows)},\n  "init": {flat.init_index},\n'
             f'  "transitions": {_list(edge_rows)}\n}}\n')
 
@@ -312,7 +348,8 @@ def import_json(text, system):
     one of ``system``'s, each pending object must equal the one
     :func:`state_json` writes for a structure transition out of its state's
     ``r``, and each transition row must equal the row :func:`export_json`
-    writes for its two endpoint states (see :func:`edge_json`).
+    writes for its two endpoint states (see :func:`edge_json`).  The
+    transitions must be listed by ascending source id, as they are written.
     """
     try:
         doc = json.loads(text)
@@ -362,19 +399,24 @@ def import_json(text, system):
             states.append(state)
         if any(type(row["id"]) is not int or row["id"] != i for i, row in enumerate(doc["states"])):
             raise ModelError("invalid flat JSON: state ids must be 0..n-1 in order")
-        edges = []
+        succ = [[] for _ in states]
+        source = 0
         for n, row in enumerate(doc["transitions"]):
-            edge = index(row["from"], "'from'"), index(row["to"], "'to'")
-            if row != edge_json(system, states, *edge):
+            i, j = index(row["from"], "'from'"), index(row["to"], "'to'")
+            if row != edge_json(system, states, i, j):
                 raise ModelError(f"invalid flat JSON: transition {n} disagrees with its "
-                                 f"endpoint states {edge[0]} -> {edge[1]}")
-            edges.append(edge)
+                                 f"endpoint states {i} -> {j}")
+            if i < source:
+                raise ModelError(f"invalid flat JSON: transition {n} is listed after "
+                                 f"those of state {source}: sources must ascend")
+            source = i
+            succ[i].append(j)
         init = index(doc["init"], "init")
         declared = [row["class"] for row in doc["states"]]
     except (KeyError, IndexError, TypeError) as e:
         raise ModelError(f"invalid flat JSON: {e!r}") from None
 
-    flat = FlatLTS(states, init, edges, system)
+    flat = FlatLTS(states, init, map(tuple, succ), system)
     if list(flat.classes) != declared:
         raise ModelError("invalid flat JSON: 'class' tags disagree with the transition structure")
     return flat

@@ -49,10 +49,15 @@ class BehaviourMachine(Record):
         succ = {q: [] for q in states}
         if len(succ) != len(states):
             raise ModelError("duplicate behaviour state id")
-        transitions = frozenset(transitions)
+        given, transitions = transitions, frozenset(transitions)
         if init not in succ:
             raise ModelError(f"initial behaviour state {init!r} is not declared")
-        for src, dst in transitions:
+        # A list is walked in its own order, which in a file usually groups
+        # each source's transitions, so one successor list fills at a time;
+        # the set's hash order scatters them.  The set is walked only when
+        # it dropped a repeat.
+        walk = given if type(given) in (list, tuple) and len(given) == len(transitions) else transitions
+        for src, dst in walk:
             if src not in succ or dst not in succ:
                 # name the first such transition in sorted order
                 src, dst = min(t for t in transitions if t[0] not in succ or t[1] not in succ)

@@ -1,6 +1,7 @@
 """Temporal logic over the flat semantics: parser, checker and reference evaluator."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -366,6 +367,24 @@ def test_trivial_reachability_witness(s0):
     flat = flat_of(s0)
     res = C.check_ctl(flat, C.parse_ctl("EF steady"))
     assert res.witness == (flat.init_index,)  # the initial state is already steady
+
+
+def test_a_root_ag_or_ef_labels_its_operand_once(monkeypatch):
+    # the counterexample of a failed AG phi and the witness of a true EF phi
+    # read phi's label: one until pass for AF steady and one for the root
+    path = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
+    flat = flat_of(ingest.load(path / "discrepancy_seed395_strong.sbs"))  # the livelock gadget
+    calls = []
+    until = C._until
+    monkeypatch.setattr(C, "_until", lambda *args: calls.append(args[1:]) or until(*args))
+    for text, holds in (("AG(adapting -> AF steady)", False), ("EF (AF steady)", True)):
+        calls.clear()
+        res = C.check_ctl(flat, C.parse_ctl(text))
+        assert res.holds_at_init is holds and res.witness is not None, text
+        assert len(calls) == 2, text
+        assert res.witness[0] == flat.init_index and is_real_path(flat, res.witness)
+        end = C.ctl_oracle(flat, C.parse_ctl(text).arg)
+        assert (res.witness[-1] in end) is holds, text
 
 
 def test_strong_counterexample_lasso(s0):

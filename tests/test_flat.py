@@ -1,10 +1,12 @@
 """Flattened operational semantics: rules, classification and exports."""
 
+import ast
 import gc
 import json
 import pathlib
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,7 +19,7 @@ import sbcheck.formula as F
 import sbcheck.model as M
 from sbcheck.compare import rerooted
 from sbcheck.errors import ModelError
-from sbcheck.ingest import bundled_model, loads
+from sbcheck.ingest import bundled_model, bundled_model_path, loads
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -272,6 +274,23 @@ def test_import_rejects_duplicate_states(s0):
         FL.import_json(json.dumps(doc), s0)
 
 
+def test_import_reads_transitions_by_ascending_source(s0):
+    # the successors of each state are kept in the order listed, so a swap
+    # within one source is written back as read, and one across sources,
+    # which no export writes, is refused
+    doc = json.loads(FL.export_json(FL.flatten(s0)))
+    rows = doc["transitions"]
+    n = next(n for n in range(len(rows) - 1) if rows[n]["from"] == rows[n + 1]["from"])
+    rows[n], rows[n + 1] = rows[n + 1], rows[n]
+    swapped = json.dumps(doc, indent=2) + "\n"
+    assert FL.export_json(FL.import_json(swapped, s0)) == swapped
+    rows[n], rows[n + 1] = rows[n + 1], rows[n]
+    n = next(n for n in range(len(rows) - 1) if rows[n]["from"] != rows[n + 1]["from"])
+    rows[n], rows[n + 1] = rows[n + 1], rows[n]
+    with pytest.raises(ModelError, match="sources must ascend"):
+        FL.import_json(json.dumps(doc, indent=2), s0)
+
+
 @pytest.mark.parametrize("where, field, value", [
     ("transitions", "from", -1),
     ("transitions", "to", -2),
@@ -426,6 +445,41 @@ def test_flatten_rejects_bad_roots(s0):
         FL.flatten(s0, [("q000f", "r0")])
     with pytest.raises(ModelError, match="distinct roots"):
         FL.flatten(s0, [("moved", "r2"), ("moved", "r2")])
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes are those of Python 3.11")
+def test_flatten_keeps_a_bounded_peak_per_flat_state():
+    # work guard: ids kept per mode, and the successor tuples stored as
+    # built, with no tuple key or edge pair per move.  Keying each state by
+    # its tuple and listing each move as a pair took 326 and 512 B here.
+    for text in (workloads.chain(1, 1, 4000), workloads.wide(1, 4000, 8)):
+        system = loads(text)
+        FL.flatten(system)  # once first, so that the regions are cached
+        tracemalloc.start()
+        try:
+            flat = FL.flatten(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(flat.states) < 260, system.name
+
+
+def test_readme_library_block_runs_on_a_bundled_model():
+    # run as written, with a bundled model in place of model.sbs; each
+    # comparison in it must hold
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n")[1].split("```python\n")[1].split("```")[0]
+    path = repr(str(bundled_model_path("predator_s0")))
+    assert '"model.sbs"' in block
+    names, compared = {}, []
+    for statement in ast.parse(block.replace('"model.sbs"', path)).body:
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Compare):
+            compared.append(ast.unparse(statement))
+            assert eval(compile(ast.Expression(statement.value), "README.md", "eval"), names) is True
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), names)
+    assert "flat.import_json(flat.export_json(f), sys) == f" in compared
+    assert isinstance(names["f"], FL.FlatLTS)
 
 
 def test_json_roundtrip_on_random_systems():

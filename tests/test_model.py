@@ -55,6 +55,21 @@ def test_behaviour_successors_sorted_and_total():
         beh.successors("zzz")
 
 
+def test_repeated_behaviour_transitions_collapse():
+    # the machine walks a list in its order, but a repeat is kept once, as a
+    # set keeps it, whether given directly or read from a file
+    given = [("b", "a"), ("a", "c"), ("a", "b"), ("b", "a")]
+    beh = M.BehaviourMachine(("a", "b", "c"), "a", given)
+    assert beh.transitions == frozenset(given)
+    assert beh._succ == {"a": ("b", "c"), "b": ("a",), "c": ()}
+    assert beh == M.BehaviourMachine(("a", "b", "c"), "a", frozenset(given))
+    text = save(gen.random_system(3))
+    edge = next(line for line in text.splitlines() if " -> " in line and "[" not in line)
+    again = loads(text.replace(edge, f"{edge}\n{edge}", 1))
+    assert again.behaviour._succ == loads(text).behaviour._succ
+    assert again == loads(text)
+
+
 def test_structure_machine_validation():
     obs = F.Observables([F.ObservableDecl("x", F.BoolDomain())])
     phi = F.typecheck(F.parse_raw("x"), obs)
