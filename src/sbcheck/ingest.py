@@ -23,13 +23,15 @@ Layout (``//`` comments and whitespace are free-form)::
     }
 
 State declarations come before transitions inside each block.  Quoted
-strings hold constraint formula syntax.  Behaviour statements,
-``state q {...} init;`` or ``a -> b;``, are read in runs: a stretch of at
-most :data:`RUN_LENGTH` characters that a statement can hold, from a
-statement head to a ``;``, is one token of :data:`STATEMENTS`, and one
-``findall`` splits it into its statements' parts.  A run that holds
-anything but statements and blanks, and any text that reader rejects, is
-read again token by token (:data:`LEXER`), which reports every error.
+strings hold constraint formula syntax.  Statements are read in runs: a
+stretch of at most :data:`RUN_LENGTH` characters that statements of one
+block can hold, from a statement head to a ``;``, is one token of
+:data:`STATEMENTS`, and one ``findall`` splits it into its statements'
+parts.  A behaviour run holds ``state q {...} init;`` and ``a -> b;``; a
+structure run holds ``state r: "..." init;`` and ``a -["..."]-> b;``,
+whose quoted formulas hold no backslash.  A run that holds anything but
+statements and blanks, and any text that reader rejects, is read again
+token by token (:data:`LEXER`), which reports every error.
 ``save`` emits a canonical form: observables in declaration order, states
 sorted by id, transitions sorted, formulas reprinted with canonical spacing;
 ``save(load(text))`` is a fixed point and ``load(save(sys))`` equals ``sys``.
@@ -40,6 +42,7 @@ no identifier.
 
 import pathlib
 import re
+from functools import partial
 
 from . import _lex
 from . import formula as F
@@ -76,29 +79,50 @@ _VALUATION = re.compile(rf"{_BLANKS}(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?").ful
 
 RUN_LENGTH = 8192  # characters in one ``run`` token at most
 
-# The token grammar's rules behind one that takes a run of behaviour
-# statements: from a statement head, ``state q {`` or ``a ->``, the longest
-# stretch of characters a statement can hold that ends with ``;`` and is
-# at most RUN_LENGTH long.  It starts and ends where the token grammar
-# would, and a comment or any other character ends it; ``_PARTS`` checks
-# what lies inside.  A one-character repeat keeps no backtracking state per
-# character, even on Python 3.10, and the bound keeps both the run and the
-# step back to its last ``;`` short.
+# The token grammar's rules behind two that each take a run of one block's
+# statements: from a statement head, ``state q {`` or ``a ->`` in the
+# behaviour block and ``state r:`` or ``a -[`` in the structure block, the
+# longest stretch of characters those statements can hold that ends with
+# ``;`` and is at most RUN_LENGTH long.  A structure run takes ``"`` and
+# the characters of a formula but no backslash, so a string the splitter
+# finds in it is a string token without escapes.  A run starts where the
+# token grammar would start a token, a comment or any other character ends
+# it, and the splitters below check that it holds whole statements, so
+# that it ends where the token grammar would too.  A one-character repeat
+# keeps no backtracking state per character, even on Python 3.10, and the
+# bound keeps both the run and the step back to its last ``;`` short.
 _RUN = (
     rf"(?=state[ \t\r\n]+{_ID}{_BLANKS}\{{|{_ID}{_BLANKS}->)"
     rf"[A-Za-z0-9_ \t\r\n{{}}=,;>-]{{0,{RUN_LENGTH - 1}}};"
 )
-STATEMENTS = _lex.Lexer([("run", _RUN), *LEXER.rules], ModelFileError)
-# (state id, valuation text, "init" or "", source, target) of each statement
-# in a run.  Each statement ends with the blanks after it, so the next
-# starts where the token grammar would start it; anything else in the run
-# matches the last alternative, which captures nothing.
-_PARTS = re.compile(
+_STRUCTURE_RUN = (
+    rf"(?=state[ \t\r\n]+{_ID}{_BLANKS}:|{_ID}{_BLANKS}-\[)"
+    rf'[A-Za-z0-9_ \t\r\n:;"\[\]!=<>&|()+-]{{0,{RUN_LENGTH - 1}}};'
+)
+STATEMENTS = _lex.Lexer(
+    [("run", _RUN), ("structure_run", _STRUCTURE_RUN), *LEXER.rules], ModelFileError
+)
+# The statements' parts in a run of each block.  Each statement ends with
+# the blanks after it, so the next starts where the token grammar would
+# start it; anything else in the run matches the last alternative, which
+# captures nothing.  ``re`` compiles each pattern on its first use and
+# keeps it, so importing this module compiles neither.
+#
+# (state id, valuation text, "init" or "", source, target)
+_PARTS = partial(
+    re.findall,
     rf"state[ \t\r\n]+({_ID}){_BLANKS}\{{([^}}]*)\}}{_BLANKS}(init)?{_BLANKS};{_BLANKS}"
     rf"|({_ID}){_BLANKS}->{_BLANKS}({_ID}){_BLANKS};{_BLANKS}"
-    r"|[\s\S]"
-).findall
-_REREAD = "a behaviour statement the token grammar must read"
+    r"|[\s\S]",
+)
+# (state id, label text, "init" or "", source, invariant text, target)
+_STRUCTURE_PARTS = partial(
+    re.findall,
+    rf'state[ \t\r\n]+({_ID}){_BLANKS}:{_BLANKS}"([^"\\\n]*)"{_BLANKS}(init)?{_BLANKS};{_BLANKS}'
+    rf'|({_ID}){_BLANKS}-\[{_BLANKS}"([^"\\\n]*)"{_BLANKS}\]->{_BLANKS}({_ID}){_BLANKS};{_BLANKS}'
+    r"|[\s\S]",
+)
+_REREAD = "a statement the token grammar must read"
 _ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
 
 
@@ -291,19 +315,22 @@ def _block(p, observables, word, state_body, edge_middle):
     id, transitions).
 
     One loop reads the statements: a ``state <id>`` declaration, a
-    transition, or, in the behaviour block, a ``run`` token, taken in one
-    step by reading its statements with one ``findall`` and each distinct
-    valuation text once.  Text in a run that is no statement, and the
-    errors that would overwrite an entry or put a state after a
-    transition, raise :class:`ModelFileError` for the token grammar to
-    report; :class:`SBSystem` rejects the rest.
+    transition, or a run token of the block, taken in one step by reading
+    its statements with one ``findall``.  A behaviour run reads each
+    distinct valuation text once; a structure run parses and typechecks
+    each formula.  Text in a run that is no statement, a formula error in
+    a run, and the errors that would overwrite an entry, mark a second
+    initial state, put a state after a transition or, in the structure
+    block, name an undeclared state raise :class:`ModelFileError` for the
+    token grammar to report; :class:`SBSystem` rejects the rest.
     """
     head = p.keyword(word)
     p.take("lbrace", f"expected '{{' opening the {word} block")
     table = {}
     init = None
     transitions = []
-    bodies = {} if word == "behaviour" else None  # valuation text -> valuation
+    bodies = {}  # valuation text -> valuation
+    run = "run" if word == "behaviour" else "structure_run"
 
     def declared(tok):
         if tok.text not in table:
@@ -312,7 +339,7 @@ def _block(p, observables, word, state_body, edge_middle):
             )
         return tok.text
 
-    while (t := p.peek()).kind == "ident" or t.kind == "run" and bodies is not None:
+    while (t := p.peek()).kind == "ident" or t.kind == run:
         if t.kind == "run":
             for q, body, marked, src, dst in _PARTS(p.take().text):
                 if src:
@@ -324,6 +351,20 @@ def _block(p, observables, word, state_body, edge_middle):
                     bodies[body] = _assignments(body)
                 table[q] = bodies[body]
                 init = q if marked else init
+        elif t.kind == "structure_run":
+            try:
+                for r, label, marked, src, inv, dst in _STRUCTURE_PARTS(p.take().text):
+                    if src:
+                        if src not in table or dst not in table:
+                            raise ModelFileError(_REREAD)
+                        transitions.append((src, F.typecheck(F.parse_raw(inv), observables), dst))
+                        continue
+                    if not r or transitions or r in table or marked and init is not None:
+                        raise ModelFileError(_REREAD)
+                    table[r] = F.typecheck(F.parse_raw(label), observables)
+                    init = r if marked else init
+            except FormulaError:
+                raise ModelFileError(_REREAD) from None
         elif t.text == "state" and p.tokens[p.i + 1].kind == "ident":
             if transitions:
                 raise ModelFileError(

@@ -233,6 +233,95 @@ STRAY = (
 )
 
 
+def _structure_model(statements, seps=("\n  ", "\r\n", " ", "\r\n\t")):
+    """A model with these structure statements, apart by each of ``seps`` in turn."""
+    block = "".join(f"{seps[i % len(seps)]}{st}" for i, st in enumerate(statements))
+    return (
+        'system "f"\n\n'
+        "observables {\n  b: bool;\n  n: int[-3..5];\n  m: enum {red, green, blue};\n}\n\n"
+        "behaviour {\n  state q {b = true, n = 0, m = red} init;\n  q -> q;\n}\n\n"
+        f"structure {{{block}\n}}\n"
+    )
+
+
+STRUCTURE_STATES = [
+    f'state r{i}: "b || n > {i % 5 - 3} && m != green"{" init" * (i == 0)};'
+    for i in range(I.RUN_LENGTH // 30)
+]
+STRUCTURE_EDGES = [
+    f'r{i} -["n != {i % 5} || !b"]-> r{i * 7 % len(STRUCTURE_STATES)};'
+    for i in range(len(STRUCTURE_STATES))
+]
+
+
+def _structure_boundary_models():
+    """Structure blocks longer than one run, runs cut by the length bound,
+    formulas a run cannot hold, and errors inside a run.
+
+    Returns (text, whether the statement path reads it without falling back).
+    """
+    states, edges, k, n = STRUCTURE_STATES, STRUCTURE_EDGES, 150, I.RUN_LENGTH
+
+    def changed(old, new, i=5):  # every statement, with statement ``i`` changed
+        statements = states + edges
+        assert old in statements[i]
+        return _structure_model(statements[:i] + [statements[i].replace(old, new)]
+                                + statements[i + 1 :])
+
+    def padded(end, statement=states[k], tail=""):
+        statements = _padded_to(states[:k], end, statement)
+        statements[-1] += tail
+        return _structure_model(statements + states[k + 1 :] + edges, (" ",))
+
+    keywords = ['state state: "b" init;', 'state r: "n > 0";',
+                'state -["m == red"]-> r;', 'r -["true"]-> state;']
+    return [
+        (_structure_model(states + edges), True),  # three runs
+        (padded(n), True),  # a state that ends at the bound
+        (padded(n + 1), True),  # ... and one the bound cuts
+        (padded(n, 'state r150: "b;', ' n > 0";'), False),  # a run ends inside a formula
+        (changed('";', '; n > 0";'), False),  # ';' inside a formula
+        (changed('";', ' // c;";'), True),  # ... in its comment, which a run cannot hold
+        (changed('";', ' // \\"c\\"";'), True),  # '\"' in a comment
+        (changed('";', ' // {";'), True),
+        (changed('";', ' // é";'), True),
+        (changed("b ||", "{ ||"), False),
+        (changed("b ||", "é ||"), False),
+        (changed("b ||", '\\"b\\" ||'), False),
+        (_structure_model(states[:3] + edges[:1] + states[3:6]), False),  # a state after an edge
+        (_structure_model(states[:k] + states[1:2] + states[k:] + edges), False),  # duplicate
+        (changed('";', '" init;', k), False),  # a second init
+        (changed('";', '" initx;'), False),
+        (_structure_model(states + ['zz -["b"]-> r0;'] + edges), False),  # undeclared source
+        (_structure_model(states + edges[:3] + ['r0 -["b"]-> zz;'] + edges[3:]), False),
+        (changed("b ||", "b || ||"), False),  # a syntax error in a formula
+        (changed("b ||", "n ||"), False),  # ... and a type error
+        (changed("!b", "m", len(states) + 3), False),
+        (_structure_model(keywords), True),  # keywords as names
+        (_structure_model(keywords, (" ",)), True),
+    ]
+
+
+def test_structure_runs_agree_with_the_token_grammar():
+    for case, (text, read_fast) in enumerate(_structure_boundary_models()):
+        want = _read_outcome(lambda t: I._read(I.LEXER.parser(t)), text)
+        assert _read_outcome(I.loads, text) == want, (case, text)
+        try:
+            assert I._read(I.STATEMENTS.parser(text)) == want[0], (case, text)
+        except ModelFileError:
+            assert not read_fast, (case, text)
+        else:
+            assert read_fast, (case, text)
+            runs = [t.text for t in I.STATEMENTS.tokenize(text) if t.kind == "structure_run"]
+            assert runs and all(len(run) <= I.RUN_LENGTH for run in runs), (case, text)
+    states, k, n = STRUCTURE_STATES, 150, I.RUN_LENGTH
+    for end, first in ((n, k + 1), (n + 1, k)):  # the bound cuts a run after its last ';'
+        statements = _padded_to(states[:k], end, states[k])
+        text = _structure_model(statements + states[k + 1 :], (" ",))
+        runs = [t.text for t in I.STATEMENTS.tokenize(text) if t.kind == "structure_run"]
+        assert runs[0] == " ".join(statements[:first]), end
+
+
 def test_runs_end_at_the_last_statement_within_the_length_bound():
     states, edges, k, n = BOUNDARY_STATES, BOUNDARY_EDGES, 150, I.RUN_LENGTH
 

@@ -233,6 +233,46 @@ def test_saved_behaviour_blocks_are_read_in_runs():
     assert long_blocks
 
 
+def _structure_runs(tokens):
+    """The tokens between ``structure {`` and its ``}``."""
+    start = next(i for i, t in enumerate(tokens) if t.text == "structure") + 2
+    end = next(i for i in range(start, len(tokens)) if tokens[i].kind == "rbrace")
+    return tokens[start:end]
+
+
+def test_saved_and_bench_structure_blocks_are_read_in_runs(monkeypatch):
+    artifacts = pathlib.Path(__file__).resolve().parent.parent / "acceptance_artifacts"
+    systems = [gen.random_system(seed) for seed in range(60)]
+    systems += [I.bundled_model(w) for w in ("predator_s0", "predator_s1")]
+    systems += [I.load(path) for path in sorted(artifacts.glob("*.sbs"))]
+    systems += [I.loads(DOMAINS), gen.adaptation_chain(1000)]
+    texts = [I.save(system) for system in systems]
+    texts += [
+        workloads.model_text(workload, seed, size)
+        for workload, seeds in workloads.POOL.items()
+        for seed in seeds
+        for size in workloads.SIZES
+    ]
+    parses = Counter()  # formula text -> parse_raw calls
+    parse_raw = F.parse_raw
+
+    def counted(text):
+        parses[text] += 1
+        return parse_raw(text)
+
+    monkeypatch.setattr(F, "parse_raw", counted)
+    for text in texts:
+        block = _structure_runs(I.STATEMENTS.tokenize(text))
+        assert {t.kind for t in block} == {"structure_run"}, text
+        system = I._read(I.STATEMENTS.parser(text))  # read without falling back
+        assert system == I._read(I.LEXER.parser(text))
+        formulas = sum(t.kind == "string" for t in I.LEXER.tokenize(text)) - 1  # and the name
+        assert formulas == len(system.structure.states) + len(system.structure.transitions)
+        parses.clear()
+        assert I.loads(text) == system
+        assert sum(parses.values()) == formulas, text  # a fallback would parse each twice
+
+
 def test_equal_valuation_texts_share_one_valuation():
     sys = I.loads(I.save(gen.adaptation_chain(5)))
     assert all(sys.observe(f"a{i}") is sys.observe("a0") for i in range(4))
@@ -257,6 +297,25 @@ def test_tokenizing_a_long_behaviour_block_keeps_memory_bounded():
     assert peak - kept < 1_000_000
     assert [t.kind for t in tokens[2:-2]] == ["run"] * len(counts)
     assert sum(counts) == 50_000  # every statement, and nothing else, in a run
+
+
+def test_tokenizing_a_long_structure_block_keeps_memory_bounded():
+    # As for the behaviour block: a structure run is one repeat of single
+    # characters, quotes included, and splitting one run holds the parts of
+    # a few hundred statements, not of the whole block.
+    edges = 'r -["x || !y"]-> r; ' * 25_000
+    text = f'structure {{ state r: "x" init; {edges}}}'
+    tracemalloc.start()
+    try:
+        tokens = I.STATEMENTS.tokenize(text)
+        counts = [sum(1 for r, _, _, src, _, _ in I._STRUCTURE_PARTS(t.text) if r or src)
+                  for t in tokens if t.kind == "structure_run"]
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1_000_000
+    assert [t.kind for t in tokens[2:-2]] == ["structure_run"] * len(counts)
+    assert sum(counts) == 25_001  # every statement, and nothing else, in a run
 
 
 def test_a_load_builds_one_structure_machine(monkeypatch):
