@@ -28,7 +28,6 @@ Adaptability characterisations checked at the initial state:
 """
 
 from collections import deque
-from itertools import compress
 
 from . import _lex
 from . import formula as F
@@ -36,7 +35,6 @@ from ._lex import And, BoolLit, Implies, Not, Or  # the connective nodes, shared
 from ._record import Record
 from .adapt import STRONG, WEAK
 from .errors import CtlError, FormulaError, ModelError
-from .flat import ADAPTING, STEADY
 
 
 class Atom(Record):
@@ -198,13 +196,12 @@ def _modal(flat, op, S, full):
 
 def _sat(flat, f):
     """The set of states of ``flat`` satisfying ``f``, labelled bottom-up."""
-    full = frozenset(range(len(flat.states)))
+    full = flat.class_ids[None]
 
     def label(node, args, parent):
         cls = type(node)
         if cls is Atom:
-            tag = ADAPTING if node.name == "adapting" else STEADY
-            return frozenset(compress(range(len(flat.classes)), map(tag.__eq__, flat.classes)))
+            return flat.class_ids[node.name]
         if cls is InState:
             if node.r not in flat.system.structure.states:
                 where = node.pos or (None, None)
@@ -262,7 +259,7 @@ def check_ctl(flat, f):
     if not (isinstance(f, Modal) and f.op in ("AG", "EF")):
         sat = _sat(flat, f)
         return CheckResult(satisfying=sat, holds_at_init=flat.init_index in sat, witness=None)
-    full = frozenset(range(len(flat.states)))
+    full = flat.class_ids[None]
     operand = _sat(flat, f.arg)
     sat = _modal(flat, f.op, operand, full)
     holds = flat.init_index in sat

@@ -21,10 +21,11 @@ A move's label follows from its two endpoints: it is an adaptation move
 when either endpoint is pending, a steady move otherwise.  A flat system
 stores, for each state, the tuple of its successors' ids (``succ``); its
 transitions are those moves ordered by source id.  The edge pairs and,
-from the first CTL check on, the table by target (``pred``) are derived
-from ``succ``.  A flat system always has its model; the pending
-invariant, as text, and target are looked up through the model only at
-the edges (text, JSON, DOT, labels).  In the JSON form each transition
+from the first CTL check on, the table by target (``pred``) and the id
+sets of the CTL atoms (``class_ids``) are derived from ``succ``.  A flat
+system always has its model; the pending invariant, as text, and target
+are looked up through the model only at the edges (text, JSON, DOT,
+labels).  In the JSON form each transition
 row must equal the row :func:`export_json` writes for its endpoints, and
 the rows are listed by ascending source id.
 
@@ -38,6 +39,7 @@ nothing.  One function applies the rules (the ``step`` of
 
 import json
 from collections import namedtuple
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 from .errors import ModelError
@@ -183,6 +185,7 @@ class FlatLTS:
         self.succ = tuple(succ)
         self.system = system
         self._pred = None
+        self._class_ids = None
         pending = [p is not None for _, _, p in self.states]
         is_pending = pending.__getitem__
         self.classes = tuple([
@@ -208,6 +211,18 @@ class FlatLTS:
                     pred[j].append(i)
             self._pred = tuple(map(tuple, pred))
         return self._pred
+
+    @property
+    def class_ids(self):
+        """``class_ids[c]``: the frozenset of the ids of the states of class
+        ``c``, 'adapting' or 'steady', and ``class_ids[None]`` that of every
+        id; built on first use (by CTL checking), like :attr:`pred`."""
+        if self._class_ids is None:
+            ids = range(len(self.states))
+            table = {c: frozenset(compress(ids, map(c.__eq__, self.classes))) for c in (ADAPTING, STEADY)}
+            table[None] = frozenset(ids)
+            self._class_ids = table
+        return self._class_ids
 
     @property
     def transitions(self):

@@ -29,7 +29,9 @@ block can hold, from a statement head to a ``;``, is one token of
 :data:`STATEMENTS`, and one ``findall`` splits it into its statements'
 parts.  A behaviour run holds ``state q {...} init;`` and ``a -> b;``; a
 structure run holds ``state r: "..." init;`` and ``a -["..."]-> b;``,
-whose quoted formulas hold no backslash.  A run that holds anything but
+whose quoted formulas hold no backslash.  The body of a state in a run is
+split at its commas, and each distinct assignment text in it is matched
+and typed once per load (:class:`_Items`).  A run that holds anything but
 statements and blanks, and any text that reader rejects, is read again
 token by token (:data:`LEXER`), which reports every error.
 ``save`` emits a canonical form: observables in declaration order, states
@@ -50,7 +52,7 @@ from .errors import FormulaError, ModelError, ModelFileError
 from .model import BehaviourMachine, ObservationMap, SBSystem, StructureMachine
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME = re.compile(_ID).fullmatch
+_NAME = partial(re.fullmatch, _ID)  # ``re`` compiles it on first use, as below
 LEXER = _lex.Lexer(
     [  # the most frequent first, each longer operator before its prefix
         ("ident", _ID),
@@ -74,8 +76,6 @@ LEXER = _lex.Lexer(
 )
 
 _BLANKS = r"[ \t\r\n]*"
-_ASSIGN = rf"{_ID}{_BLANKS}={_BLANKS}(?:-{_BLANKS}[0-9]+|[0-9]+|{_ID}){_BLANKS}"
-_VALUATION = re.compile(rf"{_BLANKS}(?:{_ASSIGN}(?:,{_BLANKS}{_ASSIGN})*)?").fullmatch
 
 RUN_LENGTH = 8192  # characters in one ``run`` token at most
 
@@ -106,7 +106,7 @@ STATEMENTS = _lex.Lexer(
 # the blanks after it, so the next starts where the token grammar would
 # start it; anything else in the run matches the last alternative, which
 # captures nothing.  ``re`` compiles each pattern on its first use and
-# keeps it, so importing this module compiles neither.
+# keeps it, so importing this module compiles none of them.
 #
 # (state id, valuation text, "init" or "", source, target)
 _PARTS = partial(
@@ -122,8 +122,13 @@ _STRUCTURE_PARTS = partial(
     rf'|({_ID}){_BLANKS}-\[{_BLANKS}"([^"\\\n]*)"{_BLANKS}\]->{_BLANKS}({_ID}){_BLANKS};{_BLANKS}'
     r"|[\s\S]",
 )
+# (name, "-" and blanks or None, digits or None, identifier or None) of an
+# assignment, the text between two commas of the body of a state in a run
+_ITEM = partial(
+    re.fullmatch,
+    rf"{_BLANKS}({_ID}){_BLANKS}={_BLANKS}(?:(-{_BLANKS})?([0-9]+)|({_ID})){_BLANKS}",
+)
 _REREAD = "a statement the token grammar must read"
-_ASSIGNMENTS = re.compile(rf"({_ID}){_BLANKS}={_BLANKS}(-?){_BLANKS}([0-9]+|{_ID})").findall
 
 
 def _unquote(text):
@@ -264,26 +269,40 @@ def _valuation(p, observables, id_tok):
     return val
 
 
-def _assignments(body):
-    """The valuation in the body of a state in a ``run`` token.
+def _assignments(body, items):
+    """The valuation in the body of a state in a ``run`` token, built from
+    the ``(name, value)`` of each assignment text in :class:`_Items` ``items``.
 
     A body the token grammar would read otherwise, or one that assigns an
     observable twice, raises :class:`ModelFileError` for the token grammar
     to report; :class:`SBSystem` rejects other errors.
     """
-    if not _VALUATION(body):
+    if not body.strip():  # a run holds no blank but " \t\r\n"
+        return {}
+    texts = body.split(",")
+    val = dict(map(items.__getitem__, texts))
+    if len(val) != len(texts):
         raise ModelFileError(_REREAD)
-    val = {}
-    for name, minus, text in _ASSIGNMENTS(body):
-        if name in val:
-            raise ModelFileError(_REREAD)
-        if text[0] in "0123456789":
-            val[name] = -int(text) if minus else int(text)
-        elif text in ("true", "false"):
-            val[name] = text == "true"
-        else:
-            val[name] = text
     return val
+
+
+class _Items(dict):
+    """Assignment text -> ``(name, value)``: a text is matched and typed on
+    its first lookup."""
+
+    def __missing__(self, text):
+        m = _ITEM(text)
+        if m is None:
+            raise ModelFileError(_REREAD)
+        name, minus, digits, word = m.groups()
+        if digits:
+            value = -int(digits) if minus else int(digits)
+        elif word in ("true", "false"):
+            value = word == "true"
+        else:
+            value = word
+        self[text] = name, value
+        return name, value
 
 
 def _constraint(p, observables, id_tok):
@@ -330,6 +349,7 @@ def _block(p, observables, word, state_body, edge_middle):
     init = None
     transitions = []
     bodies = {}  # valuation text -> valuation
+    items = _Items()  # assignment text -> (name, value)
     run = "run" if word == "behaviour" else "structure_run"
 
     def declared(tok):
@@ -348,7 +368,7 @@ def _block(p, observables, word, state_body, edge_middle):
                 if not q or transitions or q in table or marked and init is not None:
                     raise ModelFileError(_REREAD)
                 if body not in bodies:
-                    bodies[body] = _assignments(body)
+                    bodies[body] = _assignments(body, items)
                 table[q] = bodies[body]
                 init = q if marked else init
         elif t.kind == "structure_run":

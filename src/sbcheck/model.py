@@ -145,12 +145,17 @@ class SBSystem(Record):
 
     Constraint and invariant formulas are typechecked against the declared
     observables at construction time; enum literals are resolved in place.
-    Instances are immutable and safe to share.
+    Its fields never change.  Its caches do: the regions of structure
+    transitions and boolean observables, filled on first use, and the walk
+    and move tables that ``adapt`` fills (``_walks`` and ``_moves``), which
+    grow with the relation and live as long as the system.
 
     The behaviour states fall into classes of equal valuation, and a region
     is a bitset over the classes (bit ``i`` for class ``i``): each boolean
     observable's bitset is computed once per system, and a comparison is
-    evaluated once per class.
+    evaluated once per class.  Each class's names are checked against the
+    declared ones, and each distinct typed assignment ``(name, type,
+    value)`` against its domain once per system.
     """
 
     __slots__ = ("name", "observables", "behaviour", "structure", "observation",
@@ -159,8 +164,10 @@ class SBSystem(Record):
     def __init__(self, name, observables, behaviour, structure, observation):
         super().__init__(name, observables, behaviour, structure, observation)
         table = observation.table
+        domains = self.observables._domains
         numbers = {}  # id of a valuation -> its class number
         keys = {}  # typed items of a valuation -> its class number
+        checked = set()  # typed items found in their domain
         classes = []  # (valuation, behaviour states) by class number
         for q in self.behaviour.states:
             v = table.get(q) or self.observation.valuation(q)  # raises for q without one
@@ -173,7 +180,13 @@ class SBSystem(Record):
                     F.check_valuation(self.observables, v)
                     raise
                 if i == len(classes):
-                    F.check_valuation(self.observables, v)
+                    if v.keys() != domains.keys():
+                        F.check_valuation(self.observables, v)  # raises, naming the names
+                    if not checked.issuperset(key):
+                        new = set(key).difference(checked)
+                        if not all(F.domain_contains(domains[n], x) for n, _, x in new):
+                            F.check_valuation(self.observables, v)  # raises, naming the value
+                        checked |= new
                     classes.append((v, []))
             classes[i][1].append(q)
         set_field(self, "_classes", classes)

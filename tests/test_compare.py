@@ -161,22 +161,27 @@ def test_verdicts_walk_no_branch_when_the_initial_pair_never_adapts(monkeypatch,
 
 def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monkeypatch, tmp_path):
     # the walks do not depend on the kind, nor a flat system's predecessor
-    # table on the formula: weak, strong, the discrepancy search and
-    # --witness share them
+    # table and atom sets on the formula: weak, strong, the discrepancy
+    # search and --witness share them
     walks, tables = [], []
-    branch, pred = A._branch, FL.FlatLTS.pred
+    branch = A._branch
 
     def counted_branch(sys, start, r, k):
         walks.append((start, r, k))
         return branch(sys, start, r, k)
 
-    def counted_pred(flat):
-        if flat._pred is None:
-            tables.append(flat)
-        return pred.fget(flat)
+    def counted(name):  # the table ``name`` of a flat system, noting each build
+        build = getattr(FL.FlatLTS, name).fget
+
+        def table(flat):
+            if getattr(flat, "_" + name) is None:
+                tables.append((name, flat))
+            return build(flat)
+        return property(table)
 
     monkeypatch.setattr(A, "_branch", counted_branch)
-    monkeypatch.setattr(FL.FlatLTS, "pred", property(counted_pred))
+    for name in ("pred", "class_ids"):
+        monkeypatch.setattr(FL.FlatLTS, name, counted(name))
     chain = tmp_path / "chain.sbs"
     chain.write_text(save(gen.adaptation_chain(50)))
     gadget = tmp_path / "discrepancy.sbs"
@@ -186,9 +191,10 @@ def test_adapt_walks_each_branch_once_and_builds_one_graph_per_flat_system(monke
         tables.clear()
         assert cli.main(["adapt", "--json", "--witness", str(path)]) == code
         assert walks and len(walks) == len(set(walks)), path.name
-        # one table: the search reads the verdict's flat system, whose closure
-        # holds the gadget's least pair
-        assert len(tables) == len({id(f) for f in tables}) == 1, path.name
+        # one table of each: the search reads the verdict's flat system, whose
+        # closure holds the gadget's least pair
+        assert sorted(name for name, _ in tables) == ["class_ids", "pred"], path.name
+        assert len({id(f) for _, f in tables}) == 1, path.name
         tables.clear()
         assert cli.main(["flatten", "--json", str(path)]) == cli.EXIT_OK
         assert not tables  # built on the first check, not by flatten

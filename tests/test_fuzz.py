@@ -198,8 +198,10 @@ def _run_boundary_models():
     def spaced(statements):
         return _boundary_model(statements, (" ",))
 
-    def changed(old, new, i=5):  # every statement, with state ``i`` changed
-        return _boundary_model(states[:i] + [states[i].replace(old, new)] + states[i + 1 :] + edges)
+    def changed(old, new, *at):  # every statement, with the states ``at`` (state 5) changed
+        at = at or (5,)
+        return _boundary_model([st.replace(old, new) if i in at else st
+                                for i, st in enumerate(states)] + edges)
 
     def padded(end, statement=states[k], rest=states[k + 1 :] + edges):
         return spaced(_padded_to(states[:k], end, statement) + rest)
@@ -222,6 +224,22 @@ def _run_boundary_models():
         (_boundary_model(states + edges).replace(structure, "}structure{ "), True),
         (_boundary_model(states + edges).replace(structure, "}structure{q0 -> q1;"), False),
         (STRAY, False),
+        # valuation bodies, whose assignment texts are read once per load
+        (changed("{b = true, n = 0, m = red}", "{}"), False),
+        (changed("{b = true, n = 0, m = red}", "{ \r\n\t}"), False),
+        (changed("m = red}", "m = red,}"), False),  # a trailing comma
+        (changed(", n", ",, n"), False),  # a doubled comma
+        (changed(", n", " n"), False),  # a missing comma
+        (changed("n = 0", "n = - 2"), True),
+        (changed("n = 0", "n = -5"), False),  # outside int[-3..5]
+        (changed("n = 0", "n = - x"), False),
+        (changed(", n", ",\n n"), True),  # a newline inside a body
+        (changed(", n", ", b = false, n"), False),  # a repeated name
+        (changed("n = 0, m = red", "m = red, n = 0"), True),  # texts met at other positions
+        (changed("n = 0", "n = 7", 5, 10), False),  # one out-of-range text in two states
+        (changed("m = red", "m = blue"), True),  # an enum value
+        (changed("m = red", "m = pink"), False),
+        (changed("n = 0", "n = 004"), True),  # leading zeros
     ]
 
 

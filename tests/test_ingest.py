@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -386,6 +387,65 @@ def test_a_load_reads_and_walks_each_formula_once_per_use(monkeypatch, workload)
         I.loads(text)
         want = dict(zip(("tokenize", "typecheck", "unparse", "region"), LOAD_WORK[workload]))
         assert work == want
+
+
+# distinct assignment texts, the items between the commas of the distinct
+# state bodies, in every pool model of each workload
+ASSIGNMENT_TEXTS = {"wide": 12, "chain": 6, "discrepancy": 18}
+
+
+@pytest.mark.parametrize("workload", sorted(ASSIGNMENT_TEXTS))
+def test_a_load_reads_each_assignment_text_and_checks_each_typed_assignment_once(
+        monkeypatch, workload):
+    matched, checks = Counter(), []
+    item, contains = I._ITEM, F.domain_contains
+
+    def counted_item(text):
+        matched[text] += 1
+        return item(text)
+
+    def counted_contains(domain, value):
+        checks.append((domain, type(value), value))
+        return contains(domain, value)
+
+    monkeypatch.setattr(I, "_ITEM", counted_item)
+    monkeypatch.setattr(F, "domain_contains", counted_contains)
+    for seed in workloads.POOL[workload]:
+        text = workloads.model_text(workload, seed)
+        bodies = set(re.findall(r"state\s+\w+\s*\{([^}]*)\}", text))
+        texts = Counter(t for body in bodies for t in set(body.split(",")))
+        assert len(texts) == ASSIGNMENT_TEXTS[workload]
+        for _ in range(2):  # no memo outlives its load
+            matched.clear()
+            checks.clear()
+            system = I.loads(text)
+            assert matched == {t: 1 for t in texts}, seed
+            typed = {(n, type(x), x) for v in system.observation.table.values() for n, x in v.items()}
+            assert len(checks) == len(typed), seed
+
+
+def _int_model(domain, *bodies):
+    states = "".join(f"  state q{i} {{{body}}}{' init' * (i == 0)};\n" for i, body in enumerate(bodies))
+    return (f'system "t"\nobservables {{\n  p: {domain};\n}}\nbehaviour {{\n{states}}}\n'
+            'structure {\n  state r: "true" init;\n}\n')
+
+
+def test_each_load_and_system_checks_its_own_assignments():
+    # an assignment found in its domain in one model, or with one type, is
+    # checked again in the next model and with another type
+    assert I.loads(_int_model("int[0..3]", "p = 3")).observe("q0") == {"p": 3}
+    for text, message, line in (
+        (_int_model("int[0..1]", "p = 3"), "value 3 of 'p' outside domain int[0..1]", 6),
+        (_int_model("int[0..1]", "p = 1", "p = true"), "value true of 'p' outside domain int[0..1]", 7),
+    ):
+        with pytest.raises(ModelFileError) as e:
+            I.loads(text)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, 17)
+    with pytest.raises(ModelError, match="value True of 'p' outside domain int"):
+        M.SBSystem("t", F.Observables([F.ObservableDecl("p", F.IntRange(0, 1))]),
+                   M.BehaviourMachine(("a", "b"), "a", ()),
+                   M.StructureMachine(("r",), "r", {"r": F.BoolLit(True)}, ()),
+                   M.ObservationMap({"a": {"p": 1}, "b": {"p": True}}))
 
 
 # ---------------------------------------------------------------------------

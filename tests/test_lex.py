@@ -2,6 +2,7 @@
 
 import re
 import sys
+from functools import partial
 
 import pytest
 
@@ -176,6 +177,8 @@ def _patterns(module):
             yield value.pattern
         elif isinstance(getattr(value, "__self__", None), re.Pattern):
             yield value.__self__.pattern
+        elif isinstance(value, partial) and getattr(value.func, "__module__", None) == "re":
+            yield value.args[0]  # a pattern ``re`` compiles on its first use
 
 
 def test_patterns_use_no_regex_syntax_newer_than_python_3_10():

@@ -1,6 +1,6 @@
 """What ``src/sbcheck`` holds: no function or class that only tests or the
-benchmark reach, no import that its module does not read, and no JSON call
-that indents."""
+benchmark reach, no import that its module does not read, no JSON call
+that indents and no regex compiled at import."""
 
 import ast
 import pathlib
@@ -81,4 +81,25 @@ def test_no_json_call_passes_indent():
                 name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
                 if name in ("dumps", "dump"):
                     calls.add(f"{path.stem}:{node.lineno}")
+    assert calls == set()
+
+
+def _run_at_import(node):
+    """The nodes under ``node`` that run when its module is imported:
+    function and lambda bodies left out, with their defaults and decorators."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_no_module_compiles_a_regex_at_import():
+    # a CLI call is a fresh process: a pattern compiles on its first use
+    # (``partial(re.findall, pattern)`` or a lexer's first tokenize)
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "compile" and getattr(node.func.value, "id", "") == "re"):
+                calls.add(f"{path.stem}:{node.lineno}")
     assert calls == set()
